@@ -13,7 +13,8 @@ Subcommands:
   classes, with a histogram.
 
 Exit codes: 0 success, 2 malformed input, 3 mathematical-constraint
-violation, 4 parameter not in general position.  Results go to stdout
+violation, 4 parameter not in general position, 5 stdout closed before the
+output was written (for example piped into ``head``).  Results go to stdout
 (``--format json`` for machine consumption, fixed key order, no timestamps);
 diagnostics go to stderr.
 """
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import __version__
@@ -46,10 +48,8 @@ from .parahoric import (
 )
 from .root_datum import BasedRootDatum, FrobeniusAction
 from .whittaker import (
-    GLrCharacter,
     enumerate_glr_table,
     glr_coxeter_parameter,
-    is_general_position,
     squeeze_bounds,
     wh_dim_glr_closed,
     wh_dim_oracle,
@@ -60,6 +60,7 @@ EXIT_OK = 0
 EXIT_MALFORMED = 2
 EXIT_CONSTRAINT = 3
 EXIT_NOT_GENERAL_POSITION = 4
+EXIT_BROKEN_PIPE = 5
 
 
 def _int_matrix(value, name):
@@ -184,10 +185,6 @@ def cmd_residual(args):
 
 def cmd_whittaker(args):
     cover = glr_cover(args.r, args.pp, args.qq, args.n, args.q)
-    char = GLrCharacter(args.r, args.q, args.a)
-    if not is_general_position(char):
-        raise GeneralPositionError(
-            f"a = {args.a} is not in general position mod q^r - 1")
     results = {"general_position": True,
                "dimension": wh_dim_glr_closed(args.r, args.q, args.n,
                                               args.pp, args.qq, args.a)}
@@ -268,7 +265,15 @@ def main(argv=None):
     except (ValueError, KeyError, TypeError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
-    _emit(record, args.format)
+    try:
+        _emit(record, args.format)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone; send what is still buffered to the null device
+        # so that the flush at interpreter exit does not fail again
+        with open(os.devnull, "w") as null:
+            os.dup2(null.fileno(), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     return EXIT_OK
 
 

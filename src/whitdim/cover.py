@@ -11,22 +11,36 @@ For GL_r the form is pinned by two integers: bold_p = Q(e_i) on the diagonal
 and bold_q = B(e_i, e_j) off it.  The combination 2*bold_p - bold_q = Q of a
 simple coroot classifies the family (determinantal, Kazhdan-Patterson,
 Savin), and m = 2*bold_p + (r-1)*bold_q = B(e_0, e_i) controls dimensions.
+
+Lattices derived from a cover (Y_{Q,n}, the invariant lattice and its coset
+representatives) are computed on first use and kept on the cover, so they
+live exactly as long as it does.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 from math import comb
 
 from .errors import MathConstraintError
-from .lattice import congruence_kernel, dot, index, intersect, mat_mul, mat_vec, transpose
+from .lattice import (
+    congruence_kernel,
+    coset_representatives,
+    dot,
+    index,
+    intersect,
+    mat_mul,
+    mat_vec,
+    transpose,
+)
 from .root_datum import (
     BasedRootDatum,
     FrobeniusAction,
     build_glr,
     frobenius_fixed_lattice,
     simple_reflections,
+    weyl_frobenius_fixed_lattice,
 )
 
 
@@ -123,6 +137,23 @@ class CoverSpec:
     def fr(self):
         return self.datum.fr
 
+    @cached_property
+    def _y_qn(self):
+        return congruence_kernel(self.form.gram, self.n, self.rank)
+
+    @cached_property
+    def _invariant_lattices(self):
+        """L = Y^{W x Fr} and its meet with Y_{Q,n}."""
+        lat = weyl_frobenius_fixed_lattice(self.datum)
+        return lat, intersect(lat, self._y_qn)
+
+    @cached_property
+    def _cosets(self):
+        """Canonical representatives y of L / (L meet Y_{Q,n}), the zero
+        coset first, each paired with its twist covector gram . y."""
+        reps = coset_representatives(*self._invariant_lattices)
+        return tuple((rep, mat_vec(self.form.gram, rep)) for rep in reps)
+
 
 @dataclass(frozen=True)
 class GLrCoverInvariants:
@@ -193,10 +224,9 @@ def classify_glr_family(bold_p, bold_q):
     return f"other({value})"
 
 
-@lru_cache(maxsize=None)
 def y_qn(cover):
     """Y_{Q,n} = {y : gram . y = 0 mod n componentwise}; contains n * Z^d."""
-    return congruence_kernel(cover.form.gram, cover.n, cover.rank)
+    return cover._y_qn
 
 
 def central_index(cover):

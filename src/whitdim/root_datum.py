@@ -160,13 +160,27 @@ class BasedRootDatum:
 
 @dataclass(frozen=True)
 class WeylGroup:
-    """Complete list of Weyl elements as integer matrices acting on Y."""
+    """Complete list of Weyl elements as integer matrices acting on Y; the
+    identity comes first."""
 
     elements: tuple
 
     @property
     def order(self):
         return len(self.elements)
+
+    @cached_property
+    def _members(self):
+        return frozenset(self.elements)
+
+    def __contains__(self, m):
+        return m in self._members
+
+    @cached_property
+    def x_action(self):
+        """The transposes of ``elements``, index-aligned: ``x_action[i]`` acts
+        on X as ``elements[i]`` inverted, so the tuple runs over the group."""
+        return tuple(transpose(m) for m in self.elements)
 
 
 def simple_reflections(rd):
@@ -176,7 +190,11 @@ def simple_reflections(rd):
 
 @lru_cache(maxsize=None)
 def weyl_group(rd):
-    """All Weyl elements, generated from the simple reflections by closure."""
+    """All Weyl elements, generated from the simple reflections by closure.
+
+    Cached by the value of the datum, so equal data built separately share
+    one group and its derived data.
+    """
     if coroot_lattice(rd).rank > MAX_WEYL_SEMISIMPLE_RANK:
         raise ValueError(
             f"semisimple rank exceeds the guard {MAX_WEYL_SEMISIMPLE_RANK}")

@@ -15,36 +15,31 @@ Three independent routes compute the same dimension for covers of GL_r:
   (`y_x_rho`), which also works for arbitrary root data.
 
 Internally the orbit search runs over integers modulo a common denominator;
-this is an implementation detail, all comparisons stay exact.
+this is an implementation detail, all comparisons stay exact.  The orbit
+search also decides general position.  It reads the Weyl group from
+`weyl_group`, which is shared by every datum of equal value, and the
+invariant lattice with its coset representatives from the cover, which keeps
+them for its own lifetime.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from itertools import product as _cartesian
 from math import gcd, lcm
 
-from .cover import m_qr, y_qn
+from .cover import m_qr
 from .errors import GeneralPositionError, MathConstraintError
 from .lattice import (
     congruence_kernel,
     fixed_sublattice,
     hermite_normal_form,
-    identity_matrix,
     index,
     intersect,
     mat_mul,
     mat_vec,
-    quotient_hnf,
-    transpose,
 )
-from .root_datum import (
-    simple_reflections,
-    weyl_frobenius_fixed_lattice,
-    weyl_group,
-)
+from .root_datum import simple_reflections, weyl_group
 
 
 @dataclass(frozen=True)
@@ -88,57 +83,7 @@ class LusztigParameter:
 
 
 # ---------------------------------------------------------------------------
-# cached per-datum/per-cover structure
-
-@lru_cache(maxsize=None)
-def _weyl_elements(datum):
-    return frozenset(weyl_group(datum).elements)
-
-
-@lru_cache(maxsize=None)
-def _weyl_x_transposes(datum):
-    # the X-side orbit maps; transposing every element hits the same group
-    return tuple(transpose(m) for m in weyl_group(datum).elements)
-
-
-@lru_cache(maxsize=None)
-def _invariant_lattice(datum):
-    return weyl_frobenius_fixed_lattice(datum)
-
-
-@lru_cache(maxsize=None)
-def _coset_setup(cover):
-    """Invariant lattice L, L0 = L meet Y_{Q,n}, the coset box of L/L0, and
-    the twist covector gram . rep of each canonical representative."""
-    lat = _invariant_lattice(cover.datum)
-    sub = intersect(lat, y_qn(cover))
-    box = quotient_hnf(lat, sub)
-    combos = tuple(_cartesian(*[range(box[i][i]) for i in range(len(box))]))
-    reps = []
-    for combo in combos:
-        vec = [0] * cover.rank
-        for c, row in zip(combo, lat.basis):
-            if c:
-                vec = [a + c * b for a, b in zip(vec, row)]
-        reps.append(tuple(vec))
-    twists = tuple(mat_vec(cover.form.gram, rep) for rep in reps)
-    return lat, sub, box, combos, tuple(reps), twists
-
-
-@lru_cache(maxsize=None)
-def _twisted_frobenius_transpose(datum, w):
-    return transpose(mat_mul(w, datum.fr.matrix))
-
-
-@lru_cache(maxsize=None)
-def _twisted_stabilizer_transposes(datum, w):
-    """Transposes of the nonidentity Weyl elements commuting with w * Fr."""
-    wf = mat_mul(w, datum.fr.matrix)
-    ident = identity_matrix(datum.rank)
-    fixed = [m for m in weyl_group(datum).elements
-             if m != ident and mat_mul(wf, m) == mat_mul(m, wf)]
-    return tuple(transpose(m) for m in fixed)
-
+# validation and the Weyl-orbit pass
 
 def _int_context(cover, param):
     """Validate a parameter against a cover; exponents as integers mod D."""
@@ -146,7 +91,8 @@ def _int_context(cover, param):
     d = datum.rank
     if len(param.theta) != d:
         raise ValueError("parameter dimension does not match the cover")
-    if param.w not in _weyl_elements(datum):
+    group = weyl_group(datum)
+    if param.w not in group:
         raise MathConstraintError("w is not an element of the Weyl group")
     p = cover.p
     for t in param.theta + (param.central_exponent,):
@@ -157,23 +103,31 @@ def _int_context(cover, param):
         raise MathConstraintError("central exponent is not annihilated by q - 1")
     denom = lcm(cover.n, *(t.denominator for t in param.theta))
     tnum = tuple(t.numerator * (denom // t.denominator) % denom for t in param.theta)
-    wf_t = _twisted_frobenius_transpose(datum, param.w)
+    # (w Fr)^T theta = Fr^T (w^T theta)
+    w, f = param.w, datum.fr.matrix
+    wt = [sum(w[j][i] * tnum[j] for j in range(d)) for i in range(d)]
     for i in range(d):
-        lhs = cover.q * tnum[i]
-        rhs = sum(wf_t[i][j] * tnum[j] for j in range(d))
-        if (lhs - rhs) % denom:
+        if (cover.q * tnum[i] - sum(f[j][i] * wt[j] for j in range(d))) % denom:
             raise MathConstraintError(
                 "q * theta = (w Fr)^T theta mod 1 fails: not a character of the twisted torus")
-    return denom, tnum
+    return group, denom, tnum
 
 
-def _is_general_position_context(cover, param, denom, tnum):
-    d = cover.rank
-    for mt in _twisted_stabilizer_transposes(cover.datum, param.w):
-        if all((sum(mt[i][j] * tnum[j] for j in range(d)) - tnum[i]) % denom == 0
-               for i in range(d)):
-            return False
-    return True
+def _orbit_pass(cover, param):
+    """(D, theta mod D, Weyl orbit of theta mod D) for a valid parameter; the
+    orbit is None when theta is not in general position, that is when a
+    nonidentity Weyl element commuting with w Fr fixes it."""
+    group, denom, tnum = _int_context(cover, param)
+    images = [tuple(sum(a * t for a, t in zip(row, tnum)) % denom for row in mt)
+              for mt in group.x_action]
+    orbit = set(images)
+    if len(orbit) < group.order:
+        # theta has a nontrivial stabilizer in W (the identity comes first)
+        wf = mat_mul(param.w, cover.fr.matrix)
+        for m, image in zip(group.elements[1:], images[1:]):
+            if image == tnum and mat_mul(wf, m) == mat_mul(m, wf):
+                return denom, tnum, None
+    return denom, tnum, orbit
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +136,7 @@ def _is_general_position_context(cover, param, denom, tnum):
 def xi_of(cover, y):
     """The twisting exponent vector (gram . y) / n mod 1, for invariant y."""
     vec = tuple(int(v) for v in y)
-    if not _invariant_lattice(cover.datum).contains_vector(vec):
+    if not cover._invariant_lattices[0].contains_vector(vec):
         raise MathConstraintError("y is not fixed by the Weyl group and Frobenius")
     return tuple(Fraction(c, cover.n) % 1 for c in mat_vec(cover.form.gram, vec))
 
@@ -218,8 +172,7 @@ def is_general_position(param, cover=None):
                    for s in range(1, param.r))
     if cover is None:
         raise ValueError("testing a LusztigParameter requires the cover")
-    denom, tnum = _int_context(cover, param)
-    return _is_general_position_context(cover, param, denom, tnum)
+    return _orbit_pass(cover, param)[2] is not None
 
 
 def y_x_rho(cover, param):
@@ -231,53 +184,30 @@ def y_x_rho(cover, param):
     orbit of theta.  The passing set must form a subgroup of the quotient;
     anything else signals an internal inconsistency.
     """
-    denom, tnum = _int_context(cover, param)
-    if not _is_general_position_context(cover, param, denom, tnum):
+    denom, tnum, orbit = _orbit_pass(cover, param)
+    if orbit is None:
         raise GeneralPositionError("parameter is not in general position")
-    datum = cover.datum
-    d = datum.rank
-    lat, sub, box, combos, reps, twists = _coset_setup(cover)
+    lat, sub = cover._invariant_lattices
+    cosets = cover._cosets
     scale = denom // cover.n
-    orbit = set()
-    for mt in _weyl_x_transposes(datum):
-        orbit.add(tuple(sum(mt[i][j] * tnum[j] for j in range(d)) % denom
-                        for i in range(d)))
-    passing = []
-    for combo, twist in zip(combos, twists):
-        target = tuple((t + scale * c) % denom for t, c in zip(tnum, twist))
-        if target in orbit:
-            passing.append(combo)
+    passing = [rep for rep, twist in cosets
+               if tuple((t + scale * c) % denom for t, c in zip(tnum, twist)) in orbit]
 
-    total = len(combos)
-    labels = set(passing)
-    if (0,) * len(box) not in labels:
+    total = len(cosets)
+    # the zero coset comes first
+    if not passing or any(passing[0]):
         raise RuntimeError("internal consistency: the trivial coset did not pass")
-    if len(labels) not in (1, total):
-        for c1 in passing:
-            for c2 in passing:
-                merged = tuple(a + b for a, b in zip(c1, c2))
-                if _reduce_combo(merged, box) not in labels:
-                    raise RuntimeError(
-                        "internal consistency: passing cosets do not form a subgroup")
-    if total % len(labels):
+    if total % len(passing):
         raise RuntimeError("internal consistency: subgroup size does not divide the quotient")
-    idx = total // len(labels)
+    idx = total // len(passing)
 
-    gens = list(sub.basis) + [rep for combo, rep in zip(combos, reps) if combo in labels]
-    lattice = hermite_normal_form(gens, d)
+    # the passing cosets generate a subgroup of order total / index(lat, lattice),
+    # so the index matches exactly when they already form a subgroup
+    lattice = hermite_normal_form(list(sub.basis) + passing, cover.rank)
     if index(lat, lattice) != idx:
-        raise RuntimeError("internal consistency: lattice index mismatch")
+        raise RuntimeError(
+            "internal consistency: passing cosets do not form a subgroup (lattice index mismatch)")
     return lattice, idx
-
-
-def _reduce_combo(combo, box):
-    c = list(combo)
-    for i, row in enumerate(box):
-        f = c[i] // row[i]
-        if f:
-            for j in range(i, len(c)):
-                c[j] -= f * row[j]
-    return tuple(c)
 
 
 def _check_glr_dim_args(r, q, n, a):
@@ -338,8 +268,8 @@ def squeeze_bounds(cover):
     """
     datum = cover.datum
     d = datum.rank
-    lat = _invariant_lattice(datum)
-    upper = index(lat, intersect(lat, y_qn(cover)))
+    lat, meet = cover._invariant_lattices
+    upper = index(lat, meet)
     weyl_fixed = fixed_sublattice(simple_reflections(datum), d)
     rows = [mat_vec(cover.form.gram, b) for b in weyl_fixed.basis]
     mid = intersect(lat, congruence_kernel(rows, cover.n, d))

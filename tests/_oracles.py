@@ -159,3 +159,25 @@ def theta_solutions(cover, w):
             seen.add(theta)
             out.append(theta)
     return out
+
+
+def twisted_centralizer_fixing(weyl_elements, w, frobenius, theta):
+    """Nonidentity Weyl elements m with m (w Fr) = (w Fr) m and m^T theta =
+    theta mod 1, by a literal scan with explicit matrix products over the
+    integers and exponents as exact rationals."""
+    d = len(theta)
+
+    def times(a, b):
+        return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(d)) for j in range(d))
+                     for i in range(d))
+
+    identity = tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
+    wf = times(w, frobenius)
+    found = []
+    for m in weyl_elements:
+        if m == identity or times(m, wf) != times(wf, m):
+            continue
+        image = tuple(sum(m[j][i] * theta[j] for j in range(d)) for i in range(d))
+        if all((a - b) % 1 == 0 for a, b in zip(image, theta)):
+            found.append(m)
+    return found

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from whitdim.cli import main
+import whitdim
+from whitdim.cli import EXIT_BROKEN_PIPE, main
 
 KP_GL2 = {
     "rank": 2,
@@ -210,3 +215,18 @@ def test_text_and_json_expose_the_same_result_names(capsys, kp_file):
 def test_results_go_to_stdout_only(capsys, kp_file):
     code, out, err = run(capsys, ["info", kp_file])
     assert code == 0 and err == "" and out != ""
+
+
+def test_closed_stdout_exits_without_traceback():
+    # about 780 kB of JSON, far more than a pipe buffers, so the writer
+    # meets the closed pipe
+    env = dict(os.environ, PYTHONPATH=str(Path(whitdim.__file__).resolve().parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "whitdim", "table", "--r", "2", "--q", "127", "--n", "6",
+         "--pp", "1", "--qq", "1", "--format", "json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == EXIT_BROKEN_PIPE
+    assert "Traceback" not in err, err

@@ -113,6 +113,20 @@ def test_weyl_rank_guard():
         weyl_group(build_glr(10))
 
 
+def test_weyl_data_shared_across_equal_data():
+    first, second = build_glr(4), build_glr(4)
+    assert first is not second
+    assert weyl_group(first) is weyl_group(second)
+    assert weyl_group(first).x_action is weyl_group(second).x_action
+
+
+def test_weyl_membership_and_x_action():
+    group = weyl_group(build_sp2r(2))
+    assert all(m in group for m in group.elements)
+    assert ((0, 1), (1, 0)) in group and ((1, 1), (0, 1)) not in group
+    assert group.x_action == tuple(transpose(m) for m in group.elements)
+
+
 # ---------------------------------------------------------------------------
 # coroot lattices and simple connectedness
 

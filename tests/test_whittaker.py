@@ -6,7 +6,7 @@ import pytest
 from whitdim.cover import CoverSpec, WeylInvariantForm, central_index, glr_cover, m_qr
 from whitdim.errors import GeneralPositionError, MathConstraintError
 from whitdim.lattice import Sublattice
-from whitdim.root_datum import build_slr
+from whitdim.root_datum import build_slr, build_sp2r, build_torus, weyl_group
 from whitdim.whittaker import (
     GLrCharacter,
     LusztigParameter,
@@ -20,7 +20,7 @@ from whitdim.whittaker import (
     y_x_rho,
 )
 
-from _oracles import theta_solutions
+from _oracles import theta_solutions, twisted_centralizer_fixing
 
 KP = glr_cover(2, 0, 1, 4, 5)
 
@@ -129,6 +129,55 @@ def test_gp_paths_agree_on_coxeter_inputs(r, q):
         char_path = is_general_position(GLrCharacter(r, q, a))
         param_path = is_general_position(glr_coxeter_parameter(r, q, a), cover)
         assert char_path == param_path, a
+
+
+def check_gp_against_twisted_centralizer(cover, denominator=None):
+    """Compare both general-position deciders with the oracle on every valid
+    theta of every twist w (only those with the given denominator, if one is
+    given); returns how many parameters were checked."""
+    elements = weyl_group(cover.datum).elements
+    checked = 0
+    for w in elements:
+        for theta in theta_solutions(cover, w):
+            if denominator and any((denominator * t).denominator != 1 for t in theta):
+                continue
+            param = LusztigParameter(w, theta)
+            expected = not twisted_centralizer_fixing(elements, w, cover.fr.matrix, theta)
+            assert is_general_position(param, cover) == expected, (w, theta)
+            if expected:
+                y_x_rho(cover, param)
+            else:
+                with pytest.raises(GeneralPositionError):
+                    y_x_rho(cover, param)
+            checked += 1
+    return checked
+
+
+def test_gp_matches_the_twisted_centralizer_for_every_twist():
+    covers = [
+        glr_cover(2, 0, 1, 4, 13),
+        glr_cover(3, 1, -1, 2, 3),
+        CoverSpec(build_slr(3), WeylInvariantForm(((2, -1), (-1, 2))), 2, 3),
+        CoverSpec(build_sp2r(2), WeylInvariantForm(((2, 0), (0, 2))), 2, 3),
+    ]
+    assert sum(check_gp_against_twisted_centralizer(c, 80) for c in covers) == 186
+
+
+def test_gp_when_the_weyl_stabilizer_misses_the_twisted_centralizer():
+    # with q = 2 mod 3, theta = (1/3, 1/3) on SL_3 is fixed by the rotations of
+    # order 3, which commute with no reflection w: general position all the same
+    cover = CoverSpec(build_slr(3), WeylInvariantForm(((2, -1), (-1, 2))), 4, 5)
+    reflection = ((-1, 1), (0, 1))
+    assert is_general_position(LusztigParameter(reflection, (Fraction(1, 3),) * 2), cover)
+    assert check_gp_against_twisted_centralizer(cover) == 150
+
+
+def test_gp_on_a_torus_with_a_cyclic_frobenius():
+    # q * theta = Fr^T theta has q^3 - 1 solutions, and W is trivial
+    cycle = ((0, 0, 1), (1, 0, 0), (0, 1, 0))
+    form = WeylInvariantForm(((2, 1, 1), (1, 2, 1), (1, 1, 2)))
+    cover = CoverSpec(build_torus(3, cycle), form, 2, 3)
+    assert check_gp_against_twisted_centralizer(cover) == 26
 
 
 # ---------------------------------------------------------------------------
