@@ -22,7 +22,7 @@ from .cover import (
     q_of_e0,
     y_qn,
 )
-from .errors import GeneralPositionError, MathConstraintError
+from .errors import GeneralPositionError, MathConstraintError, ResourceLimitError
 from .lattice import (
     INFINITE,
     FiniteAbelianStructure,

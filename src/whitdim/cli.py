@@ -14,9 +14,11 @@ Subcommands:
 
 Exit codes: 0 success, 2 malformed input, 3 mathematical-constraint
 violation, 4 parameter not in general position, 5 stdout closed before the
-output was written (for example piped into ``head``).  Results go to stdout
-(``--format json`` for machine consumption, fixed key order, no timestamps);
-diagnostics go to stderr.
+output was written (for example piped into ``head``), 6 an enumeration
+would exceed its size guard (the semisimple rank of a Weyl group, or
+q^r - 1 for ``table``).  Results go to stdout (``--format json`` for
+machine consumption, fixed key order, no timestamps); diagnostics go to
+stderr.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from .cover import (
     q_of_coroot,
     q_of_e0,
 )
-from .errors import GeneralPositionError, MathConstraintError
+from .errors import GeneralPositionError, MathConstraintError, ResourceLimitError
 from .parahoric import (
     ApartmentPoint,
     is_hyperspecial,
@@ -61,6 +63,7 @@ EXIT_MALFORMED = 2
 EXIT_CONSTRAINT = 3
 EXIT_NOT_GENERAL_POSITION = 4
 EXIT_BROKEN_PIPE = 5
+EXIT_RESOURCE_LIMIT = 6
 
 
 def _int_matrix(value, name):
@@ -262,6 +265,9 @@ def main(argv=None):
     except MathConstraintError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONSTRAINT
+    except ResourceLimitError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE_LIMIT
     except (ValueError, KeyError, TypeError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MALFORMED

@@ -41,6 +41,7 @@ from .root_datum import (
     frobenius_fixed_lattice,
     simple_reflections,
     weyl_frobenius_fixed_lattice,
+    weyl_group,
 )
 
 
@@ -136,6 +137,10 @@ class CoverSpec:
     @property
     def fr(self):
         return self.datum.fr
+
+    @cached_property
+    def _weyl_group(self):
+        return weyl_group(self.datum)
 
     @cached_property
     def _y_qn(self):

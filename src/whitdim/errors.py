@@ -7,3 +7,7 @@ class MathConstraintError(ValueError):
 
 class GeneralPositionError(MathConstraintError):
     """A torus character / dual parameter is not in general position."""
+
+
+class ResourceLimitError(ValueError):
+    """An enumeration would exceed the size guard set before it starts."""

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import InitVar, dataclass
 from functools import cached_property, lru_cache
 
-from .errors import MathConstraintError
+from .errors import MathConstraintError, ResourceLimitError
 from .lattice import (
     dot,
     fixed_sublattice,
@@ -196,7 +196,7 @@ def weyl_group(rd):
     one group and its derived data.
     """
     if coroot_lattice(rd).rank > MAX_WEYL_SEMISIMPLE_RANK:
-        raise ValueError(
+        raise ResourceLimitError(
             f"semisimple rank exceeds the guard {MAX_WEYL_SEMISIMPLE_RANK}")
     gens = simple_reflections(rd)
     ident = identity_matrix(rd.rank)

@@ -9,17 +9,17 @@ trivially on it.
 
 Three independent routes compute the same dimension for covers of GL_r:
 
-* a bounded congruence scan (`wh_dim_glr_closed`),
+* the congruence solved by one modular inverse per power of q
+  (`wh_dim_glr_closed`),
 * a literal root-of-unity scan in exact rationals (`wh_dim_oracle`),
 * a Weyl-orbit search over coset representatives of the invariant lattice
   (`y_x_rho`), which also works for arbitrary root data.
 
 Internally the orbit search runs over integers modulo a common denominator;
 this is an implementation detail, all comparisons stay exact.  The orbit
-search also decides general position.  It reads the Weyl group from
-`weyl_group`, which is shared by every datum of equal value, and the
-invariant lattice with its coset representatives from the cover, which keeps
-them for its own lifetime.
+search also decides general position.  It reads the Weyl group (shared by
+every datum of equal value), the invariant lattice and its coset
+representatives from the cover, which keeps them for its own lifetime.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .cover import m_qr
-from .errors import GeneralPositionError, MathConstraintError
+from .errors import GeneralPositionError, MathConstraintError, ResourceLimitError
 from .lattice import (
     congruence_kernel,
     fixed_sublattice,
@@ -39,7 +39,7 @@ from .lattice import (
     mat_mul,
     mat_vec,
 )
-from .root_datum import simple_reflections, weyl_group
+from .root_datum import simple_reflections
 
 
 @dataclass(frozen=True)
@@ -91,7 +91,7 @@ def _int_context(cover, param):
     d = datum.rank
     if len(param.theta) != d:
         raise ValueError("parameter dimension does not match the cover")
-    group = weyl_group(datum)
+    group = cover._weyl_group
     if param.w not in group:
         raise MathConstraintError("w is not an element of the Weyl group")
     p = cover.p
@@ -153,7 +153,8 @@ def glr_coxeter_parameter(r, q, a, n=None):
     nums = [a * pow(q, i, modulus) % modulus for i in range(r)]
     theta = tuple(Fraction(v, modulus) for v in nums)
     central = Fraction(1, n) if n else Fraction(0)
-    assert all((q * nums[i] - nums[(i + 1) % r]) % modulus == 0 for i in range(r))
+    if any((q * nums[i] - nums[(i + 1) % r]) % modulus for i in range(r)):
+        raise RuntimeError("internal consistency: theta is not fixed by q times the Coxeter twist")
     return LusztigParameter(w, theta, central)
 
 
@@ -221,24 +222,53 @@ def _check_glr_dim_args(r, q, n, a):
             f"a = {a} is not in general position mod q^r - 1 = {q ** r - 1}")
 
 
+class _GLrSolver:
+    """The congruence m * k * (q^r - 1)/n = b mod q^r - 1 of one GL_r cover,
+    solved for the least k > 0 by a modular inverse.
+
+    With M = q^r - 1 and g = gcd(n, m), the coefficient m * M/n has
+    gcd(m * M/n, M) = (M/n) * g =: unit, so a right side b is reachable iff
+    unit | b, and then k = (b / unit) * (m/g)^-1 mod n/g (0 read as n/g).
+    b = 0 (s = 0) always gives k = n/g, which bounds the dimension.
+    """
+
+    __slots__ = ("modulus", "bound", "unit", "inverse", "coefficient", "q_powers")
+
+    def __init__(self, r, q, n, m):
+        self.modulus = modulus = q ** r - 1
+        g = gcd(n, m)
+        self.bound = bound = n // g
+        self.unit = modulus // n * g
+        self.inverse = pow(m // g, -1, bound)
+        self.coefficient = m * (modulus // n)
+        #: q^s mod M for 0 < s < r
+        self.q_powers = [pow(q, s, modulus) for s in range(1, r)]
+
+    def dimension(self, a):
+        """Least k over 0 <= s < r for the right sides a * (q^s - 1)."""
+        modulus, unit, bound = self.modulus, self.unit, self.bound
+        best, rhs = bound, 0
+        for qs in self.q_powers:
+            b = a * (qs - 1) % modulus
+            if b % unit == 0:
+                k = b // unit * self.inverse % bound or bound
+                if k < best:
+                    best, rhs = k, b
+        if (self.coefficient * best - rhs) % modulus:
+            raise RuntimeError(
+                f"internal consistency: k = {best} does not solve the congruence for a = {a}")
+        return best
+
+
 def wh_dim_glr_closed(r, q, n, bold_p, bold_q, a):
     """Whittaker dimension for the exponent-a cuspidal datum on a GL_r cover.
 
     Smallest k > 0 with m * k * (q^r - 1)/n = a * (q^s - 1) mod q^r - 1 for
     some 0 <= s < r, where m = 2*bold_p + (r-1)*bold_q.  The minimum is at
-    most (and divides) n / gcd(n, m).
+    most (and divides) n / gcd(n, m); each s is solved by a modular inverse.
     """
     _check_glr_dim_args(r, q, n, a)
-    m = m_qr(r, bold_p, bold_q)
-    modulus = q ** r - 1
-    step = modulus // n
-    bound = n // gcd(n, m)
-    powers = [a * (pow(q, s, modulus) - 1) % modulus for s in range(r)]
-    for k in range(1, bound + 1):
-        lhs = m * k * step % modulus
-        if lhs in powers:
-            return k
-    raise RuntimeError("internal consistency: scan exhausted below the divisibility bound")
+    return _GLrSolver(r, q, n, m_qr(r, bold_p, bold_q)).dimension(a)
 
 
 def wh_dim_oracle(r, q, n, bold_p, bold_q, a):
@@ -290,18 +320,21 @@ def enumerate_glr_table(r, q, n, bold_p, bold_q, max_order=10 ** 6):
         raise ValueError("need r >= 1 and q >= 2")
     modulus = q ** r - 1
     if modulus > max_order:
-        raise ValueError(f"q^r - 1 = {modulus} exceeds the enumeration bound {max_order}")
+        raise ResourceLimitError(
+            f"q^r - 1 = {modulus} exceeds the enumeration bound {max_order}")
     if n < 1 or (q - 1) % n:
         raise MathConstraintError(f"cover degree n = {n} must divide q - 1 = {q - 1}")
+    solver = _GLrSolver(r, q, n, m_qr(r, bold_p, bold_q))
+    q_powers = solver.q_powers
     rows = []
     histogram = {}
     for a in range(modulus):
-        if not is_general_position(GLrCharacter(r, q, a)):
+        # an image a * q^s equal to a breaks general position, a smaller one
+        # means a is not the orbit minimum; otherwise the orbit has exactly
+        # r members
+        if any(a * qs % modulus <= a for qs in q_powers):
             continue
-        orbit = {a * pow(q, s, modulus) % modulus for s in range(r)}
-        if a != min(orbit):
-            continue
-        dim = wh_dim_glr_closed(r, q, n, bold_p, bold_q, a)
-        rows.append((a, len(orbit), dim))
+        dim = solver.dimension(a)
+        rows.append((a, r, dim))
         histogram[dim] = histogram.get(dim, 0) + 1
     return tuple(rows), dict(sorted(histogram.items()))

@@ -7,6 +7,7 @@ counting classifies the points of an explicit box by pairwise differences.
 
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 
 def transpose(rows):
@@ -181,3 +182,18 @@ def twisted_centralizer_fixing(weyl_elements, w, frobenius, theta):
         if all((a - b) % 1 == 0 for a, b in zip(image, theta)):
             found.append(m)
     return found
+
+
+def glr_dimension_scan(r, q, n, bold_p, bold_q, a):
+    """Least k > 0 with m k (q^r - 1)/n = a (q^s - 1) mod q^r - 1 for some
+    0 <= s < r, m = 2 bold_p + (r - 1) bold_q, by trying k = 1, 2, ... up to
+    n / gcd(n, m), where s = 0 always holds."""
+    m = 2 * bold_p + (r - 1) * bold_q
+    modulus = q ** r - 1
+    step = modulus // n
+    bound = n // gcd(n, m)
+    targets = {a * (pow(q, s, modulus) - 1) % modulus for s in range(r)}
+    for k in range(1, bound + 1):
+        if m * k * step % modulus in targets:
+            return k
+    raise RuntimeError("scan exhausted below the divisibility bound")

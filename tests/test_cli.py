@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import whitdim
-from whitdim.cli import EXIT_BROKEN_PIPE, main
+from whitdim.cli import EXIT_BROKEN_PIPE, EXIT_RESOURCE_LIMIT, main
 
 KP_GL2 = {
     "rank": 2,
@@ -178,6 +178,14 @@ def test_whittaker_bad_degree_exits_3(capsys):
     assert code == 3
 
 
+def test_whittaker_weyl_guard_exits_6(capsys):
+    code, out, err = run(capsys, [
+        "whittaker", "--r", "10", "--q", "3", "--n", "2",
+        "--pp", "0", "--qq", "1", "--a", "1", "--oracle"])
+    assert code == EXIT_RESOURCE_LIMIT == 6
+    assert out == "" and "semisimple rank exceeds the guard" in err
+
+
 # ---------------------------------------------------------------------------
 # table
 
@@ -193,6 +201,13 @@ def test_table_degree_one_single_bar(capsys):
         "table", "--r", "2", "--q", "5", "--n", "1", "--pp", "0", "--qq", "1"])
     assert code == 0
     assert record["results"]["histogram"] == {"1": 10}
+
+
+def test_table_enumeration_guard_exits_6(capsys):
+    code, out, err = run(capsys, [
+        "table", "--r", "3", "--q", "101", "--n", "2", "--pp", "0", "--qq", "1"])
+    assert code == EXIT_RESOURCE_LIMIT
+    assert out == "" and "exceeds the enumeration bound" in err
 
 
 # ---------------------------------------------------------------------------

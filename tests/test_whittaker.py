@@ -1,7 +1,10 @@
+import random
 from fractions import Fraction
+from itertools import cycle
 from math import gcd
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from whitdim.cover import CoverSpec, WeylInvariantForm, central_index, glr_cover, m_qr
 from whitdim.errors import GeneralPositionError, MathConstraintError
@@ -10,6 +13,7 @@ from whitdim.root_datum import build_slr, build_sp2r, build_torus, weyl_group
 from whitdim.whittaker import (
     GLrCharacter,
     LusztigParameter,
+    _GLrSolver,
     enumerate_glr_table,
     glr_coxeter_parameter,
     is_general_position,
@@ -20,7 +24,7 @@ from whitdim.whittaker import (
     y_x_rho,
 )
 
-from _oracles import theta_solutions, twisted_centralizer_fixing
+from _oracles import glr_dimension_scan, theta_solutions, twisted_centralizer_fixing
 
 KP = glr_cover(2, 0, 1, 4, 5)
 
@@ -210,6 +214,16 @@ def test_y_x_rho_rejects_degenerate_parameters():
         y_x_rho(KP, glr_coxeter_parameter(2, 5, 0, 4))
 
 
+def test_y_x_rho_looks_up_the_weyl_group_once_per_cover():
+    cover = glr_cover(2, 0, 1, 4, 5)
+    before = weyl_group.cache_info()
+    for a in (1, 3, 5):
+        y_x_rho(cover, glr_coxeter_parameter(2, 5, a, 4))
+    after = weyl_group.cache_info()
+    assert after.hits + after.misses == before.hits + before.misses + 1
+    assert cover._weyl_group is weyl_group(cover.datum)
+
+
 def test_y_x_rho_lattice_contains_the_meet():
     from whitdim.cover import y_qn
     from whitdim.lattice import index, intersect
@@ -285,6 +299,56 @@ def test_dimension_constant_on_q_power_orbits():
                 == wh_dim_glr_closed(r, q, n, pp, qq, partner))
 
 
+def _divisors(n):
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
+def _general_position_exponents(r, q):
+    modulus = q ** r - 1
+    return [a for a in range(modulus) if all(a * (q ** s - 1) % modulus for s in range(1, r))]
+
+
+def test_closed_form_matches_the_linear_scan():
+    # every general-position exponent at every n; the 49 forms take turns,
+    # one per parameter, since the full product would take minutes
+    forms = cycle([(pp, qq) for pp in range(-3, 4) for qq in range(-3, 4)])
+    for r in range(1, 5):
+        for q in (2, 3, 4, 5, 7, 8, 9, 13):
+            exponents = _general_position_exponents(r, q)
+            for n in _divisors(q - 1):
+                for a in exponents:
+                    pp, qq = next(forms)
+                    assert (wh_dim_glr_closed(r, q, n, pp, qq, a)
+                            == glr_dimension_scan(r, q, n, pp, qq, a)), (r, q, n, pp, qq, a)
+
+
+PRIMES = [p for p in range(2, 10 ** 4) if all(p % d for d in range(2, int(p ** 0.5) + 1))]
+PRIME_POWERS = sorted(p ** e for p in PRIMES for e in range(1, 14) if p ** e <= 10 ** 4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_closed_form_matches_the_oracle_up_to_q_ten_thousand(data):
+    q = data.draw(st.sampled_from(PRIME_POWERS))
+    r = data.draw(st.integers(1, 3))
+    n = data.draw(st.sampled_from(_divisors(q - 1)))
+    pp, qq = data.draw(st.integers(-20, 20)), data.draw(st.integers(-20, 20))
+    modulus = q ** r - 1
+    a = data.draw(st.integers(0, modulus - 1))
+    assume(all(a * (q ** s - 1) % modulus for s in range(1, r)))
+    assert wh_dim_glr_closed(r, q, n, pp, qq, a) == wh_dim_oracle(r, q, n, pp, qq, a)
+
+
+def test_closed_form_checks_its_solution():
+    # m = 1 on GL_3, q = 7, n = 3: a wrong inverse gives a k that misses
+    # the congruence
+    solver = _GLrSolver(3, 7, 3, 1)
+    assert solver.dimension(19) == 1
+    solver.inverse = 2
+    with pytest.raises(RuntimeError):
+        solver.dimension(19)
+
+
 # ---------------------------------------------------------------------------
 # squeeze bounds
 
@@ -345,6 +409,38 @@ def test_table_class_representatives_are_orbit_minima():
     for a, size, _ in rows:
         orbit = {a * 7 ** s % modulus for s in range(2)}
         assert a == min(orbit) and size == len(orbit)
+
+
+def _reference_table(r, q, n, pp, qq):
+    """Classes as literal q-power orbits, dimensions from the oracle."""
+    modulus = q ** r - 1
+    classes = {}
+    for a in _general_position_exponents(r, q):
+        orbit = {a * q ** s % modulus for s in range(r)}
+        classes[min(orbit)] = len(orbit)
+    rows = tuple((a, size, wh_dim_oracle(r, q, n, pp, qq, a))
+                 for a, size in sorted(classes.items()))
+    histogram = {}
+    for _, _, dim in rows:
+        histogram[dim] = histogram.get(dim, 0) + 1
+    return rows, dict(sorted(histogram.items()))
+
+
+def test_table_matches_the_literal_reference():
+    for r, q in [(1, 2), (2, 2), (3, 2), (4, 2), (1, 5), (2, 5), (3, 3), (4, 3),
+                 (2, 4), (3, 4), (2, 7), (3, 5), (2, 9), (2, 13)]:
+        for n in _divisors(q - 1):
+            for pp, qq in [(0, 1), (1, 0), (-2, 3), (0, 0)]:
+                assert enumerate_glr_table(r, q, n, pp, qq) == _reference_table(r, q, n, pp, qq)
+
+
+def test_table_worst_case_q_997():
+    r, q, n, pp, qq = 2, 997, 996, 0, 1
+    rows, histogram = enumerate_glr_table(r, q, n, pp, qq)
+    assert sum(size for _, size, _ in rows) == len(_general_position_exponents(r, q))
+    assert sum(histogram.values()) == len(rows)
+    for a, _, dim in random.Random(0).sample(rows, 40):
+        assert dim == wh_dim_oracle(r, q, n, pp, qq, a)
 
 
 # ---------------------------------------------------------------------------
