@@ -36,7 +36,6 @@ from .lattice import (
 )
 from .root_datum import (
     BasedRootDatum,
-    FrobeniusAction,
     build_glr,
     frobenius_fixed_lattice,
     simple_reflections,
@@ -168,8 +167,8 @@ class GLrCoverInvariants:
     bold_q: int
 
 
-def form_from_glr_invariants(r, bold_p, bold_q=0):
-    """Gram matrix with diagonal 2*bold_p and off-diagonal bold_q (ignored for r=1)."""
+def form_from_glr_invariants(r, bold_p, bold_q):
+    """Gram matrix with diagonal 2*bold_p and off-diagonal bold_q (unused if r=1)."""
     if r < 1:
         raise ValueError("GL_r needs r >= 1")
     gram = tuple(tuple(2 * bold_p if i == j else bold_q for j in range(r))
@@ -177,14 +176,9 @@ def form_from_glr_invariants(r, bold_p, bold_q=0):
     return WeylInvariantForm(gram)
 
 
-def glr_cover(r, bold_p, bold_q, n, q, fr=None):
-    """Convenience constructor for a degree-n cover of GL_r over F_q."""
-    datum = build_glr(r)
-    if fr is not None:
-        datum = BasedRootDatum(datum.rank, datum.roots, datum.coroots,
-                               datum.simple_indices,
-                               fr if isinstance(fr, FrobeniusAction) else FrobeniusAction(fr))
-    return CoverSpec(datum, form_from_glr_invariants(r, bold_p, bold_q), n, q)
+def glr_cover(r, bold_p, bold_q, n, q):
+    """Degree-n cover of split GL_r (identity Frobenius) over F_q."""
+    return CoverSpec(build_glr(r), form_from_glr_invariants(r, bold_p, bold_q), n, q)
 
 
 def glr_invariants_of(datum, form):

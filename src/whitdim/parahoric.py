@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import MathConstraintError
-from .lattice import Sublattice, hermite_normal_form, is_saturated, transpose
+from .lattice import Sublattice, hermite_normal_form, is_saturated, mat_vec, transpose
 from .root_datum import identity_matrix
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
@@ -60,10 +60,7 @@ def _coerce_point(x, d):
 
 
 def _check_fr_fixed(rd, point):
-    f = rd.fr.matrix
-    image = tuple(sum(f[i][j] * point.coords[j] for j in range(rd.rank))
-                  for i in range(rd.rank))
-    if image != point.coords:
+    if mat_vec(rd.fr.matrix, point.coords) != point.coords:
         raise MathConstraintError(
             "point is not fixed by Frobenius, so it does not lie in the rational apartment")
 
@@ -142,12 +139,9 @@ def residual_splits(cover, x):
     """Whether coroot -> root(x) * Q(coroot) extends to a Frobenius-equivariant
     homomorphism Y -> Z (an exact integer linear solve)."""
     rd = cover.datum
-    point = _coerce_point(x, rd.rank)
-    rows, rhs = [], []
-    for i in phi_x(rd, point):
-        coroot = rd.coroots[i]
-        rows.append(coroot)
-        rhs.append(int(root_value(rd.roots[i], point)) * cover.form.q_value(coroot))
+    iota = residual_extension(cover, x).iota
+    rows = [v[:-1] for v in iota]
+    rhs = [v[-1] for v in iota]
     f = rd.fr.matrix
     if f != identity_matrix(rd.rank):
         ft = transpose(f)
@@ -187,9 +181,7 @@ def relative_simple_orbits(rd):
         while i in remaining:
             remaining.remove(i)
             orbit.append(i)
-            image = tuple(sum(f[a][b] * rd.coroots[i][b] for b in range(rd.rank))
-                          for a in range(rd.rank))
-            i = coroot_to_simple[image]
+            i = coroot_to_simple[mat_vec(f, rd.coroots[i])]
         orbits.append(tuple(sorted(orbit)))
     return tuple(sorted(orbits))
 

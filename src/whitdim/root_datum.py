@@ -9,7 +9,7 @@ action on X is the inverse-transpose and is derived on demand, never stored.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .errors import MathConstraintError, ResourceLimitError
@@ -41,9 +41,8 @@ class FrobeniusAction:
     """A finite-order integer matrix acting on the cocharacter lattice Y."""
 
     matrix: tuple
-    order_bound: InitVar[int] = MAX_FROBENIUS_ORDER
 
-    def __post_init__(self, order_bound):
+    def __post_init__(self):
         mat = _as_matrix(self.matrix)
         object.__setattr__(self, "matrix", mat)
         d = len(mat)
@@ -51,14 +50,14 @@ class FrobeniusAction:
             raise ValueError("Frobenius matrix must be square")
         acc = mat
         order = None
-        for k in range(1, order_bound + 1):
+        for k in range(1, MAX_FROBENIUS_ORDER + 1):
             if acc == identity_matrix(d):
                 order = k
                 break
             acc = mat_mul(acc, mat)
         if order is None:
             raise MathConstraintError(
-                f"Frobenius matrix must have finite order <= {order_bound}")
+                f"Frobenius matrix must have finite order <= {MAX_FROBENIUS_ORDER}")
         object.__setattr__(self, "order", order)
 
     @cached_property
@@ -154,9 +153,6 @@ class BasedRootDatum:
         return tuple(tuple((r == c) - av[r] * a[c] for c in range(d))
                      for r in range(d))
 
-    def pairing(self, x_vec, y_vec):
-        return dot(x_vec, y_vec)
-
 
 @dataclass(frozen=True)
 class WeylGroup:
@@ -183,6 +179,19 @@ class WeylGroup:
         return tuple(transpose(m) for m in self.elements)
 
 
+def _closure(start, step):
+    """Everything reachable from ``start`` under ``step`` (an item's
+    successors), in breadth-first order: the list grows while it is read."""
+    found = list(start)
+    seen = set(found)
+    for item in found:
+        for new in step(item):
+            if new not in seen:
+                seen.add(new)
+                found.append(new)
+    return found
+
+
 def simple_reflections(rd):
     """Matrices of the simple reflections acting on Y."""
     return tuple(rd._reflection(i) for i in rd.simple_indices)
@@ -199,18 +208,9 @@ def weyl_group(rd):
         raise ResourceLimitError(
             f"semisimple rank exceeds the guard {MAX_WEYL_SEMISIMPLE_RANK}")
     gens = simple_reflections(rd)
-    ident = identity_matrix(rd.rank)
-    seen = {ident}
-    queue = [ident]
-    while queue:
-        m = queue.pop(0)
-        for g in gens:
-            p = mat_mul(g, m)
-            if p not in seen:
-                seen.add(p)
-                queue.append(p)
-    ordered = [ident] + sorted(seen - {ident})
-    return WeylGroup(tuple(ordered))
+    ident, *rest = _closure([identity_matrix(rd.rank)],
+                            lambda m: (mat_mul(g, m) for g in gens))
+    return WeylGroup((ident, *sorted(rest)))
 
 
 def coroot_lattice(rd):
@@ -243,24 +243,16 @@ def build_glr(r):
     return BasedRootDatum(r, tuple(roots), tuple(coroots), tuple(simple))
 
 
-def _close_root_system(rank, simple_pairs):
+def _close_root_system(simple_pairs):
     """Orbit closure of simple (root, coroot) pairs under the simple reflections."""
-    pairs = list(simple_pairs)
-    known = {root for root, _ in pairs}
-    queue = list(pairs)
-    while queue:
-        root, coroot = queue.pop(0)
+    def reflect(pair):
+        root, coroot = pair
         for sroot, scoroot in simple_pairs:
-            c = dot(root, scoroot)
-            new_root = tuple(a - c * b for a, b in zip(root, sroot))
-            cc = dot(sroot, coroot)
-            new_coroot = tuple(a - cc * b for a, b in zip(coroot, scoroot))
-            if new_root not in known:
-                known.add(new_root)
-                pairs.append((new_root, new_coroot))
-                queue.append((new_root, new_coroot))
-    roots = tuple(root for root, _ in pairs)
-    coroots = tuple(coroot for _, coroot in pairs)
+            c, cc = dot(root, scoroot), dot(sroot, coroot)
+            yield (tuple(a - c * b for a, b in zip(root, sroot)),
+                   tuple(a - cc * b for a, b in zip(coroot, scoroot)))
+
+    roots, coroots = zip(*_closure(simple_pairs, reflect))
     return roots, coroots, tuple(range(len(simple_pairs)))
 
 
@@ -274,7 +266,7 @@ def build_slr(r):
         coroot = tuple(int(k == i) for k in range(d))
         root = tuple(2 if k == i else (-1 if abs(k - i) == 1 else 0) for k in range(d))
         simple_pairs.append((root, coroot))
-    roots, coroots, simple = _close_root_system(d, simple_pairs)
+    roots, coroots, simple = _close_root_system(simple_pairs)
     return BasedRootDatum(d, roots, coroots, simple)
 
 
@@ -289,7 +281,7 @@ def build_sp2r(r):
     long_root = tuple(2 * (k == r - 1) for k in range(r))
     short_coroot = tuple(int(k == r - 1) for k in range(r))
     simple_pairs.append((long_root, short_coroot))
-    roots, coroots, simple = _close_root_system(r, simple_pairs)
+    roots, coroots, simple = _close_root_system(simple_pairs)
     return BasedRootDatum(r, roots, coroots, simple)
 
 

@@ -15,11 +15,13 @@ Three independent routes compute the same dimension for covers of GL_r:
 * a Weyl-orbit search over coset representatives of the invariant lattice
   (`y_x_rho`), which also works for arbitrary root data.
 
+Each route decides general position on its own, as it computes.
+
 Internally the orbit search runs over integers modulo a common denominator;
-this is an implementation detail, all comparisons stay exact.  The orbit
-search also decides general position.  It reads the Weyl group (shared by
-every datum of equal value), the invariant lattice and its coset
-representatives from the cover, which keeps them for its own lifetime.
+this is an implementation detail, all comparisons stay exact.  It reads the
+Weyl group (shared by every datum of equal value), the invariant lattice and
+its coset representatives from the cover, which keeps them for its own
+lifetime.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .cover import m_qr
+from .cover import _prime_power_base, m_qr
 from .errors import GeneralPositionError, MathConstraintError, ResourceLimitError
 from .lattice import (
     congruence_kernel,
@@ -216,10 +218,7 @@ def _check_glr_dim_args(r, q, n, a):
         raise ValueError("need r >= 1 and q >= 2")
     if n < 1 or (q - 1) % n:
         raise MathConstraintError(f"cover degree n = {n} must divide q - 1 = {q - 1}")
-    char = GLrCharacter(r, q, a)
-    if not is_general_position(char):
-        raise GeneralPositionError(
-            f"a = {a} is not in general position mod q^r - 1 = {q ** r - 1}")
+    GLrCharacter(r, q, a)
 
 
 class _GLrSolver:
@@ -229,7 +228,8 @@ class _GLrSolver:
     With M = q^r - 1 and g = gcd(n, m), the coefficient m * M/n has
     gcd(m * M/n, M) = (M/n) * g =: unit, so a right side b is reachable iff
     unit | b, and then k = (b / unit) * (m/g)^-1 mod n/g (0 read as n/g).
-    b = 0 (s = 0) always gives k = n/g, which bounds the dimension.
+    b = 0 (s = 0) always gives k = n/g, which bounds the dimension; b = 0 at
+    some s >= 1 means a is not in general position.
     """
 
     __slots__ = ("modulus", "bound", "unit", "inverse", "coefficient", "q_powers")
@@ -250,6 +250,9 @@ class _GLrSolver:
         best, rhs = bound, 0
         for qs in self.q_powers:
             b = a * (qs - 1) % modulus
+            if b == 0:
+                raise GeneralPositionError(
+                    f"a = {a} is not in general position mod q^r - 1 = {modulus}")
             if b % unit == 0:
                 k = b // unit * self.inverse % bound or bound
                 if k < best:
@@ -266,6 +269,7 @@ def wh_dim_glr_closed(r, q, n, bold_p, bold_q, a):
     Smallest k > 0 with m * k * (q^r - 1)/n = a * (q^s - 1) mod q^r - 1 for
     some 0 <= s < r, where m = 2*bold_p + (r-1)*bold_q.  The minimum is at
     most (and divides) n / gcd(n, m); each s is solved by a modular inverse.
+    Raises :class:`GeneralPositionError` if a * (q^s - 1) = 0 for some s > 0.
     """
     _check_glr_dim_args(r, q, n, a)
     return _GLrSolver(r, q, n, m_qr(r, bold_p, bold_q)).dimension(a)
@@ -275,13 +279,18 @@ def wh_dim_oracle(r, q, n, bold_p, bold_q, a):
     """Independent brute-force scan of the same minimum, in exact rationals.
 
     Tests e^(2 pi i m k / n) * theta_1 = theta_1^(q^s) literally, as equality
-    of rationals mod 1, for k = 1, 2, ... up to a hard stop at n.
+    of rationals mod 1, for k = 1, 2, ... up to a hard stop at n.  A zero
+    target at some s > 0 means a is not in general position.
     """
     _check_glr_dim_args(r, q, n, a)
     m = m_qr(r, bold_p, bold_q)
     modulus = q ** r - 1
     theta1 = Fraction(a, modulus)
-    targets = {(q ** s * theta1 - theta1) % 1 for s in range(r)}
+    targets = {(q ** s * theta1 - theta1) % 1 for s in range(1, r)}
+    if 0 in targets:
+        raise GeneralPositionError(
+            f"a = {a} is not in general position mod q^r - 1 = {modulus}")
+    targets.add(0)
     for k in range(1, n + 1):
         if Fraction(m * k, n) % 1 in targets:
             return k
@@ -314,7 +323,7 @@ def enumerate_glr_table(r, q, n, bold_p, bold_q, max_order=10 ** 6):
     (smallest member is the class representative) and returns
     (rows, histogram): rows are (representative, class size, dimension)
     triples in increasing representative order, histogram maps each dimension
-    to its number of classes.
+    to its number of classes.  q must be a prime power, as for a cover.
     """
     if r < 1 or q < 2:
         raise ValueError("need r >= 1 and q >= 2")
@@ -322,6 +331,7 @@ def enumerate_glr_table(r, q, n, bold_p, bold_q, max_order=10 ** 6):
     if modulus > max_order:
         raise ResourceLimitError(
             f"q^r - 1 = {modulus} exceeds the enumeration bound {max_order}")
+    _prime_power_base(q)
     if n < 1 or (q - 1) % n:
         raise MathConstraintError(f"cover degree n = {n} must divide q - 1 = {q - 1}")
     solver = _GLrSolver(r, q, n, m_qr(r, bold_p, bold_q))

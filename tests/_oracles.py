@@ -197,3 +197,34 @@ def glr_dimension_scan(r, q, n, bold_p, bold_q, a):
         if m * k * step % modulus in targets:
             return k
     raise RuntimeError("scan exhausted below the divisibility bound")
+
+
+def residual_splits_reference(cover, x):
+    """Whether coroot -> root(x) Q(coroot) extends to a Frobenius-equivariant
+    homomorphism Y -> Z, with the rows and right sides derived directly from
+    the roots integral at x (explicit rational root values, Q read off the
+    gram matrix), not from the extended-coroot table.  None when x is not
+    fixed by Frobenius."""
+    from whitdim.lattice import hermite_normal_form
+
+    rd = cover.datum
+    d = rd.rank
+    f = rd.fr.matrix
+    point = tuple(Fraction(c) for c in x)
+    if any(sum(f[i][j] * point[j] for j in range(d)) != point[i] for i in range(d)):
+        return None
+    gram = cover.form.gram
+    rows, rhs = [], []
+    for root, coroot in zip(rd.roots, rd.coroots):
+        value = sum(a * c for a, c in zip(root, point))
+        if value.denominator != 1:
+            continue
+        q_coroot = sum(coroot[i] * gram[i][j] * coroot[j]
+                       for i in range(d) for j in range(d)) // 2
+        rows.append(coroot)
+        rhs.append(int(value) * q_coroot)
+    for i in range(d):
+        rows.append(tuple(f[j][i] - (i == j) for j in range(d)))
+        rhs.append(0)
+    # solvability of rows . k = rhs over Z: rhs must lie in the column lattice
+    return hermite_normal_form(transpose(rows), len(rows)).contains_vector(rhs)

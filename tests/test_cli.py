@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import whitdim
-from whitdim.cli import EXIT_BROKEN_PIPE, EXIT_RESOURCE_LIMIT, main
+from whitdim.cli import EXIT_BROKEN_PIPE, EXIT_CONSTRAINT, EXIT_RESOURCE_LIMIT, main
 
 KP_GL2 = {
     "rank": 2,
@@ -210,6 +210,14 @@ def test_table_enumeration_guard_exits_6(capsys):
     assert out == "" and "exceeds the enumeration bound" in err
 
 
+def test_table_q_not_a_prime_power_exits_3_like_whittaker(capsys):
+    args = ["--r", "2", "--q", "6", "--n", "5", "--pp", "0", "--qq", "1"]
+    code, out, err = run(capsys, ["table", *args])
+    wh_code, _, wh_err = run(capsys, ["whittaker", *args, "--a", "1"])
+    assert code == wh_code == EXIT_CONSTRAINT
+    assert out == "" and err == wh_err == "error: q = 6 is not a prime power\n"
+
+
 # ---------------------------------------------------------------------------
 # output contract
 
@@ -236,12 +244,12 @@ def test_closed_stdout_exits_without_traceback():
     # about 780 kB of JSON, far more than a pipe buffers, so the writer
     # meets the closed pipe
     env = dict(os.environ, PYTHONPATH=str(Path(whitdim.__file__).resolve().parents[1]))
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "whitdim", "table", "--r", "2", "--q", "127", "--n", "6",
-         "--pp", "1", "--qq", "1", "--format", "json"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
-    assert proc.stdout.readline() == b"{\n"
-    proc.stdout.close()
-    err = proc.stderr.read().decode()
-    assert proc.wait(timeout=60) == EXIT_BROKEN_PIPE
+    with subprocess.Popen(
+            [sys.executable, "-m", "whitdim", "table", "--r", "2", "--q", "127", "--n", "6",
+             "--pp", "1", "--qq", "1", "--format", "json"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == EXIT_BROKEN_PIPE
     assert "Traceback" not in err, err

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -26,6 +27,8 @@ from whitdim.root_datum import (
     build_sp2r,
     build_torus,
 )
+
+from _oracles import residual_splits_reference
 
 H = Fraction(1, 2)
 
@@ -154,6 +157,39 @@ def test_residual_splits_respects_fr_equivariance():
     torus = build_torus(2, ((0, 1), (1, 0)))
     cover = CoverSpec(torus, WeylInvariantForm(((2, 0), (0, 2))), 2, 5)
     assert residual_splits(cover, (1, 1))
+
+
+def block_swap_cover():
+    # two GL_2 blocks swapped by Frobenius, each with the Kazhdan-Patterson form
+    roots = ((1, -1, 0, 0), (-1, 1, 0, 0), (0, 0, 1, -1), (0, 0, -1, 1))
+    swap_blocks = ((0, 0, 1, 0), (0, 0, 0, 1), (1, 0, 0, 0), (0, 1, 0, 0))
+    rd = BasedRootDatum(4, roots, roots, (0, 2), FrobeniusAction(swap_blocks))
+    gram = ((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0))
+    return CoverSpec(rd, WeylInvariantForm(gram), 2, 5)
+
+
+def test_residual_splits_matches_reference():
+    # every point with denominators <= 4 in [-1, 1]^d; the SO_4 pattern adds
+    # points that do not split
+    values = sorted({Fraction(a, b) for b in (1, 2, 3, 4) for a in range(-b, b + 1)})
+    so4 = ((1, 1), (-1, -1), (1, -1), (-1, 1))
+    covers = (glr_cover(3, 0, 1, 4, 5),
+              CoverSpec(build_slr(3), WeylInvariantForm(((2, -1), (-1, 2))), 2, 5),
+              CoverSpec(build_sp2r(2), WeylInvariantForm(((2, 0), (0, 2))), 4, 5),
+              CoverSpec(BasedRootDatum(2, so4, so4, (0, 2)),
+                        WeylInvariantForm(((0, 1), (1, 0))), 1, 5),
+              block_swap_cover())
+    outcomes = set()
+    for cover in covers:
+        for x in product(values, repeat=cover.rank):
+            expected = residual_splits_reference(cover, x)
+            if expected is None:
+                with pytest.raises(MathConstraintError):
+                    residual_splits(cover, x)
+            else:
+                assert residual_splits(cover, x) == expected, (cover.datum.rank, x)
+            outcomes.add(expected)
+    assert outcomes == {None, True, False}
 
 
 # ---------------------------------------------------------------------------

@@ -71,6 +71,18 @@ def test_sp4_cartan_matrix_is_type_c2():
     assert cartan == [[2, -1], [-2, 2]]  # standard C_2 table, long root last
 
 
+def test_closed_root_systems_keep_their_order():
+    # phi_x indices and residual output follow this breadth-first order
+    sl3 = build_slr(3)
+    assert sl3.roots == ((2, -1), (-1, 2), (-2, 1), (1, 1), (1, -2), (-1, -1))
+    assert sl3.coroots == ((1, 0), (0, 1), (-1, 0), (1, 1), (0, -1), (-1, -1))
+    assert sl3.simple_indices == (0, 1)
+    sp4 = build_sp2r(2)
+    assert sp4.roots == ((1, -1), (0, 2), (-1, 1), (1, 1), (2, 0), (0, -2), (-1, -1), (-2, 0))
+    assert sp4.coroots == ((1, -1), (0, 1), (-1, 1), (1, 1), (1, 0), (0, -1), (-1, -1), (-1, 0))
+    assert sp4.simple_indices == (0, 1)
+
+
 def test_invalid_ranks_rejected():
     for builder in (build_slr, build_sp2r):
         with pytest.raises(ValueError):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from whitdim.cover import CoverSpec, WeylInvariantForm, central_index, glr_cover, m_qr
-from whitdim.errors import GeneralPositionError, MathConstraintError
+from whitdim.errors import GeneralPositionError, MathConstraintError, ResourceLimitError
 from whitdim.lattice import Sublattice
 from whitdim.root_datum import build_slr, build_sp2r, build_torus, weyl_group
 from whitdim.whittaker import (
@@ -276,6 +276,24 @@ def test_dimension_precondition_gates():
         wh_dim_oracle(2, 5, 4, 0, 1, 6)
 
 
+def test_both_routes_reject_every_exponent_not_in_general_position():
+    checked = 0
+    for r in (1, 2, 3):
+        for q in (2, 3, 4, 5, 7, 8, 9):
+            modulus = q ** r - 1
+            failing = [a for a in range(modulus)
+                       if not is_general_position(GLrCharacter(r, q, a))]
+            for n in _divisors(q - 1):
+                for a in failing:
+                    message = f"a = {a} is not in general position mod q^r - 1 = {modulus}"
+                    for route in (wh_dim_glr_closed, wh_dim_oracle):
+                        with pytest.raises(GeneralPositionError) as caught:
+                            route(r, q, n, 1, -1, a)
+                        assert str(caught.value) == message
+                    checked += 1
+    assert checked == 186
+
+
 def test_divisibility_bound():
     for (r, q, n, pp, qq) in [(2, 5, 4, 0, 1), (2, 13, 12, 1, -1), (3, 3, 2, -2, 1)]:
         m = m_qr(r, pp, qq)
@@ -401,6 +419,16 @@ def test_table_determinantal_n_divides_m():
 def test_table_respects_enumeration_bound():
     with pytest.raises(ValueError):
         enumerate_glr_table(2, 5, 4, 0, 1, max_order=10)
+
+
+def test_table_requires_a_prime_power_q():
+    with pytest.raises(MathConstraintError, match="q = 6 is not a prime power"):
+        enumerate_glr_table(2, 6, 5, 0, 1)
+    # checked after the size guard and before n | q - 1, as for a cover
+    with pytest.raises(ResourceLimitError):
+        enumerate_glr_table(2, 1001, 2, 0, 1)
+    with pytest.raises(MathConstraintError, match="q = 6 is not a prime power"):
+        enumerate_glr_table(2, 6, 4, 0, 1)
 
 
 def test_table_class_representatives_are_orbit_minima():
