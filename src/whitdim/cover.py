@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import comb
 
-from .errors import MathConstraintError
+from .errors import MathConstraintError, ResourceLimitError
 from .lattice import (
     congruence_kernel,
     coset_representatives,
@@ -44,23 +44,89 @@ from .root_datum import (
 )
 
 
+#: the first 13 primes: trial divisors and Miller-Rabin bases
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+#: least strong pseudoprime to all of _SMALL_PRIMES (Sorenson and Webster)
+_MILLER_RABIN_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def _prime_power_base(q):
-    """The unique prime p with q = p^e, or raise."""
+    """The unique prime p with q = p^e, or raise.
+
+    Trial division by the primes up to 41 decides every q with such a
+    factor, and every q < 43^2.  Otherwise each prime factor of q is at
+    least 43, so q = b^e needs 43^e <= q: for each such e (2 and the odd
+    numbers, a superset of the primes) an integer Newton e-th root is tried,
+    and the search goes on from an exact root.
+    The base b that remains is tested by Miller-Rabin with the 13 prime
+    bases 2, 3, ..., 41.  A failed base proves b composite at any size;
+    passing all 13 proves b prime when b < 3,317,044,064,679,887,385,961,981
+    (J. Sorenson and J. Webster, "Strong pseudoprimes to twelve prime
+    bases", Math. Comp. 86 (2017)).  Beyond that bound a passing b cannot be
+    decided, and :class:`ResourceLimitError` is raised.
+    """
     if not isinstance(q, int) or q < 2:
         raise MathConstraintError("q must be a prime power >= 2")
-    m, p = q, None
-    for cand in range(2, q + 1):
-        if cand * cand > m:
-            p = m if p is None else p
-            break
-        if m % cand == 0:
-            p = cand
-            break
-    while m % p == 0:
-        m //= p
-    if m != 1:
+    for p in _SMALL_PRIMES:
+        if q % p == 0:
+            m = q // p
+            while m % p == 0:
+                m //= p
+            if m != 1:
+                raise MathConstraintError(f"q = {q} is not a prime power")
+            return p
+    base = _perfect_power_base(q)
+    if base < 43 * 43:
+        return base
+    if not _passes_miller_rabin(base):
         raise MathConstraintError(f"q = {q} is not a prime power")
-    return p
+    if base >= _MILLER_RABIN_BOUND:
+        raise ResourceLimitError(
+            f"cannot decide whether q = {q} is a prime power: {base} passes "
+            f"Miller-Rabin to the prime bases 2..41, which proves primality "
+            f"only below {_MILLER_RABIN_BOUND}")
+    return base
+
+
+def _perfect_power_base(m):
+    """The b with m = b^e and e maximal, for m free of prime factors < 43."""
+    # e runs through 2 and the odd numbers; an exact root keeps e, because
+    # its exponents have no prime factor below e either
+    e = 2
+    while 43 ** e <= m:
+        root = _integer_root(m, e)
+        if root ** e == m:
+            m = root
+        else:
+            e = 3 if e == 2 else e + 2
+    return m
+
+
+def _integer_root(m, e):
+    """floor(m^(1/e)) by Newton's iteration from above."""
+    x = 1 << -(-m.bit_length() // e)
+    while True:
+        y = ((e - 1) * x + m // x ** (e - 1)) // e
+        if y >= x:
+            return x
+        x = y
+
+
+def _passes_miller_rabin(m):
+    """Is odd m > 41 a strong probable prime to every base in _SMALL_PRIMES?"""
+    s = ((m - 1) & (1 - m)).bit_length() - 1
+    d = (m - 1) >> s
+    for a in _SMALL_PRIMES:
+        x = pow(a, d, m)
+        if x == 1 or x == m - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
+            return False
+    return True
 
 
 @dataclass(frozen=True)

@@ -10,4 +10,6 @@ class GeneralPositionError(MathConstraintError):
 
 
 class ResourceLimitError(ValueError):
-    """An enumeration would exceed the size guard set before it starts."""
+    """A limit checked before the work starts would be exceeded: the size
+    guard of an enumeration, or the range in which the primality test of q
+    is a proof."""

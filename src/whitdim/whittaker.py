@@ -216,6 +216,7 @@ def y_x_rho(cover, param):
 def _check_glr_dim_args(r, q, n, a):
     if r < 1 or q < 2:
         raise ValueError("need r >= 1 and q >= 2")
+    _prime_power_base(q)
     if n < 1 or (q - 1) % n:
         raise MathConstraintError(f"cover degree n = {n} must divide q - 1 = {q - 1}")
     GLrCharacter(r, q, a)

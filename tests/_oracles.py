@@ -9,6 +9,8 @@ from fractions import Fraction
 from itertools import product
 from math import gcd
 
+from whitdim.errors import MathConstraintError
+
 
 def transpose(rows):
     rows = [tuple(r) for r in rows]
@@ -228,3 +230,23 @@ def residual_splits_reference(cover, x):
         rhs.append(0)
     # solvability of rows . k = rhs over Z: rhs must lie in the column lattice
     return hermite_normal_form(transpose(rows), len(rows)).contains_vector(rhs)
+
+
+def prime_power_base_trial(q):
+    """The unique prime p with q = p^e by trial division up to sqrt(q), or
+    raise MathConstraintError with the same messages as the package."""
+    if not isinstance(q, int) or q < 2:
+        raise MathConstraintError("q must be a prime power >= 2")
+    m, p = q, None
+    for cand in range(2, q + 1):
+        if cand * cand > m:
+            p = m if p is None else p
+            break
+        if m % cand == 0:
+            p = cand
+            break
+    while m % p == 0:
+        m //= p
+    if m != 1:
+        raise MathConstraintError(f"q = {q} is not a prime power")
+    return p

@@ -186,6 +186,32 @@ def test_whittaker_weyl_guard_exits_6(capsys):
     assert out == "" and "semisimple rank exceeds the guard" in err
 
 
+def _run_whittaker_process(q, *extra):
+    env = dict(os.environ, PYTHONPATH=str(Path(whitdim.__file__).resolve().parents[1]))
+    return subprocess.run(
+        [sys.executable, "-m", "whitdim", "whittaker", "--r", "2", "--q", str(q),
+         "--n", "2", "--pp", "0", "--qq", "1", "--a", "5", *extra],
+        capture_output=True, text=True, env=env, timeout=10)
+
+
+def test_whittaker_large_prime_q_is_decided_quickly():
+    proc = _run_whittaker_process(10 ** 18 + 3, "--oracle")
+    assert proc.returncode == 0, proc.stderr
+    assert "agreement = true\n" in proc.stdout
+
+
+def test_whittaker_q_beyond_the_primality_bound_exits_6():
+    proc = _run_whittaker_process(2 ** 89 - 1)
+    assert proc.returncode == EXIT_RESOURCE_LIMIT
+    assert proc.stdout == "" and "3317044064679887385961981" in proc.stderr
+
+
+def test_whittaker_strong_pseudoprime_q_exits_3():
+    proc = _run_whittaker_process(318665857834031151167461)
+    assert proc.returncode == EXIT_CONSTRAINT
+    assert proc.stdout == "" and "is not a prime power" in proc.stderr
+
+
 # ---------------------------------------------------------------------------
 # table
 

@@ -2,9 +2,11 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from whitdim.cover import (
     CoverSpec,
+    _prime_power_base,
     WeylInvariantForm,
     central_index,
     classify_glr_family,
@@ -16,10 +18,12 @@ from whitdim.cover import (
     q_of_e0,
     y_qn,
 )
-from whitdim.errors import MathConstraintError
+from whitdim.errors import MathConstraintError, ResourceLimitError
 from whitdim.lattice import Sublattice, mat_vec
 from whitdim.root_datum import build_glr, build_sp2r, build_torus, weyl_group
 from whitdim.whittaker import squeeze_bounds
+
+from _oracles import prime_power_base_trial
 
 
 # ---------------------------------------------------------------------------
@@ -90,6 +94,85 @@ def test_q_must_be_a_prime_power():
         glr_cover(2, 0, 1, 1, 12)
     assert glr_cover(1, 0, 0, 1, 49).p == 7
     assert glr_cover(1, 0, 0, 8, 9).p == 3
+
+
+def _outcome(func, q):
+    try:
+        return func(q)
+    except MathConstraintError as exc:
+        return str(exc)
+
+
+def test_prime_power_base_matches_trial_division_below_2e5():
+    for q in range(-3, 2 * 10 ** 5):
+        assert _outcome(_prime_power_base, q) == _outcome(prime_power_base_trial, q), q
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=2, max_value=10 ** 6 - 1))
+def test_prime_power_base_matches_trial_division_below_1e6(q):
+    assert _outcome(_prime_power_base, q) == _outcome(prime_power_base_trial, q)
+
+
+@pytest.mark.parametrize("q", [
+    2047,                         # strong pseudoprime to base 2
+    3215031751,                   # to bases 2, 3, 5, 7
+    3825123056546413051,          # to bases 2, ..., 23
+    318665857834031151167461,     # to bases 2, ..., 37
+    999999999989 * 1000000000039,
+])
+def test_prime_power_base_rejects_pseudoprimes_and_semiprimes(q):
+    with pytest.raises(MathConstraintError, match=f"^q = {q} is not a prime power$"):
+        _prime_power_base(q)
+
+
+@pytest.mark.parametrize("q, p", [
+    (999999999989 ** 2, 999999999989),
+    ((2 ** 61 - 1) ** 3, 2 ** 61 - 1),
+    (2 ** 100, 2),
+    (3 ** 60, 3),
+    ((2 ** 31 - 1) ** 4, 2 ** 31 - 1),   # a root that is again a square
+    (43 ** 9, 43),
+    (10 ** 18 + 3, 10 ** 18 + 3),
+])
+def test_prime_power_base_of_large_prime_powers(q, p):
+    assert _prime_power_base(q) == p
+
+
+@pytest.mark.parametrize("q", [
+    3317044064679887385961981,    # strong pseudoprime to bases 2, ..., 41
+    2 ** 89 - 1,                  # a prime beyond the bound
+])
+def test_prime_power_base_beyond_the_miller_rabin_bound(q):
+    with pytest.raises(ResourceLimitError, match="3317044064679887385961981"):
+        _prime_power_base(q)
+
+
+def test_prime_power_base_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(5)
+    cases = []
+    for _ in range(40):
+        cases.append(rng.randrange(2, 10 ** 24))
+        cases.append(sympy.nextprime(rng.randrange(10 ** 6, 10 ** 24)))
+        e = rng.randrange(2, 7)
+        b = rng.randrange(2, int(10 ** (24 / e)))
+        cases.append(b ** e)
+        cases.append(sympy.nextprime(b) ** e)
+        cases.append(sympy.nextprime(rng.randrange(10 ** 3, 10 ** 11))
+                     * sympy.nextprime(rng.randrange(10 ** 3, 10 ** 12)))
+    assert len(cases) == 200 and max(cases) < 10 ** 24
+    for q in cases:
+        if sympy.isprime(q):
+            expected = q
+        else:
+            power = sympy.perfect_power(q)
+            expected = power[0] if power and sympy.isprime(power[0]) else None
+        if expected is None:
+            with pytest.raises(MathConstraintError, match="is not a prime power"):
+                _prime_power_base(q)
+        else:
+            assert _prime_power_base(q) == expected, q
 
 
 def test_non_invariant_form_rejected():

@@ -108,6 +108,34 @@ def test_hnf_agrees_with_elementary_oracle(data):
     assert all(lat.contains_vector(r) for r in rows)
 
 
+def _sympy_matrices(seed, count):
+    """Seeded integer matrices up to 5 x 5 with entries in [-9, 9]."""
+    rng = random.Random(seed)
+    shapes = [(rng.randint(1, 5), rng.randint(1, 5)) for _ in range(count)]
+    return [(d, [[rng.randint(-9, 9) for _ in range(d)] for _ in range(nrows)])
+            for nrows, d in shapes]
+
+
+def test_hnf_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import hermite_normal_form as sympy_hnf
+
+    def gram_determinant(vectors):
+        m = sympy.Matrix(vectors)
+        return (m * m.T).det() if vectors else 1
+
+    for d, rows in _sympy_matrices(11, 150) + [(3, [[0, 0, 0]])]:
+        lat = hermite_normal_form(rows, d)
+        # sympy reduces columns: the row lattice is spanned by the columns
+        # of its form of the transpose, in a different layout
+        columns = sympy_hnf(sympy.Matrix(rows).T)
+        other = [tuple(int(x) for x in columns.col(j)) for j in range(columns.cols)]
+        assert len(other) == lat.rank
+        assert gram_determinant(list(lat.basis)) == gram_determinant(other)
+        assert all(lat.contains_vector(v) for v in other)
+        assert all(in_span_z(v, other) for v in lat.basis)
+
+
 # ---------------------------------------------------------------------------
 # index
 
@@ -195,6 +223,18 @@ def test_smith_vs_brute_force_coset_counting():
         s = smith_invariants(Sublattice.full(d), sub)
         assert s.torsion_order == order == index(Sublattice.full(d), sub)
         assert brute_force_coset_count(tuple(diag), rel) == order
+
+
+def test_smith_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors
+
+    for d, rows in _sympy_matrices(12, 150):
+        s = smith_invariants(Sublattice.full(d), hermite_normal_form(rows, d))
+        factors = [abs(int(f)) for f in invariant_factors(sympy.Matrix(rows))]
+        nonzero = [f for f in factors if f]
+        assert s.invariant_factors == tuple(f for f in nonzero if f != 1)
+        assert s.free_rank == d - len(nonzero)
 
 
 # ---------------------------------------------------------------------------

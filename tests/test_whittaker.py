@@ -276,6 +276,17 @@ def test_dimension_precondition_gates():
         wh_dim_oracle(2, 5, 4, 0, 1, 6)
 
 
+def test_both_routes_reject_a_q_that_is_not_a_prime_power():
+    for route in (wh_dim_glr_closed, wh_dim_oracle):
+        with pytest.raises(MathConstraintError, match="^q = 6 is not a prime power$"):
+            route(2, 6, 5, 0, 1, 1)
+        # checked after r and q >= 2 and before n | q - 1, as in the table
+        with pytest.raises(ValueError, match="need r >= 1"):
+            route(0, 6, 5, 0, 1, 1)
+        with pytest.raises(MathConstraintError, match="^q = 6 is not a prime power$"):
+            route(2, 6, 4, 0, 1, 1)
+
+
 def test_both_routes_reject_every_exponent_not_in_general_position():
     checked = 0
     for r in (1, 2, 3):
