@@ -15,11 +15,11 @@ Subcommands:
 Exit codes: 0 success, 2 malformed input, 3 mathematical-constraint
 violation, 4 parameter not in general position, 5 stdout closed before the
 output was written (for example piped into ``head``), 6 a resource limit:
-an enumeration would exceed its size guard (the semisimple rank of a Weyl
-group, or q^r - 1 for ``table``), or q has a base beyond the bound of the
-deterministic Miller-Rabin test.  Results go to stdout (``--format json`` for
-machine consumption, fixed key order, no timestamps); diagnostics go to
-stderr.
+an enumeration would exceed its size guard (the order of a Weyl group or of
+a Weyl stabilizer, r for GL_r, or q^r - 1 for ``table``), or q has a base
+beyond the bound of the deterministic Miller-Rabin test.  Results go to
+stdout (``--format json`` for machine consumption, fixed key order, no
+timestamps); diagnostics go to stderr.
 """
 
 from __future__ import annotations

@@ -38,6 +38,7 @@ from .root_datum import (
     BasedRootDatum,
     build_glr,
     frobenius_fixed_lattice,
+    permutation_blocks,
     simple_reflections,
     weyl_frobenius_fixed_lattice,
     weyl_group,
@@ -206,6 +207,11 @@ class CoverSpec:
     @cached_property
     def _weyl_group(self):
         return weyl_group(self.datum)
+
+    @cached_property
+    def _weyl_blocks(self):
+        """W as its blocks when the datum is block-permutation data, else None."""
+        return permutation_blocks(self.datum)
 
     @cached_property
     def _y_qn(self):

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import islice, permutations, product
+from math import factorial, prod
 
 from .errors import MathConstraintError, ResourceLimitError
 from .lattice import (
@@ -28,8 +30,12 @@ from .lattice import (
 #: Largest multiplicative order accepted for a Frobenius matrix.
 MAX_FROBENIUS_ORDER = 24
 
-#: Guard on the semisimple rank before enumerating a full Weyl group.
-MAX_WEYL_SEMISIMPLE_RANK = 8
+#: Largest Weyl group (or Weyl stabilizer) enumerated element by element:
+#: |W(A_7)| = 8!.
+MAX_WEYL_ORDER = 40_320
+
+#: Largest r accepted by :func:`build_glr`; validating the datum costs about r^4.
+MAX_GLR_RANK = 16
 
 
 def _as_matrix(rows):
@@ -179,6 +185,74 @@ class WeylGroup:
         return tuple(transpose(m) for m in self.elements)
 
 
+@dataclass(frozen=True)
+class PermutationBlocks:
+    """The Weyl group of block-permutation data (see
+    :func:`permutation_blocks`), held as its blocks: W is every permutation
+    of the coordinates that maps each block to itself, and it acts on X by
+    the same permutations as on Y.  ``blocks`` partitions the coordinates,
+    each block in increasing order.
+    """
+
+    blocks: tuple
+
+    @cached_property
+    def _unit_rows(self):
+        d = sum(map(len, self.blocks))
+        return sorted(tuple(int(i == j) for j in range(d)) for i in range(d))
+
+    def __contains__(self, m):
+        """Is the integer matrix m a permutation matrix that maps every block
+        to itself?"""
+        # a permutation matrix is one whose rows are the unit vectors
+        return sorted(m) == self._unit_rows and (
+            len(self.blocks) == 1
+            or all({m[i].index(1) for i in block} == set(block) for block in self.blocks))
+
+    def key(self, v):
+        """Canonical form of v under W: its entries sorted within each block.
+        Two vectors lie in one W-orbit exactly when their keys are equal."""
+        if len(self.blocks) == 1:
+            return sorted(v)
+        return [sorted([v[i] for i in block]) for block in self.blocks]
+
+    def stabilizer(self, v):
+        """The elements other than the identity that fix v, as permutations p
+        of the coordinates (p[i] is the image of i).
+
+        They form the Young subgroup that permutes equal entries within each
+        block.  Its order prod(multiplicity!) is checked against
+        :data:`MAX_WEYL_ORDER` before anything is enumerated.
+        """
+        classes = []
+        for block in self.blocks:
+            if len({v[i] for i in block}) == len(block):
+                continue
+            by_value = {}
+            for i in block:
+                by_value.setdefault(v[i], []).append(i)
+            classes += [c for c in by_value.values() if len(c) > 1]
+        if not classes:
+            return ()
+        order = prod(factorial(len(c)) for c in classes)
+        if order > MAX_WEYL_ORDER:
+            raise ResourceLimitError(
+                f"the Weyl stabilizer of order {order} exceeds the guard {MAX_WEYL_ORDER}")
+        return _young_elements(classes, len(v))
+
+
+def _young_elements(classes, d):
+    """The permutations of range(d) that permute each class, except the
+    identity."""
+    # the first choice of images is the identity
+    for images in islice(product(*map(permutations, classes)), 1, None):
+        perm = list(range(d))
+        for c, image in zip(classes, images):
+            for i, j in zip(c, image):
+                perm[i] = j
+        yield perm
+
+
 def _closure(start, step):
     """Everything reachable from ``start`` under ``step`` (an item's
     successors), in breadth-first order: the list grows while it is read."""
@@ -202,15 +276,77 @@ def weyl_group(rd):
     """All Weyl elements, generated from the simple reflections by closure.
 
     Cached by the value of the datum, so equal data built separately share
-    one group and its derived data.
+    one group and its derived data.  |W| is computed from the Cartan matrix
+    first, and a group above :data:`MAX_WEYL_ORDER` is refused.
     """
-    if coroot_lattice(rd).rank > MAX_WEYL_SEMISIMPLE_RANK:
+    order = weyl_order(rd)
+    if order > MAX_WEYL_ORDER:
         raise ResourceLimitError(
-            f"semisimple rank exceeds the guard {MAX_WEYL_SEMISIMPLE_RANK}")
+            f"the Weyl group of order {order} exceeds the guard {MAX_WEYL_ORDER}")
     gens = simple_reflections(rd)
     ident, *rest = _closure([identity_matrix(rd.rank)],
                             lambda m: (mat_mul(g, m) for g in gens))
+    if len(rest) + 1 != order:
+        raise RuntimeError(
+            f"internal consistency: closure found {len(rest) + 1} Weyl elements, "
+            f"the root heights give {order}")
     return WeylGroup((ident, *sorted(rest)))
+
+
+def weyl_order(rd):
+    """|W| without enumerating W: the product of the degrees m_i + 1.
+
+    The exponents m_i are read off the heights of the positive roots, which
+    a closure over the roots from the simple ones finds: as many exponents
+    are at least h as there are positive roots of height h (Kostant).  Simple
+    roots that are linearly dependent are not a base and raise
+    :class:`MathConstraintError`.
+    """
+    simple = rd.simple_indices
+    if hermite_normal_form([rd.roots[i] for i in simple], rd.rank).rank != len(simple):
+        raise MathConstraintError("the simple roots are not a base: they are linearly dependent")
+
+    def reflect(item):
+        root, height = item
+        for i in simple:
+            c = dot(root, rd.coroots[i])
+            yield tuple(a - c * b for a, b in zip(root, rd.roots[i])), height - c
+
+    heights = [h for _, h in _closure([(rd.roots[i], 1) for i in simple], reflect) if h > 0]
+    order = 1
+    for h in range(1, max(heights, default=0) + 1):
+        order *= (h + 1) ** (heights.count(h) - heights.count(h + 1))
+    return order
+
+
+def permutation_blocks(rd):
+    """The Weyl group of block-permutation data, or None for other data.
+
+    Block-permutation data have simple reflections that each swap two
+    coordinates of Y (GL_r, tori, any datum with roots +-(e_i - e_j)).  Their
+    W is the product of the symmetric groups on the blocks: the connected
+    components of the graph whose edges are those swaps.
+    """
+    d = rd.rank
+    neighbours = [[] for _ in range(d)]
+    for s in simple_reflections(rd):
+        moved = [i for i in range(d) if s[i][i] != 1]
+        if len(moved) != 2:
+            return None
+        a, b = moved
+        image = list(range(d))
+        image[a], image[b] = b, a
+        if s != tuple(tuple(int(j == image[i]) for j in range(d)) for i in range(d)):
+            return None
+        neighbours[a].append(b)
+        neighbours[b].append(a)
+    blocks, seen = [], set()
+    for i in range(d):
+        if i not in seen:
+            block = _closure([i], neighbours.__getitem__)
+            seen.update(block)
+            blocks.append(tuple(sorted(block)))
+    return PermutationBlocks(tuple(blocks))
 
 
 def coroot_lattice(rd):
@@ -230,6 +366,8 @@ def build_glr(r):
     """Root datum of GL_r: Y = Z^r, roots e_i - e_j, W the permutation matrices."""
     if r < 1:
         raise ValueError("GL_r needs r >= 1")
+    if r > MAX_GLR_RANK:
+        raise ResourceLimitError(f"GL_r with r = {r} exceeds the rank guard {MAX_GLR_RANK}")
     roots, coroots, simple = [], [], []
     for i in range(r):
         for j in range(r):

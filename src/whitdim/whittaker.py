@@ -15,13 +15,24 @@ Three independent routes compute the same dimension for covers of GL_r:
 * a Weyl-orbit search over coset representatives of the invariant lattice
   (`y_x_rho`), which also works for arbitrary root data.
 
-Each route decides general position on its own, as it computes.
+Each route decides general position on its own, as it computes.  Only the
+orbit search touches W.  On block-permutation data (every simple reflection
+swaps two coordinates: GL_r, tori, roots +-(e_i - e_j)) W permutes the
+coordinates within blocks, so two exponent vectors share an orbit exactly
+when their entries agree after sorting within each block, and the
+stabilizer of theta is the Young subgroup of its equal entries; nothing is
+enumerated unless theta has repeated entries, and then only that subgroup,
+up to the same bound as a Weyl group.  Other data map theta by every
+element of W.
 
 Internally the orbit search runs over integers modulo a common denominator;
-this is an implementation detail, all comparisons stay exact.  It reads the
-Weyl group (shared by every datum of equal value), the invariant lattice and
-its coset representatives from the cover, which keeps them for its own
-lifetime.
+this is an implementation detail, all comparisons stay exact.  It reads
+derived data from the cover, which keeps it for its own lifetime: the blocks
+of block-permutation data, or else the Weyl group (shared by every datum of
+equal value), and the invariant lattice with its coset representatives.
+Resource guards raise :class:`ResourceLimitError` before any enumeration:
+|W| above 40,320 (computed from the root heights), a Weyl stabilizer above
+the same bound, and GL_r with r above 16.
 """
 
 from __future__ import annotations
@@ -41,7 +52,7 @@ from .lattice import (
     mat_mul,
     mat_vec,
 )
-from .root_datum import simple_reflections
+from .root_datum import PermutationBlocks, simple_reflections
 
 
 @dataclass(frozen=True)
@@ -88,12 +99,15 @@ class LusztigParameter:
 # validation and the Weyl-orbit pass
 
 def _int_context(cover, param):
-    """Validate a parameter against a cover; exponents as integers mod D."""
+    """Validate a parameter against a cover; exponents as integers mod D.
+
+    Also returns the cover's Weyl group: its blocks on block-permutation
+    data, else the enumerated group."""
     datum = cover.datum
     d = datum.rank
     if len(param.theta) != d:
         raise ValueError("parameter dimension does not match the cover")
-    group = cover._weyl_group
+    group = cover._weyl_blocks or cover._weyl_group
     if param.w not in group:
         raise MathConstraintError("w is not an element of the Weyl group")
     p = cover.p
@@ -116,10 +130,25 @@ def _int_context(cover, param):
 
 
 def _orbit_pass(cover, param):
-    """(D, theta mod D, Weyl orbit of theta mod D) for a valid parameter; the
-    orbit is None when theta is not in general position, that is when a
-    nonidentity Weyl element commuting with w Fr fixes it."""
+    """(D, theta mod D, orbit test) for a valid parameter.  The orbit test
+    tells whether a list mod D lies in the Weyl orbit of theta; it is None
+    when theta is not in general position, that is when a nonidentity Weyl
+    element commuting with w Fr fixes it.
+
+    On block-permutation data the orbit is decided by sorting within blocks
+    and the stabilizer is a Young subgroup; other data map theta by every
+    element of W."""
     group, denom, tnum = _int_context(cover, param)
+    if isinstance(group, PermutationBlocks):
+        key = group.key(tnum)
+        wf = None
+        for perm in group.stabilizer(tnum):
+            wf = wf or mat_mul(param.w, cover.fr.matrix)
+            # the permutation matrix of perm commutes with w Fr
+            if all(wf[perm[i]][perm[k]] == x
+                   for i, row in enumerate(wf) for k, x in enumerate(row)):
+                return denom, tnum, None
+        return denom, tnum, lambda v: group.key(v) == key
     images = [tuple(sum(a * t for a, t in zip(row, tnum)) % denom for row in mt)
               for mt in group.x_action]
     orbit = set(images)
@@ -129,7 +158,7 @@ def _orbit_pass(cover, param):
         for m, image in zip(group.elements[1:], images[1:]):
             if image == tnum and mat_mul(wf, m) == mat_mul(m, wf):
                 return denom, tnum, None
-    return denom, tnum, orbit
+    return denom, tnum, lambda v: tuple(v) in orbit
 
 
 # ---------------------------------------------------------------------------
@@ -187,14 +216,14 @@ def y_x_rho(cover, param):
     orbit of theta.  The passing set must form a subgroup of the quotient;
     anything else signals an internal inconsistency.
     """
-    denom, tnum, orbit = _orbit_pass(cover, param)
-    if orbit is None:
+    denom, tnum, in_orbit = _orbit_pass(cover, param)
+    if in_orbit is None:
         raise GeneralPositionError("parameter is not in general position")
     lat, sub = cover._invariant_lattices
     cosets = cover._cosets
     scale = denom // cover.n
     passing = [rep for rep, twist in cosets
-               if tuple((t + scale * c) % denom for t, c in zip(tnum, twist)) in orbit]
+               if in_orbit([(t + scale * c) % denom for t, c in zip(tnum, twist)])]
 
     total = len(cosets)
     # the zero coset comes first

@@ -250,3 +250,57 @@ def prime_power_base_trial(q):
     if m != 1:
         raise MathConstraintError(f"q = {q} is not a prime power")
     return p
+
+
+def orbit_search_reference(cover, w, theta, weyl_elements):
+    """The orbit search written out literally, in exact rationals.
+
+    theta is mapped by every Weyl element m (m^T theta, entries mod 1).  The
+    parameter is in general position when no element other than the identity
+    fixes theta and commutes with w Fr; then the result maps each coset
+    representative y of L / (L meet Y_{Q,n}), L = Y^{W x Fr}, to whether its
+    twist theta + (gram . y)/n lies in the orbit.  Otherwise the result is
+    None.
+    """
+    from whitdim.cover import y_qn
+    from whitdim.lattice import coset_representatives, intersect
+    from whitdim.root_datum import weyl_frobenius_fixed_lattice
+
+    d = len(theta)
+    theta = tuple(Fraction(t) % 1 for t in theta)
+
+    def times(a, b):
+        return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(d)) for j in range(d))
+                     for i in range(d))
+
+    # entry i of m^T theta is column i of m dotted with theta.  Weyl elements
+    # share few distinct columns, so each dot product is made once, and each
+    # distinct value gets a number, so that images compare as number tuples
+    number, column_number = {}, {}
+
+    def act(m):
+        image = []
+        for column in zip(*m):
+            if column not in column_number:
+                value = sum(c * t for c, t in zip(column, theta)) % 1
+                column_number[column] = number.setdefault(value, len(number))
+            image.append(column_number[column])
+        return tuple(image)
+
+    identity = tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
+    start = act(identity)
+    wf = times(w, cover.datum.fr.matrix)
+    orbit = set()
+    for m in weyl_elements:
+        image = act(m)
+        orbit.add(image)
+        if image == start and m != identity and times(m, wf) == times(wf, m):
+            return None
+    lat = weyl_frobenius_fixed_lattice(cover.datum)
+    gram, n = cover.form.gram, cover.n
+    passes = {}
+    for y in coset_representatives(lat, intersect(lat, y_qn(cover))):
+        twisted = tuple((t + Fraction(sum(gram[i][j] * y[j] for j in range(d)), n)) % 1
+                        for i, t in enumerate(theta))
+        passes[y] = tuple(number.get(v) for v in twisted) in orbit
+    return passes

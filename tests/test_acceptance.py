@@ -174,6 +174,35 @@ def test_criterion_4_three_way_oracle_agreement(glr_sweep):
         assert total > 100000  # exhaustive sweep really ran
 
 
+SAMPLED_R = range(4, 11)
+SAMPLED_Q = (3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 25, 27, 29, 31, 37)
+
+
+def test_criterion_4_sampled_sweep_to_rank_10():
+    with criterion(4, "closed form = brute force = orbit search, sampled for r = 4..10"):
+        rng = random.Random(1705)
+        checked = set()
+        for r in SAMPLED_R:
+            for _ in range(12):
+                q = rng.choice(SAMPLED_Q)
+                n = rng.choice(divisors(q - 1))
+                pp, qq = rng.randint(-3, 3), rng.randint(-3, 3)
+                cover = glr_cover(r, pp, qq, n, q)
+                modulus = q ** r - 1
+                for _ in range(10):
+                    a = rng.randrange(1, modulus)
+                    while any(a * (q ** s - 1) % modulus == 0 for s in range(1, r)):
+                        a = rng.randrange(1, modulus)
+                    closed = wh_dim_glr_closed(r, q, n, pp, qq, a)
+                    oracle = wh_dim_oracle(r, q, n, pp, qq, a)
+                    _, orbit = y_x_rho(cover, glr_coxeter_parameter(r, q, a, n))
+                    assert closed == oracle == orbit, (r, q, n, pp, qq, a)
+                    checked.add((r, closed))
+        # every rank ran, and some dimensions are not 1
+        assert {r for r, _ in checked} == set(SAMPLED_R)
+        assert len({dim for _, dim in checked}) > 4
+
+
 def test_criterion_5_squeeze_bounds(glr_sweep):
     with criterion(5, "lower | dimension | upper on the full sweep"):
         for cfg in glr_sweep:

@@ -178,20 +178,27 @@ def test_whittaker_bad_degree_exits_3(capsys):
     assert code == 3
 
 
-def test_whittaker_weyl_guard_exits_6(capsys):
-    code, out, err = run(capsys, [
+def test_whittaker_rank_10_agrees(capsys):
+    # GL_10 is past the Weyl-group guard, and the orbit search never enumerates W
+    code, out, _ = run(capsys, [
         "whittaker", "--r", "10", "--q", "3", "--n", "2",
         "--pp", "0", "--qq", "1", "--a", "1", "--oracle"])
-    assert code == EXIT_RESOURCE_LIMIT == 6
-    assert out == "" and "semisimple rank exceeds the guard" in err
+    assert code == 0
+    assert "agreement = true\n" in out
 
 
-def _run_whittaker_process(q, *extra):
+def _run_whittaker_process(q, *extra, r=2):
     env = dict(os.environ, PYTHONPATH=str(Path(whitdim.__file__).resolve().parents[1]))
     return subprocess.run(
-        [sys.executable, "-m", "whitdim", "whittaker", "--r", "2", "--q", str(q),
+        [sys.executable, "-m", "whitdim", "whittaker", "--r", str(r), "--q", str(q),
          "--n", "2", "--pp", "0", "--qq", "1", "--a", "5", *extra],
         capture_output=True, text=True, env=env, timeout=10)
+
+
+def test_whittaker_rank_guard_exits_6():
+    proc = _run_whittaker_process(3, "--oracle", r=100_000)
+    assert proc.returncode == EXIT_RESOURCE_LIMIT == 6
+    assert proc.stdout == "" and "exceeds the rank guard 16" in proc.stderr
 
 
 def test_whittaker_large_prime_q_is_decided_quickly():

@@ -1,12 +1,15 @@
+import time
 from math import factorial
 
 import pytest
 
-from whitdim.errors import MathConstraintError
+from whitdim.errors import MathConstraintError, ResourceLimitError
 from whitdim.lattice import Sublattice, dot, mat_vec, transpose
 from whitdim.root_datum import (
+    MAX_GLR_RANK,
     BasedRootDatum,
     FrobeniusAction,
+    _close_root_system,
     build_glr,
     build_slr,
     build_sp2r,
@@ -15,9 +18,11 @@ from whitdim.root_datum import (
     frobenius_fixed_lattice,
     identity_frobenius,
     is_derived_simply_connected,
+    permutation_blocks,
     simple_reflections,
     weyl_frobenius_fixed_lattice,
     weyl_group,
+    weyl_order,
 )
 
 
@@ -123,6 +128,95 @@ def test_weyl_elements_permute_roots_and_coroots():
 def test_weyl_rank_guard():
     with pytest.raises(ValueError):
         weyl_group(build_glr(10))
+
+
+def test_weyl_order_from_the_cartan_type_matches_the_closure():
+    data = ([build_glr(r) for r in range(1, 8)] + [build_slr(r) for r in range(2, 8)]
+            + [build_sp2r(r) for r in range(2, 6)]
+            + [build_torus(3), build_torus(2, ((0, 1), (1, 0)))])
+    for rd in data:
+        assert weyl_order(rd) == weyl_group(rd).order, rd.rank
+
+
+def datum_of_cartan(bonds, k):
+    """Simply connected datum whose Cartan matrix has the given bonds (i, j, m):
+    <root_i, coroot_j> = -m and <root_j, coroot_i> = -1."""
+    cartan = [[2 * (i == j) for j in range(k)] for i in range(k)]
+    for i, j, m in bonds:
+        cartan[i][j], cartan[j][i] = -m, -1
+    pairs = [(tuple(cartan[i]), tuple(int(j == i) for j in range(k))) for i in range(k)]
+    return BasedRootDatum(k, *_close_root_system(pairs))
+
+
+def chain(k, last=1):
+    return [(i, i + 1, 1) for i in range(k - 2)] + [(k - 2, k - 1, last)]
+
+
+DYNKIN = {
+    "A3": (chain(3), 3, 24),
+    "B3": (chain(3, 2), 3, 48),
+    "C4": ([(1, 0, 1), (2, 1, 1), (3, 2, 2)], 4, 384),
+    "D4": ([(0, 1, 1), (1, 2, 1), (1, 3, 1)], 4, 192),
+    "D5": ([(0, 1, 1), (1, 2, 1), (2, 3, 1), (2, 4, 1)], 5, 1920),
+    "G2": ([(0, 1, 3)], 2, 12),
+    "F4": ([(0, 1, 1), (1, 2, 2), (2, 3, 1)], 4, 1152),
+    "A1 x G2 x B2": ([(1, 2, 3), (3, 4, 2)], 5, 2 * 12 * 8),
+    "E6": (chain(5) + [(2, 5, 1)], 6, 51840),
+    "E7": (chain(6) + [(2, 6, 1)], 7, 2903040),
+    "E8": (chain(7) + [(4, 7, 1)], 8, 696729600),
+}
+
+
+@pytest.mark.parametrize("name", DYNKIN)
+def test_weyl_order_of_every_dynkin_type(name):
+    bonds, k, order = DYNKIN[name]
+    rd = datum_of_cartan(bonds, k)
+    assert weyl_order(rd) == order
+    if order <= 40320:
+        assert weyl_group(rd).order == order
+    else:
+        with pytest.raises(ResourceLimitError, match=f"order {order} exceeds the guard 40320"):
+            weyl_group(rd)
+
+
+def test_simple_roots_that_are_not_a_base_are_rejected():
+    # a root and its negative: the Cartan matrix ((2, -2), (-2, 2)) is affine
+    rd = build_glr(2)
+    with pytest.raises(MathConstraintError, match="not a base: they are linearly dependent"):
+        weyl_order(BasedRootDatum(2, rd.roots, rd.coroots, (0, 1)))
+
+
+def test_weyl_guard_refuses_large_groups_before_any_closure():
+    for rd in (build_glr(9), build_sp2r(7), build_sp2r(8), build_glr(10)):
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError, match="exceeds the guard 40320"):
+            weyl_group(rd)
+        assert time.perf_counter() - start < 1
+
+
+def test_glr_rank_guard():
+    assert build_glr(MAX_GLR_RANK).rank == MAX_GLR_RANK == 16
+    for r in (17, 10 ** 5):
+        with pytest.raises(ResourceLimitError, match="exceeds the rank guard 16"):
+            build_glr(r)
+
+
+def test_permutation_blocks():
+    swap_blocks = ((0, 0, 1, 0), (0, 0, 0, 1), (1, 0, 0, 0), (0, 1, 0, 0))
+    two_blocks = ((1, -1, 0, 0), (-1, 1, 0, 0), (0, 0, 1, -1), (0, 0, -1, 1))
+    outer = ((1, 0, -1), (-1, 0, 1))
+    so4 = ((1, 1), (-1, -1), (1, -1), (-1, 1))
+    blocks = {
+        ((0, 1, 2),): build_glr(3),
+        ((0,), (1,)): build_torus(2, ((0, 1), (1, 0))),
+        ((0, 1), (2, 3)): BasedRootDatum(4, two_blocks, two_blocks, (0, 2),
+                                         FrobeniusAction(swap_blocks)),
+        ((0, 2), (1,)): BasedRootDatum(3, outer, outer, (0,)),
+    }
+    for expected, rd in blocks.items():
+        assert permutation_blocks(rd).blocks == expected
+    for rd in (build_slr(3), build_sp2r(2), BasedRootDatum(2, so4, so4, (0, 2))):
+        assert permutation_blocks(rd) is None
 
 
 def test_weyl_data_shared_across_equal_data():

@@ -1,6 +1,7 @@
 import random
+import time
 from fractions import Fraction
-from itertools import cycle
+from itertools import cycle, permutations, product
 from math import gcd
 
 import pytest
@@ -9,7 +10,15 @@ from hypothesis import assume, given, settings, strategies as st
 from whitdim.cover import CoverSpec, WeylInvariantForm, central_index, glr_cover, m_qr
 from whitdim.errors import GeneralPositionError, MathConstraintError, ResourceLimitError
 from whitdim.lattice import Sublattice
-from whitdim.root_datum import build_slr, build_sp2r, build_torus, weyl_group
+from whitdim.root_datum import (
+    BasedRootDatum,
+    FrobeniusAction,
+    build_glr,
+    build_slr,
+    build_sp2r,
+    build_torus,
+    weyl_group,
+)
 from whitdim.whittaker import (
     GLrCharacter,
     LusztigParameter,
@@ -24,7 +33,12 @@ from whitdim.whittaker import (
     y_x_rho,
 )
 
-from _oracles import glr_dimension_scan, theta_solutions, twisted_centralizer_fixing
+from _oracles import (
+    glr_dimension_scan,
+    orbit_search_reference,
+    theta_solutions,
+    twisted_centralizer_fixing,
+)
 
 KP = glr_cover(2, 0, 1, 4, 5)
 
@@ -215,13 +229,25 @@ def test_y_x_rho_rejects_degenerate_parameters():
 
 
 def test_y_x_rho_looks_up_the_weyl_group_once_per_cover():
-    cover = glr_cover(2, 0, 1, 4, 5)
+    # SL_3 in its coroot basis is not block-permutation data: W is enumerated
+    cover = CoverSpec(build_slr(3), WeylInvariantForm(((2, -1), (-1, 2))), 2, 3)
+    coxeter = ((0, -1), (1, -1))
+    params = [LusztigParameter(coxeter, theta) for theta in theta_solutions(cover, coxeter)]
     before = weyl_group.cache_info()
-    for a in (1, 3, 5):
-        y_x_rho(cover, glr_coxeter_parameter(2, 5, a, 4))
+    for param in params[1:4]:
+        y_x_rho(cover, param)
     after = weyl_group.cache_info()
     assert after.hits + after.misses == before.hits + before.misses + 1
     assert cover._weyl_group is weyl_group(cover.datum)
+
+
+def test_y_x_rho_on_gl_r_never_looks_up_the_weyl_group():
+    cover = glr_cover(3, 0, 1, 2, 3)
+    before = weyl_group.cache_info()
+    for a in (1, 2, 5):
+        y_x_rho(cover, glr_coxeter_parameter(3, 3, a, 2))
+    assert weyl_group.cache_info() == before
+    assert "_weyl_group" not in vars(cover)
 
 
 def test_y_x_rho_lattice_contains_the_meet():
@@ -234,6 +260,126 @@ def test_y_x_rho_lattice_contains_the_meet():
         meet = intersect(big, y_qn(KP))
         assert lat.contains_lattice(meet)
         assert index(big, lat) == idx
+
+
+# ---------------------------------------------------------------------------
+# the orbit search on block-permutation data, against the literal reference
+
+SWAP_BLOCKS = ((0, 0, 1, 0), (0, 0, 0, 1), (1, 0, 0, 0), (0, 1, 0, 0))
+
+
+def block_swap_cover():
+    # roots +-(e_1 - e_2), +-(e_3 - e_4); Frobenius swaps the two blocks, so
+    # w Fr does not preserve them
+    roots = ((1, -1, 0, 0), (-1, 1, 0, 0), (0, 0, 1, -1), (0, 0, -1, 1))
+    datum = BasedRootDatum(4, roots, roots, (0, 2), FrobeniusAction(SWAP_BLOCKS))
+    gram = ((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0))
+    return CoverSpec(datum, WeylInvariantForm(gram), 4, 5)
+
+
+def unitary_cover():
+    # GL_3 with Frobenius y -> -w_0 y: w Fr is a signed permutation
+    base = build_glr(3)
+    fr = FrobeniusAction(((0, 0, -1), (0, -1, 0), (-1, 0, 0)))
+    datum = BasedRootDatum(3, base.roots, base.coroots, base.simple_indices, fr)
+    return CoverSpec(datum, WeylInvariantForm(((2, 1, 1), (1, 2, 1), (1, 1, 2))), 2, 3)
+
+
+BLOCK_COVERS = (glr_cover(1, 1, 0, 4, 5), glr_cover(2, 0, 1, 4, 5),
+                glr_cover(3, 1, -1, 2, 3), glr_cover(3, 0, 1, 3, 4), block_swap_cover(),
+                unitary_cover())
+
+
+def check_against_orbit_reference(cover, params):
+    """Compare general position and the y_x_rho lattice and index with the
+    literal orbit search; returns (in general position, not) counts."""
+    assert cover._weyl_blocks is not None
+    elements = weyl_group(cover.datum).elements
+    counts = [0, 0]
+    for param in params:
+        passes = orbit_search_reference(cover, param.w, param.theta, elements)
+        assert is_general_position(param, cover) == (passes is not None), param
+        if passes is None:
+            with pytest.raises(GeneralPositionError):
+                y_x_rho(cover, param)
+            counts[1] += 1
+            continue
+        lattice, idx = y_x_rho(cover, param)
+        assert idx * sum(passes.values()) == len(passes), param
+        assert all(lattice.contains_vector(y) == ok for y, ok in passes.items()), param
+        counts[0] += 1
+    return tuple(counts)
+
+
+def test_block_membership_matches_the_weyl_group():
+    for cover in BLOCK_COVERS:
+        d = cover.rank
+        members = set(weyl_group(cover.datum).elements)
+        if d <= 3:
+            candidates = product((-1, 0, 1), repeat=d * d)
+        else:
+            candidates = (tuple(sign * int(perm[j] == i) for i, sign in enumerate(signs)
+                                for j in range(d))
+                          for perm in permutations(range(d))
+                          for signs in product((1, -1), repeat=d))
+        for flat in candidates:
+            m = tuple(tuple(flat[i * d:(i + 1) * d]) for i in range(d))
+            assert (m in cover._weyl_blocks) == (m in members), m
+
+
+def test_block_orbit_search_matches_the_reference_for_every_twist():
+    counts = []
+    for cover in BLOCK_COVERS:
+        params = [LusztigParameter(w, theta, Fraction(1, cover.n))
+                  for w in weyl_group(cover.datum).elements
+                  for theta in theta_solutions(cover, w)]
+        counts.append(check_against_orbit_reference(cover, params))
+    assert counts == [(4, 0), (32, 8), (84, 24), (234, 54), (2304, 96), (120, 96)]
+
+
+@pytest.mark.parametrize("r", [4, 5, 6, 7])
+def test_block_orbit_search_matches_the_reference_on_coxeter_parameters(r):
+    rng = random.Random(r)
+    gp_count = 0
+    for _ in range(5):
+        q = rng.choice((3, 4, 5, 7, 8, 9, 11, 13))
+        n = rng.choice([d for d in range(1, q) if (q - 1) % d == 0])
+        cover = glr_cover(r, rng.randint(-3, 3), rng.randint(-3, 3), n, q)
+        modulus = q ** r - 1
+        exponents = []
+        while len(exponents) < 10:
+            a = rng.randrange(1, modulus)
+            if all(a * (q ** s - 1) % modulus for s in range(1, r)):
+                exponents.append(a)
+        # theta of period g < r repeats its entries: not in general position
+        exponents.append(modulus // (q - 1) * rng.randrange(q - 1))
+        params = [glr_coxeter_parameter(r, q, a, n) for a in exponents]
+        gp, not_gp = check_against_orbit_reference(cover, params)
+        assert not_gp == 1
+        gp_count += gp
+    assert gp_count == 50
+
+
+def test_the_stabilizer_guard_refuses_a_large_young_subgroup_quickly():
+    # theta = 0 is fixed by all of S_12, of order 12! = 479001600
+    cover = glr_cover(12, 0, 1, 2, 3)
+    identity = tuple(tuple(int(i == j) for j in range(12)) for i in range(12))
+    zero = LusztigParameter(identity, (0,) * 12)
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match="stabilizer of order 479001600"):
+        is_general_position(zero, cover)
+    with pytest.raises(ResourceLimitError, match="stabilizer of order 479001600"):
+        y_x_rho(cover, zero)
+    assert time.perf_counter() - start < 2
+
+
+def test_a_permutation_that_moves_a_block_is_not_a_weyl_element():
+    cover = block_swap_cover()
+    param = LusztigParameter(SWAP_BLOCKS, (0,) * 4)
+    with pytest.raises(MathConstraintError, match="not an element of the Weyl group"):
+        y_x_rho(cover, param)
+    with pytest.raises(MathConstraintError, match="not an element of the Weyl group"):
+        is_general_position(param, cover)
 
 
 # ---------------------------------------------------------------------------
