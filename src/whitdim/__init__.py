@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 
 from .cover import (
     CoverSpec,
-    GLrCoverInvariants,
     WeylInvariantForm,
     central_index,
     classify_glr_family,
@@ -39,10 +38,7 @@ from .lattice import (
 )
 from .parahoric import (
     ApartmentPoint,
-    ConductorVector,
     ResidualRootData,
-    conductor_shift,
-    hyperspecial_conductors,
     is_hyperspecial,
     is_vertex,
     phi_x,
@@ -63,7 +59,6 @@ from .root_datum import (
     weyl_group,
 )
 from .whittaker import (
-    GLrCharacter,
     LusztigParameter,
     enumerate_glr_table,
     glr_coxeter_parameter,

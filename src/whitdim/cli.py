@@ -150,11 +150,10 @@ def cmd_info(args):
     }
     invariants = glr_invariants_of(rd, cover.form)
     if invariants is not None:
-        results["bold_p"] = invariants.bold_p
-        results["bold_q"] = invariants.bold_q
-        results["q_e0"] = q_of_e0(rd.rank, invariants.bold_p, invariants.bold_q)
+        bold_p, bold_q = invariants
+        results.update(bold_p=bold_p, bold_q=bold_q, q_e0=q_of_e0(rd.rank, bold_p, bold_q))
         if rd.rank >= 2:
-            results["family"] = classify_glr_family(invariants.bold_p, invariants.bold_q)
+            results["family"] = classify_glr_family(bold_p, bold_q)
     results["central_index"] = central_index(cover)
     lower, upper = squeeze_bounds(cover)
     results["squeeze_lower"] = lower

@@ -231,14 +231,6 @@ class CoverSpec:
         return tuple((rep, mat_vec(self.form.gram, rep)) for rep in reps)
 
 
-@dataclass(frozen=True)
-class GLrCoverInvariants:
-    """The pair (bold_p, bold_q) pinning a Weyl-invariant form on GL_r."""
-
-    bold_p: int
-    bold_q: int
-
-
 def form_from_glr_invariants(r, bold_p, bold_q):
     """Gram matrix with diagonal 2*bold_p and off-diagonal bold_q (unused if r=1)."""
     if r < 1:
@@ -265,7 +257,7 @@ def glr_invariants_of(datum, form):
     off = {g[i][j] for i in range(r) for j in range(r) if i != j}
     if len(diag) != 1 or len(off) > 1:
         return None
-    return GLrCoverInvariants(next(iter(diag)) // 2, next(iter(off)) if off else 0)
+    return next(iter(diag)) // 2, next(iter(off)) if off else 0
 
 
 def q_of_coroot(form, rd):

@@ -153,58 +153,3 @@ def residual_splits(cover, x):
     # solvability of rows . k = rhs over Z: rhs must lie in the column lattice
     columns = transpose(rows)
     return hermite_normal_form(columns, len(rows)).contains_vector(rhs)
-
-
-# ---------------------------------------------------------------------------
-# conductors of generic characters
-
-@dataclass(frozen=True)
-class ConductorVector:
-    """One integer per simple relative root (per Frobenius orbit of simples)."""
-
-    values: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(int(v) for v in self.values))
-
-
-def relative_simple_orbits(rd):
-    """Frobenius orbits on the simple roots, each sorted, ordered by least member."""
-    f = rd.fr.matrix
-    coroot_to_simple = {rd.coroots[i]: i for i in rd.simple_indices}
-    remaining = set(rd.simple_indices)
-    orbits = []
-    while remaining:
-        start = min(remaining)
-        orbit = []
-        i = start
-        while i in remaining:
-            remaining.remove(i)
-            orbit.append(i)
-            i = coroot_to_simple[mat_vec(f, rd.coroots[i])]
-        orbits.append(tuple(sorted(orbit)))
-    return tuple(sorted(orbits))
-
-
-def conductor_shift(c, t_valuations):
-    """Shift a conductor vector componentwise by the valuations val(root(t))."""
-    shifts = tuple(int(v) for v in t_valuations)
-    if len(shifts) != len(c.values):
-        raise ValueError("one valuation per simple relative root is required")
-    return ConductorVector(tuple(a + b for a, b in zip(c.values, shifts)))
-
-
-def hyperspecial_conductors(rd, x):
-    """The unique conductor vector supported at a hyperspecial x: root(x) + 1
-    on each simple relative root."""
-    point = _coerce_point(x, rd.rank)
-    if not is_hyperspecial(rd, point):
-        raise MathConstraintError("conductor target is only defined at hyperspecial points")
-    values = []
-    for orbit in relative_simple_orbits(rd):
-        vals = {root_value(rd.roots[i], point) for i in orbit}
-        if len(vals) != 1:
-            raise MathConstraintError(
-                "root values are not constant on a Frobenius orbit; point is not rational")
-        values.append(int(next(iter(vals))) + 1)
-    return ConductorVector(tuple(values))

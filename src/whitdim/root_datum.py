@@ -75,6 +75,12 @@ class FrobeniusAction:
         return len(self.matrix)
 
 
+def _reflect(v, pairing, u):
+    """v - <pairing, v> u, the pairing computed once."""
+    k = dot(pairing, v)
+    return tuple(x - k * y for x, y in zip(v, u))
+
+
 def identity_frobenius(d):
     return FrobeniusAction(identity_matrix(d))
 
@@ -123,13 +129,12 @@ class BasedRootDatum:
                     f"pairing of root {a} with its coroot {av} must be 2")
 
         root_set, coroot_set = frozenset(roots), frozenset(coroots)
-        for i in self.simple_indices:
-            s = self._reflection(i)
-            if {mat_vec(s, c) for c in coroots} != coroot_set:
+        for i in simple:
+            a, av = roots[i], coroots[i]
+            if {_reflect(c, a, av) for c in coroots} != coroot_set:
                 raise MathConstraintError(
                     f"simple reflection {i} does not permute the coroots")
-            st = transpose(s)
-            if {mat_vec(st, r) for r in roots} != root_set:
+            if {_reflect(r, av, a) for r in roots} != root_set:
                 raise MathConstraintError(
                     f"simple reflection {i} does not permute the roots")
 
@@ -154,10 +159,8 @@ class BasedRootDatum:
 
     def _reflection(self, i):
         """Matrix of s_i on Y: y -> y - <root_i, y> coroot_i."""
-        d = self.rank
         a, av = self.roots[i], self.coroots[i]
-        return tuple(tuple((r == c) - av[r] * a[c] for c in range(d))
-                     for r in range(d))
+        return transpose([_reflect(e, a, av) for e in identity_matrix(self.rank)])
 
 
 @dataclass(frozen=True)

@@ -56,22 +56,6 @@ from .root_datum import PermutationBlocks, simple_reflections
 
 
 @dataclass(frozen=True)
-class GLrCharacter:
-    """A character of the degree-r unramified torus over F_q, as an exponent
-    a against the canonical primitive (q^r - 1)-th root."""
-
-    r: int
-    q: int
-    a: int
-
-    def __post_init__(self):
-        if self.r < 1 or self.q < 2:
-            raise ValueError("need r >= 1 and q >= 2")
-        if not 0 <= self.a < self.q ** self.r - 1:
-            raise ValueError(f"exponent a must lie in [0, q^r - 1) = [0, {self.q ** self.r - 1})")
-
-
-@dataclass(frozen=True)
 class LusztigParameter:
     """Twisting Weyl element w (a matrix on Y) and dual exponents mod 1.
 
@@ -178,8 +162,11 @@ def glr_coxeter_parameter(r, q, a, n=None):
     w is the full cycle and theta_i = a * q^(i-1) / (q^r - 1) mod 1.  When the
     cover degree n is supplied, the central exponent is pinned to 1/n.
     """
-    GLrCharacter(r, q, a)
+    if r < 1 or q < 2:
+        raise ValueError("need r >= 1 and q >= 2")
     modulus = q ** r - 1
+    if not 0 <= a < modulus:
+        raise ValueError(f"exponent a must lie in [0, q^r - 1) = [0, {modulus})")
     w = tuple(tuple(1 if i == (j + 1) % r else 0 for j in range(r)) for i in range(r))
     nums = [a * pow(q, i, modulus) % modulus for i in range(r)]
     theta = tuple(Fraction(v, modulus) for v in nums)
@@ -189,21 +176,8 @@ def glr_coxeter_parameter(r, q, a, n=None):
     return LusztigParameter(w, theta, central)
 
 
-def is_general_position(param, cover=None):
-    """No nontrivial twisted-Frobenius-fixed Weyl element fixes the parameter.
-
-    For a :class:`GLrCharacter` this is the congruence test
-    a * (q^s - 1) != 0 mod q^r - 1 for 0 < s < r; a :class:`LusztigParameter`
-    requires the cover and runs the stabilizer test.  The two agree on
-    Coxeter-torus inputs for GL_r; for twisting elements beyond those the
-    stabilizer test is the definition used throughout this package.
-    """
-    if isinstance(param, GLrCharacter):
-        modulus = param.q ** param.r - 1
-        return all(param.a * (param.q ** s - 1) % modulus
-                   for s in range(1, param.r))
-    if cover is None:
-        raise ValueError("testing a LusztigParameter requires the cover")
+def is_general_position(param, cover):
+    """No nonidentity Weyl element commuting with w Fr fixes theta."""
     return _orbit_pass(cover, param)[2] is not None
 
 
@@ -248,7 +222,8 @@ def _check_glr_dim_args(r, q, n, a):
     _prime_power_base(q)
     if n < 1 or (q - 1) % n:
         raise MathConstraintError(f"cover degree n = {n} must divide q - 1 = {q - 1}")
-    GLrCharacter(r, q, a)
+    if not 0 <= a < q ** r - 1:
+        raise ValueError(f"exponent a must lie in [0, q^r - 1) = [0, {q ** r - 1})")
 
 
 class _GLrSolver:

@@ -201,6 +201,14 @@ def glr_dimension_scan(r, q, n, bold_p, bold_q, a):
     raise RuntimeError("scan exhausted below the divisibility bound")
 
 
+def glr_general_position(r, q, a):
+    """The congruence test a (q^s - 1) != 0 mod q^r - 1 for 0 < s < r, with
+    plain powers: general position of the exponent-a character of the
+    Coxeter torus of GL_r."""
+    modulus = q ** r - 1
+    return all(a * (q ** s - 1) % modulus for s in range(1, r))
+
+
 def residual_splits_reference(cover, x):
     """Whether coroot -> root(x) Q(coroot) extends to a Frobenius-equivariant
     homomorphism Y -> Z, with the rows and right sides derived directly from

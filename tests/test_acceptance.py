@@ -26,7 +26,6 @@ from whitdim.parahoric import (
 )
 from whitdim.root_datum import build_slr, build_sp2r, weyl_group
 from whitdim.whittaker import (
-    GLrCharacter,
     LusztigParameter,
     glr_coxeter_parameter,
     is_general_position,
@@ -39,6 +38,7 @@ from whitdim.whittaker import (
 from _oracles import (
     brute_force_coset_count,
     elementary_row_hnf,
+    glr_general_position,
     rational_solve,
     theta_solutions,
 )
@@ -77,7 +77,7 @@ def glr_sweep():
         for q in SWEEP_Q:
             modulus = q ** r - 1
             gp = [a for a in range(modulus)
-                  if is_general_position(GLrCharacter(r, q, a))]
+                  if glr_general_position(r, q, a)]
             for n in divisors(q - 1):
                 for pp, qq in SWEEP_PQ:
                     cover = glr_cover(r, pp, qq, n, q)

@@ -178,6 +178,14 @@ def test_whittaker_bad_degree_exits_3(capsys):
     assert code == 3
 
 
+def test_whittaker_exponent_out_of_range_exits_2(capsys):
+    code, out, err = run(capsys, [
+        "whittaker", "--r", "2", "--q", "5", "--n", "4",
+        "--pp", "0", "--qq", "1", "--a", "24"])
+    assert (code, out) == (2, "")
+    assert err == "error: exponent a must lie in [0, q^r - 1) = [0, 24)\n"
+
+
 def test_whittaker_rank_10_agrees(capsys):
     # GL_10 is past the Weyl-group guard, and the orbit search never enumerates W
     code, out, _ = run(capsys, [

@@ -292,7 +292,7 @@ def test_m_qr_matches_gram_product():
 def test_glr_invariants_detection():
     cover = glr_cover(3, 1, -2, 1, 5)
     inv = glr_invariants_of(cover.datum, cover.form)
-    assert (inv.bold_p, inv.bold_q) == (1, -2)
+    assert inv == (1, -2)
     assert glr_invariants_of(build_sp2r(2),
                              WeylInvariantForm(((2, 0), (0, 2)))) is None
 

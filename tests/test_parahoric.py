@@ -7,14 +7,10 @@ from whitdim.cover import CoverSpec, WeylInvariantForm, glr_cover
 from whitdim.errors import MathConstraintError
 from whitdim.parahoric import (
     ApartmentPoint,
-    ConductorVector,
-    conductor_shift,
-    hyperspecial_conductors,
     is_hyperspecial,
     is_vertex,
     parse_rational,
     phi_x,
-    relative_simple_orbits,
     residual_derived_simply_connected,
     residual_extension,
     residual_splits,
@@ -190,36 +186,3 @@ def test_residual_splits_matches_reference():
                 assert residual_splits(cover, x) == expected, (cover.datum.rank, x)
             outcomes.add(expected)
     assert outcomes == {None, True, False}
-
-
-# ---------------------------------------------------------------------------
-# conductors
-
-def test_conductor_shift_identity():
-    c = ConductorVector((1, 1))
-    assert conductor_shift(c, (0, 0)).values == (1, 1)
-
-
-def test_conductor_shift_componentwise():
-    assert conductor_shift(ConductorVector((1, 1)), (2, -1)).values == (3, 0)
-
-
-def test_conductor_shift_length_gate():
-    with pytest.raises(ValueError):
-        conductor_shift(ConductorVector((1, 1)), (1,))
-
-
-def test_hyperspecial_conductors():
-    rd = build_glr(3)
-    assert hyperspecial_conductors(rd, (0, 0, 0)).values == (1, 1)
-    assert hyperspecial_conductors(rd, (1, 0, 0)).values == (2, 1)
-    with pytest.raises(MathConstraintError):
-        hyperspecial_conductors(rd, (Fraction(1, 3), 0, 0))
-
-
-def test_relative_simple_orbits_with_frobenius():
-    roots = ((1, -1, 0, 0), (-1, 1, 0, 0), (0, 0, 1, -1), (0, 0, -1, 1))
-    swap_blocks = ((0, 0, 1, 0), (0, 0, 0, 1), (1, 0, 0, 0), (0, 1, 0, 0))
-    rd = BasedRootDatum(4, roots, roots, (0, 2), FrobeniusAction(swap_blocks))
-    assert relative_simple_orbits(rd) == ((0, 2),)
-    assert hyperspecial_conductors(rd, (0, 0, 0, 0)).values == (1,)

@@ -288,6 +288,20 @@ def test_bad_pairing_rejected():
         BasedRootDatum(1, ((1,),), ((1,),), (0,))  # pairing 1, not 2
 
 
+def test_simple_reflections_must_permute_roots_and_coroots():
+    # s_0 sends the coroot (2, 0) to (0, 2); the roots are those of GL_2 plus +-(1, 1)
+    with pytest.raises(MathConstraintError,
+                       match="^simple reflection 0 does not permute the coroots$"):
+        BasedRootDatum(2, ((1, -1), (-1, 1), (1, 1), (-1, -1)),
+                       ((1, -1), (-1, 1), (2, 0), (-2, 0)), (0,))
+    # with the two roles exchanged the coroots are permuted, but the root
+    # (2, 0) goes to (0, 2)
+    with pytest.raises(MathConstraintError,
+                       match="^simple reflection 0 does not permute the roots$"):
+        BasedRootDatum(2, ((1, -1), (-1, 1), (2, 0), (-2, 0)),
+                       ((1, -1), (-1, 1), (1, 1), (-1, -1)), (0,))
+
+
 def test_frobenius_must_permute_coroots():
     rd = build_glr(2)
     with pytest.raises(MathConstraintError):

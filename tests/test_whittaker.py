@@ -20,7 +20,6 @@ from whitdim.root_datum import (
     weyl_group,
 )
 from whitdim.whittaker import (
-    GLrCharacter,
     LusztigParameter,
     _GLrSolver,
     enumerate_glr_table,
@@ -35,6 +34,7 @@ from whitdim.whittaker import (
 
 from _oracles import (
     glr_dimension_scan,
+    glr_general_position,
     orbit_search_reference,
     theta_solutions,
     twisted_centralizer_fixing,
@@ -104,10 +104,21 @@ def test_coxeter_parameter_central_exponent():
 
 
 def test_coxeter_parameter_range_check():
-    with pytest.raises(ValueError):
-        glr_coxeter_parameter(2, 5, 24)
-    with pytest.raises(ValueError):
-        glr_coxeter_parameter(2, 5, -1)
+    message = r"^exponent a must lie in \[0, q\^r - 1\) = \[0, 24\)$"
+    for a in (24, -1):
+        with pytest.raises(ValueError, match=message):
+            glr_coxeter_parameter(2, 5, a)
+        for route in (wh_dim_glr_closed, wh_dim_oracle):
+            with pytest.raises(ValueError, match=message):
+                route(2, 5, 4, 0, 1, a)
+    # with both q and a out of range, q is named first
+    with pytest.raises(ValueError, match="^need r >= 1 and q >= 2$"):
+        glr_coxeter_parameter(2, 1, -1)
+    for route in (wh_dim_glr_closed, wh_dim_oracle):
+        with pytest.raises(ValueError, match="^need r >= 1 and q >= 2$"):
+            route(2, 1, 1, 0, 1, -1)
+        with pytest.raises(MathConstraintError, match="^q = 6 is not a prime power$"):
+            route(2, 6, 5, 0, 1, -1)
 
 
 def test_parameter_must_satisfy_twisted_character_equation():
@@ -126,27 +137,31 @@ def test_parameter_denominators_must_avoid_p():
 # ---------------------------------------------------------------------------
 # general position
 
+def coxeter_general_position(r, q, a):
+    return is_general_position(glr_coxeter_parameter(r, q, a), glr_cover(r, 0, 1, 1, q))
+
+
 def test_gp_zero_exponent_fails_for_r_at_least_2():
-    assert not is_general_position(GLrCharacter(2, 5, 0))
-    assert not is_general_position(GLrCharacter(3, 7, 0))
+    assert not coxeter_general_position(2, 5, 0)
+    assert not coxeter_general_position(3, 7, 0)
 
 
 def test_gp_modular_examples():
-    assert not is_general_position(GLrCharacter(2, 5, 6))   # 6*4 = 24 = 0 mod 24
-    assert is_general_position(GLrCharacter(2, 5, 1))
+    assert not coxeter_general_position(2, 5, 6)   # 6*4 = 24 = 0 mod 24
+    assert coxeter_general_position(2, 5, 1)
 
 
 def test_gp_r1_always_true():
-    assert all(is_general_position(GLrCharacter(1, 5, a)) for a in range(4))
+    assert all(coxeter_general_position(1, 5, a) for a in range(4))
 
 
 @pytest.mark.parametrize("r,q", [(2, 5), (3, 3), (2, 7)])
 def test_gp_paths_agree_on_coxeter_inputs(r, q):
     cover = glr_cover(r, 0, 1, 1, q)
     for a in range(q ** r - 1):
-        char_path = is_general_position(GLrCharacter(r, q, a))
-        param_path = is_general_position(glr_coxeter_parameter(r, q, a), cover)
-        assert char_path == param_path, a
+        reference = glr_general_position(r, q, a)
+        route = is_general_position(glr_coxeter_parameter(r, q, a), cover)
+        assert reference == route, a
 
 
 def check_gp_against_twisted_centralizer(cover, denominator=None):
@@ -439,7 +454,7 @@ def test_both_routes_reject_every_exponent_not_in_general_position():
         for q in (2, 3, 4, 5, 7, 8, 9):
             modulus = q ** r - 1
             failing = [a for a in range(modulus)
-                       if not is_general_position(GLrCharacter(r, q, a))]
+                       if not glr_general_position(r, q, a)]
             for n in _divisors(q - 1):
                 for a in failing:
                     message = f"a = {a} is not in general position mod q^r - 1 = {modulus}"
@@ -457,7 +472,7 @@ def test_divisibility_bound():
         bound = n // gcd(n, m)
         modulus = q ** r - 1
         for a in range(modulus):
-            if not is_general_position(GLrCharacter(r, q, a)):
+            if not glr_general_position(r, q, a):
                 continue
             dim = wh_dim_glr_closed(r, q, n, pp, qq, a)
             assert bound % dim == 0
@@ -467,7 +482,7 @@ def test_dimension_constant_on_q_power_orbits():
     r, q, n, pp, qq = 2, 7, 6, 0, 1
     modulus = q ** r - 1
     for a in range(modulus):
-        if not is_general_position(GLrCharacter(r, q, a)):
+        if not glr_general_position(r, q, a):
             continue
         partner = a * q % modulus
         assert (wh_dim_glr_closed(r, q, n, pp, qq, a)
@@ -547,7 +562,7 @@ def test_squeeze_sandwiches_the_dimension():
         assert upper % lower == 0
         modulus = q ** r - 1
         for a in range(0, modulus, 5):
-            if not is_general_position(GLrCharacter(r, q, a)):
+            if not glr_general_position(r, q, a):
                 continue
             dim = wh_dim_glr_closed(r, q, n, pp, qq, a)
             assert dim % lower == 0 and upper % dim == 0
