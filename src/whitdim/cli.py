@@ -107,8 +107,11 @@ def load_cover_document(path):
     fr = None
     if "frobenius" in doc:
         fr = FrobeniusAction(_int_matrix(doc["frobenius"], "frobenius"))
+    gram = _int_matrix(doc["bq"], "bq")
+    if rank > len(gram):  # before the datum builds a rank x rank Frobenius
+        raise ValueError("form size does not match the root datum rank")
     datum = BasedRootDatum(rank, roots, coroots, tuple(simple), fr)
-    form = WeylInvariantForm(_int_matrix(doc["bq"], "bq"))
+    form = WeylInvariantForm(gram)
     return CoverSpec(datum, form, _int_field(doc, "n"), _int_field(doc, "q"))
 
 

@@ -205,13 +205,9 @@ class CoverSpec:
         return self.datum.fr
 
     @cached_property
-    def _weyl_group(self):
-        return weyl_group(self.datum)
-
-    @cached_property
-    def _weyl_blocks(self):
-        """W as its blocks when the datum is block-permutation data, else None."""
-        return permutation_blocks(self.datum)
+    def _weyl(self):
+        """W as its blocks on block-permutation data, else enumerated."""
+        return permutation_blocks(self.datum) or weyl_group(self.datum)
 
     @cached_property
     def _y_qn(self):

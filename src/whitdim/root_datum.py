@@ -187,6 +187,15 @@ class WeylGroup:
         on X as ``elements[i]`` inverted, so the tuple runs over the group."""
         return tuple(transpose(m) for m in self.elements)
 
+    def orbit(self, v, denom):
+        """(orbit test, stabilizer) of the exponents v mod denom: a test for
+        the W-orbit of v, and the elements other than the identity fixing v."""
+        images = [tuple(sum(a * t for a, t in zip(row, v)) % denom for row in mt)
+                  for mt in self.x_action]
+        orbit = set(images)
+        stabilizer = [m for m, image in zip(self.elements[1:], images[1:]) if image == v]
+        return (lambda u: tuple(u) in orbit), stabilizer
+
 
 @dataclass(frozen=True)
 class PermutationBlocks:
@@ -219,41 +228,35 @@ class PermutationBlocks:
             return sorted(v)
         return [sorted([v[i] for i in block]) for block in self.blocks]
 
-    def stabilizer(self, v):
-        """The elements other than the identity that fix v, as permutations p
-        of the coordinates (p[i] is the image of i).
-
-        They form the Young subgroup that permutes equal entries within each
-        block.  Its order prod(multiplicity!) is checked against
-        :data:`MAX_WEYL_ORDER` before anything is enumerated.
-        """
+    def orbit(self, v, denom):
+        """As :meth:`WeylGroup.orbit`, by keys.  The stabilizer is the Young
+        subgroup of equal entries within each block; its order
+        prod(multiplicity!) is checked against :data:`MAX_WEYL_ORDER` before
+        its elements are generated."""
+        key = self.key(v)
         classes = []
         for block in self.blocks:
-            if len({v[i] for i in block}) == len(block):
-                continue
             by_value = {}
             for i in block:
                 by_value.setdefault(v[i], []).append(i)
             classes += [c for c in by_value.values() if len(c) > 1]
-        if not classes:
-            return ()
         order = prod(factorial(len(c)) for c in classes)
         if order > MAX_WEYL_ORDER:
             raise ResourceLimitError(
                 f"the Weyl stabilizer of order {order} exceeds the guard {MAX_WEYL_ORDER}")
-        return _young_elements(classes, len(v))
+        return (lambda u: self.key(u) == key), _young_elements(classes, len(v))
 
 
 def _young_elements(classes, d):
-    """The permutations of range(d) that permute each class, except the
-    identity."""
+    """The permutation matrices that permute each class of coordinates,
+    except the identity."""
     # the first choice of images is the identity
     for images in islice(product(*map(permutations, classes)), 1, None):
         perm = list(range(d))
         for c, image in zip(classes, images):
             for i, j in zip(c, image):
                 perm[i] = j
-        yield perm
+        yield tuple(tuple(int(j == perm[i]) for j in range(d)) for i in range(d))
 
 
 def _closure(start, step):
@@ -365,12 +368,17 @@ def is_derived_simply_connected(rd):
 # ---------------------------------------------------------------------------
 # standard constructors (split groups; arbitrary Frobenii only on tori)
 
+def check_glr_rank(r):
+    """Refuse GL_r with r above :data:`MAX_GLR_RANK`."""
+    if r > MAX_GLR_RANK:
+        raise ResourceLimitError(f"GL_r with r = {r} exceeds the rank guard {MAX_GLR_RANK}")
+
+
 def build_glr(r):
     """Root datum of GL_r: Y = Z^r, roots e_i - e_j, W the permutation matrices."""
     if r < 1:
         raise ValueError("GL_r needs r >= 1")
-    if r > MAX_GLR_RANK:
-        raise ResourceLimitError(f"GL_r with r = {r} exceeds the rank guard {MAX_GLR_RANK}")
+    check_glr_rank(r)
     roots, coroots, simple = [], [], []
     for i in range(r):
         for j in range(r):

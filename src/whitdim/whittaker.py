@@ -1,11 +1,13 @@
 """Dual-side torus parameters and Whittaker-dimension computations.
 
 Characters of twisted finite tori are represented entirely on the dual side,
-as exact rational exponent vectors taken mod 1 (entry i is the coefficient of
-the i-th dual basis covector).  A parameter carries the twisting Weyl element
-w and satisfies q * theta = (w Fr)^T theta mod 1; the contribution of the
-extension's central coordinate is stored but inert, since the Weyl group acts
-trivially on it.
+as exponent vectors taken mod 1 (entry i is the coefficient of the i-th dual
+basis covector), held as integer numerators over one denominator D.  A
+parameter carries the twisting Weyl element w and satisfies
+q * theta = (w Fr)^T theta mod 1; the contribution of the extension's central
+coordinate is stored but inert, since the Weyl group acts trivially on it.
+Rationals appear only at the API boundary: `LusztigParameter.from_theta`
+reads them and the `theta` property returns them.
 
 Three independent routes compute the same dimension for covers of GL_r:
 
@@ -16,20 +18,14 @@ Three independent routes compute the same dimension for covers of GL_r:
   (`y_x_rho`), which also works for arbitrary root data.
 
 Each route decides general position on its own, as it computes.  Only the
-orbit search touches W.  On block-permutation data (every simple reflection
-swaps two coordinates: GL_r, tori, roots +-(e_i - e_j)) W permutes the
-coordinates within blocks, so two exponent vectors share an orbit exactly
-when their entries agree after sorting within each block, and the
-stabilizer of theta is the Young subgroup of its equal entries; nothing is
-enumerated unless theta has repeated entries, and then only that subgroup,
-up to the same bound as a Weyl group.  Other data map theta by every
-element of W.
-
-Internally the orbit search runs over integers modulo a common denominator;
-this is an implementation detail, all comparisons stay exact.  It reads
-derived data from the cover, which keeps it for its own lifetime: the blocks
-of block-permutation data, or else the Weyl group (shared by every datum of
-equal value), and the invariant lattice with its coset representatives.
+orbit search touches W, through one method of the cover's Weyl group,
+``orbit(v, D)``: a test for the W-orbit of the numerators v mod D, and the
+nonidentity elements fixing v, one of which commutes with w Fr exactly when
+theta is not in general position.  On block-permutation data (each simple
+reflection swaps two coordinates: GL_r, tori, roots +-(e_i - e_j)) W is held
+as its blocks: vectors share an orbit exactly when they agree after sorting
+within each block, and the stabilizer is the Young subgroup of equal
+entries.  Other data map theta by every element of W, enumerated once.
 Resource guards raise :class:`ResourceLimitError` before any enumeration:
 |W| above 40,320 (computed from the root heights), a Weyl stabilizer above
 the same bound, and GL_r with r above 16.
@@ -37,6 +33,7 @@ the same bound, and GL_r with r above 16.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -52,57 +49,78 @@ from .lattice import (
     mat_mul,
     mat_vec,
 )
-from .root_datum import PermutationBlocks, simple_reflections
+from .root_datum import check_glr_rank, simple_reflections
 
 
 @dataclass(frozen=True)
 class LusztigParameter:
-    """Twisting Weyl element w (a matrix on Y) and dual exponents mod 1.
-
-    ``central_exponent`` records the coordinate along the extension's extra
-    summand; it is fixed by genuineness, the Weyl group acts trivially on it,
-    and it never enters conjugacy tests.
+    """Twisting Weyl element w (a matrix on Y) and dual exponents mod 1,
+    theta_i = numerators[i] / denominator; central / denominator is the
+    coordinate along the extension's extra summand, fixed by genuineness,
+    inert under W and never in conjugacy tests.  The entries are reduced mod
+    the denominator and all are divided by their gcd, so equal parameters
+    compare and hash equal.
     """
 
     w: tuple
-    theta: tuple
-    central_exponent: Fraction = Fraction(0)
+    denominator: int
+    numerators: tuple
+    central: int = 0
 
     def __post_init__(self):
         w = tuple(tuple(int(x) for x in row) for row in self.w)
-        theta = tuple(Fraction(t) % 1 for t in self.theta)
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "central_exponent", Fraction(self.central_exponent) % 1)
-        d = len(theta)
+        denom = operator.index(self.denominator)
+        if denom < 1:
+            raise ValueError("the denominator must be a positive integer")
+        nums = [operator.index(x) % denom for x in (*self.numerators, self.central)]
+        g = gcd(denom, *nums)
+        *nums, central = (x // g for x in nums)
+        for name, value in (("w", w), ("denominator", denom // g),
+                            ("numerators", tuple(nums)), ("central", central)):
+            object.__setattr__(self, name, value)
+        d = len(nums)
         if len(w) != d or any(len(row) != d for row in w):
             raise ValueError("w must be a square matrix matching the length of theta")
+
+    @classmethod
+    def from_theta(cls, w, theta, central_exponent=0):
+        """The parameter with exact rational exponents, taken mod 1."""
+        entries = [Fraction(t) for t in (*theta, central_exponent)]
+        denom = lcm(*(t.denominator for t in entries))
+        *nums, central = (int(t * denom) for t in entries)
+        return cls(w, denom, tuple(nums), central)
+
+    @property
+    def theta(self):
+        return tuple(Fraction(x, self.denominator) for x in self.numerators)
+
+    @property
+    def central_exponent(self):
+        return Fraction(self.central, self.denominator)
 
 
 # ---------------------------------------------------------------------------
 # validation and the Weyl-orbit pass
 
-def _int_context(cover, param):
-    """Validate a parameter against a cover; exponents as integers mod D.
-
-    Also returns the cover's Weyl group: its blocks on block-permutation
-    data, else the enumerated group."""
+def _orbit_pass(cover, param):
+    """Validate a parameter against a cover; (D, theta mod D, orbit test)
+    with D = lcm(n, denominator).  The test tells whether a list mod D lies in
+    the Weyl orbit of theta; it is None when theta is not in general
+    position: a nonidentity Weyl element commuting with w Fr fixes it."""
     datum = cover.datum
     d = datum.rank
-    if len(param.theta) != d:
+    if len(param.numerators) != d:
         raise ValueError("parameter dimension does not match the cover")
-    group = cover._weyl_blocks or cover._weyl_group
-    if param.w not in group:
+    if param.w not in cover._weyl:
         raise MathConstraintError("w is not an element of the Weyl group")
-    p = cover.p
-    for t in param.theta + (param.central_exponent,):
-        if gcd(t.denominator, p) != 1:
-            raise MathConstraintError(
-                f"exponent denominators must be coprime to the residue characteristic {p}")
-    if (cover.q - 1) % param.central_exponent.denominator:
+    # the reduced denominator is the lcm of the denominators of the entries
+    if gcd(param.denominator, cover.p) != 1:
+        raise MathConstraintError(
+            f"exponent denominators must be coprime to the residue characteristic {cover.p}")
+    if param.central * (cover.q - 1) % param.denominator:
         raise MathConstraintError("central exponent is not annihilated by q - 1")
-    denom = lcm(cover.n, *(t.denominator for t in param.theta))
-    tnum = tuple(t.numerator * (denom // t.denominator) % denom for t in param.theta)
+    denom = lcm(cover.n, param.denominator)
+    tnum = tuple(x * (denom // param.denominator) for x in param.numerators)
     # (w Fr)^T theta = Fr^T (w^T theta)
     w, f = param.w, datum.fr.matrix
     wt = [sum(w[j][i] * tnum[j] for j in range(d)) for i in range(d)]
@@ -110,39 +128,13 @@ def _int_context(cover, param):
         if (cover.q * tnum[i] - sum(f[j][i] * wt[j] for j in range(d))) % denom:
             raise MathConstraintError(
                 "q * theta = (w Fr)^T theta mod 1 fails: not a character of the twisted torus")
-    return group, denom, tnum
-
-
-def _orbit_pass(cover, param):
-    """(D, theta mod D, orbit test) for a valid parameter.  The orbit test
-    tells whether a list mod D lies in the Weyl orbit of theta; it is None
-    when theta is not in general position, that is when a nonidentity Weyl
-    element commuting with w Fr fixes it.
-
-    On block-permutation data the orbit is decided by sorting within blocks
-    and the stabilizer is a Young subgroup; other data map theta by every
-    element of W."""
-    group, denom, tnum = _int_context(cover, param)
-    if isinstance(group, PermutationBlocks):
-        key = group.key(tnum)
-        wf = None
-        for perm in group.stabilizer(tnum):
-            wf = wf or mat_mul(param.w, cover.fr.matrix)
-            # the permutation matrix of perm commutes with w Fr
-            if all(wf[perm[i]][perm[k]] == x
-                   for i, row in enumerate(wf) for k, x in enumerate(row)):
-                return denom, tnum, None
-        return denom, tnum, lambda v: group.key(v) == key
-    images = [tuple(sum(a * t for a, t in zip(row, tnum)) % denom for row in mt)
-              for mt in group.x_action]
-    orbit = set(images)
-    if len(orbit) < group.order:
-        # theta has a nontrivial stabilizer in W (the identity comes first)
-        wf = mat_mul(param.w, cover.fr.matrix)
-        for m, image in zip(group.elements[1:], images[1:]):
-            if image == tnum and mat_mul(wf, m) == mat_mul(m, wf):
-                return denom, tnum, None
-    return denom, tnum, lambda v: tuple(v) in orbit
+    in_orbit, stabilizer = cover._weyl.orbit(tnum, denom)
+    wf = None
+    for m in stabilizer:
+        wf = wf or mat_mul(w, f)
+        if mat_mul(wf, m) == mat_mul(m, wf):
+            return denom, tnum, None
+    return denom, tnum, in_orbit
 
 
 # ---------------------------------------------------------------------------
@@ -162,18 +154,17 @@ def glr_coxeter_parameter(r, q, a, n=None):
     w is the full cycle and theta_i = a * q^(i-1) / (q^r - 1) mod 1.  When the
     cover degree n is supplied, the central exponent is pinned to 1/n.
     """
-    if r < 1 or q < 2:
-        raise ValueError("need r >= 1 and q >= 2")
+    _check_glr_args(r, q)
     modulus = q ** r - 1
     if not 0 <= a < modulus:
         raise ValueError(f"exponent a must lie in [0, q^r - 1) = [0, {modulus})")
     w = tuple(tuple(1 if i == (j + 1) % r else 0 for j in range(r)) for i in range(r))
     nums = [a * pow(q, i, modulus) % modulus for i in range(r)]
-    theta = tuple(Fraction(v, modulus) for v in nums)
-    central = Fraction(1, n) if n else Fraction(0)
     if any((q * nums[i] - nums[(i + 1) % r]) % modulus for i in range(r)):
         raise RuntimeError("internal consistency: theta is not fixed by q times the Coxeter twist")
-    return LusztigParameter(w, theta, central)
+    denom = lcm(modulus, n or 1)
+    nums = tuple(x * (denom // modulus) for x in nums)
+    return LusztigParameter(w, denom, nums, denom // n if n else 0)
 
 
 def is_general_position(param, cover):
@@ -216,9 +207,15 @@ def y_x_rho(cover, param):
     return lattice, idx
 
 
-def _check_glr_dim_args(r, q, n, a):
+def _check_glr_args(r, q):
+    # first on every GL_r route, before any q ** r
     if r < 1 or q < 2:
         raise ValueError("need r >= 1 and q >= 2")
+    check_glr_rank(r)
+
+
+def _check_glr_dim_args(r, q, n, a):
+    _check_glr_args(r, q)
     _prime_power_base(q)
     if n < 1 or (q - 1) % n:
         raise MathConstraintError(f"cover degree n = {n} must divide q - 1 = {q - 1}")

@@ -137,7 +137,7 @@ def test_criterion_2_semisimple_uniqueness():
                 zero = Sublattice.zero(r - 1)
                 for w in weyl_group(cover.datum).elements:
                     for theta in theta_solutions(cover, w):
-                        param = LusztigParameter(w, theta, Fraction(1, n))
+                        param = LusztigParameter.from_theta(w, theta, Fraction(1, n))
                         if not is_general_position(param, cover):
                             continue
                         lattice, idx = y_x_rho(cover, param)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -89,6 +90,18 @@ def test_info_parse_error_exits_2(capsys, tmp_path):
     missing.write_text(json.dumps({k: v for k, v in KP_GL2.items() if k != "bq"}))
     code, _, err = run(capsys, ["info", str(missing)])
     assert code == 2 and "bq" in err
+
+
+def test_info_rank_beyond_the_form_exits_2_quickly(capsys, tmp_path):
+    doc = {"rank": 10 ** 6, "roots": [], "coroots": [], "simple": [],
+           "bq": [[0]], "n": 1, "q": 3}
+    path = tmp_path / "huge_rank.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["info", str(path)])
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == "error: form size does not match the root datum rank\n"
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,192 @@
+"""Byte-identity of the command line: the exit code and the sha256 of stdout
+and of stderr for a fixed set of commands, each in text and JSON format.
+
+The commands cover every subcommand with its error and guard cases.  They
+run in process through ``cli.main``; the cover files are written under the
+test's working directory with relative names, so the ``cover_file`` echoed
+in the output does not depend on where the test runs.  A refactor that must
+keep the output as it is passes this test unchanged.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from whitdim.cli import main
+
+GL3_ROOTS = [[1, -1, 0], [1, 0, -1], [-1, 1, 0], [0, 1, -1], [-1, 0, 1], [0, -1, 1]]
+KP_GL2 = {"rank": 2, "roots": [[1, -1], [-1, 1]], "coroots": [[1, -1], [-1, 1]],
+          "simple": [0], "bq": [[0, 1], [1, 0]], "n": 4, "q": 5}
+
+#: file name -> contents (a JSON document, or raw text)
+COVER_FILES = {
+    "gl1.json": {"rank": 1, "roots": [], "coroots": [], "simple": [],
+                 "bq": [[2]], "n": 4, "q": 5},
+    "gl2.json": KP_GL2,
+    "gl3.json": {"rank": 3, "roots": GL3_ROOTS, "coroots": GL3_ROOTS, "simple": [0, 3],
+                 "bq": [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]], "n": 2, "q": 3},
+    "sp4.json": {"rank": 2,
+                 "roots": [[1, -1], [0, 2], [-1, 1], [1, 1], [2, 0], [0, -2], [-1, -1],
+                           [-2, 0]],
+                 "coroots": [[1, -1], [0, 1], [-1, 1], [1, 1], [1, 0], [0, -1], [-1, -1],
+                             [-1, 0]],
+                 "simple": [0, 1], "bq": [[2, 0], [0, 2]], "n": 2, "q": 3},
+    "sl3.json": {"rank": 2,
+                 "roots": [[2, -1], [-1, 2], [-2, 1], [1, 1], [1, -2], [-1, -1]],
+                 "coroots": [[1, 0], [0, 1], [-1, 0], [1, 1], [0, -1], [-1, -1]],
+                 "simple": [0, 1], "bq": [[2, -1], [-1, 2]], "n": 4, "q": 5},
+    "non_invariant.json": dict(KP_GL2, bq=[[2, 0], [0, 4]], n=1),
+    "broken.json": "{not json",
+}
+
+EMPTY = hashlib.sha256(b"").hexdigest()
+
+#: (command, format) -> (exit code, sha256 of stdout, sha256 of stderr)
+GOLDEN = {
+    ("info gl1.json", "text"):
+        (0, "d360954cf3b8d90fbf09ac1ccffb2a431f1a7fcb442c14e95bb16448fc827ba3",
+         EMPTY),
+    ("info gl1.json", "json"):
+        (0, "5e53df8b7cfe14da896ca3336e990b5e3e05f1ee77a6a0b91e45e7b66356e547",
+         EMPTY),
+    ("info gl2.json", "text"):
+        (0, "67bfb5c1a3082cc576ddd0b665aeae9f2eaa6403037363a76afc5524555d7d61",
+         EMPTY),
+    ("info gl2.json", "json"):
+        (0, "200a711027f0951f3164f5954afe52b776d6e8efffdb964d019e92f7834dc5d8",
+         EMPTY),
+    ("info gl3.json", "text"):
+        (0, "782c80671a2cba4b40cd23d5ada3c4d30d2d845397bac90b0be32624b9757f87",
+         EMPTY),
+    ("info gl3.json", "json"):
+        (0, "e3bfd5a409343f9d8bb5cd99d172abb2137bc2b6d5baa76649bcdb2cc8cb1879",
+         EMPTY),
+    ("info sp4.json", "text"):
+        (0, "ddf9f2f46999e2110aedaba2f293508a7be6a498d6119a3536534ce5f0eae0c1",
+         EMPTY),
+    ("info sp4.json", "json"):
+        (0, "c690eb81c2d91f874f3149f96a8635b8db6549e52674d2f7a456fd5dc1fa8cbd",
+         EMPTY),
+    ("info sl3.json", "text"):
+        (0, "77f7c29262f2a023e433a3fe9c2c3cbad8e80ad96f57489428783b8ea8539a3d",
+         EMPTY),
+    ("info sl3.json", "json"):
+        (0, "2d3652d41c19b4b08880bf0ac19be17dbb3ce966631a2d175215ab8c08f70000",
+         EMPTY),
+    ("info non_invariant.json", "text"):
+        (3, EMPTY,
+         "4606806b26bbdbf9eb20b7cd5a6d2ea2401c8725387054a8a61d8654086654a5"),
+    ("info non_invariant.json", "json"):
+        (3, EMPTY,
+         "4606806b26bbdbf9eb20b7cd5a6d2ea2401c8725387054a8a61d8654086654a5"),
+    ("info broken.json", "text"):
+        (2, EMPTY,
+         "0ff55156d89f76264f3f7cf2b3d93e17831268327d1592eebfcef8011eb5a818"),
+    ("info broken.json", "json"):
+        (2, EMPTY,
+         "0ff55156d89f76264f3f7cf2b3d93e17831268327d1592eebfcef8011eb5a818"),
+    ("residual gl2.json --point 0,0", "text"):
+        (0, "05b74f533376d7d824a031adf4b3d4378efd83c0688db52d7bfcd2b36025639f",
+         EMPTY),
+    ("residual gl2.json --point 0,0", "json"):
+        (0, "8e1302fdea22e5e87b58f528c26e7eb482a25373883ed8c9331f0067b14fc9b0",
+         EMPTY),
+    ("residual gl2.json --point 1/2,-1/2", "text"):
+        (0, "fe866558a9a4433f090de51dd4638ffe1c42f4a00e2bd2f4b08ef0d35455313b",
+         EMPTY),
+    ("residual gl2.json --point 1/2,-1/2", "json"):
+        (0, "bc104ffe13c4c5983ff712c47480cd71bd2710e339fc07167bc1850152630c90",
+         EMPTY),
+    ("residual gl2.json --point 1/3,0", "text"):
+        (0, "74e469f134c7a2b11a6b102b377a08726a89fb92c01c08da533ac343d0545e34",
+         EMPTY),
+    ("residual gl2.json --point 1/3,0", "json"):
+        (0, "c380897ac87d8716d533a3597a1c9c887851c494bc392e190d813c1f36849063",
+         EMPTY),
+    ("residual sp4.json --point 1/2,0", "text"):
+        (0, "e314f37e41c2cff9d957cdc2b75047147d416a132fe6f6399bb204b461e5e755",
+         EMPTY),
+    ("residual sp4.json --point 1/2,0", "json"):
+        (0, "453ca5265f7ff6776d5697a657d5baf71a67d922298234f1c7ebda2021051e12",
+         EMPTY),
+    ("residual gl2.json --point 1/2,zebra", "text"):
+        (2, EMPTY,
+         "a0419fa546ab67e15c4f125f6dec926b79e1c75533f7887b1b0c0ac0188e5db5"),
+    ("residual gl2.json --point 1/2,zebra", "json"):
+        (2, EMPTY,
+         "a0419fa546ab67e15c4f125f6dec926b79e1c75533f7887b1b0c0ac0188e5db5"),
+    ("whittaker --r 2 --q 5 --n 4 --pp 0 --qq 1 --a 3", "text"):
+        (0, "ca05a58eda94e6f940de9b32d6e1e357e53044f9a3771eb70d6efd206511b455",
+         EMPTY),
+    ("whittaker --r 2 --q 5 --n 4 --pp 0 --qq 1 --a 3", "json"):
+        (0, "937d37e2268f94f86711145290cbcc163398ea9df0f0f7050c47ba9c5abdc1c3",
+         EMPTY),
+    ("whittaker --r 3 --q 5 --n 4 --pp 1 --qq 1 --a 2 --oracle", "text"):
+        (0, "5dd7ce25ea550a211957b82805a4e2ef6246bc4c7121ba3e311276c19b6235b8",
+         EMPTY),
+    ("whittaker --r 3 --q 5 --n 4 --pp 1 --qq 1 --a 2 --oracle", "json"):
+        (0, "ffa92fec4a548d7cf0f1a2d3081aedc6a5a7f1cd71f258023dd0cb9501227569",
+         EMPTY),
+    ("whittaker --r 7 --q 5 --n 4 --pp 0 --qq 1 --a 1 --oracle", "text"):
+        (0, "8b5460fc8b7969d4dcc31c5f5dfc0f39782b53b53aadb35418c02779a1d1f97a",
+         EMPTY),
+    ("whittaker --r 7 --q 5 --n 4 --pp 0 --qq 1 --a 1 --oracle", "json"):
+        (0, "8598a929695a55d2dfeb618e0fda5537bd0ec67cf7c0a03de3461b2092e23ae9",
+         EMPTY),
+    ("whittaker --r 2 --q 5 --n 4 --pp 0 --qq 1 --a 0", "text"):
+        (4, EMPTY,
+         "d6ba040e9b40c4b6c85e4dfe651bef8d9dc3d6fd88407f669a0967b94fef4745"),
+    ("whittaker --r 2 --q 5 --n 4 --pp 0 --qq 1 --a 0", "json"):
+        (4, EMPTY,
+         "d6ba040e9b40c4b6c85e4dfe651bef8d9dc3d6fd88407f669a0967b94fef4745"),
+    ("whittaker --r 2 --q 5 --n 3 --pp 0 --qq 1 --a 1", "text"):
+        (3, EMPTY,
+         "82507444b5e317153718b0abe7e1fdceb8d3be10a888f1e804771ba33096a8fa"),
+    ("whittaker --r 2 --q 5 --n 3 --pp 0 --qq 1 --a 1", "json"):
+        (3, EMPTY,
+         "82507444b5e317153718b0abe7e1fdceb8d3be10a888f1e804771ba33096a8fa"),
+    ("whittaker --r 2 --q 5 --n 4 --pp 0 --qq 1 --a 24", "text"):
+        (2, EMPTY,
+         "2ca36a3a3118bdfebc154b4f5d498039e9774a4a254898a7c7bf33299b0515c1"),
+    ("whittaker --r 2 --q 5 --n 4 --pp 0 --qq 1 --a 24", "json"):
+        (2, EMPTY,
+         "2ca36a3a3118bdfebc154b4f5d498039e9774a4a254898a7c7bf33299b0515c1"),
+    ("whittaker --r 17 --q 3 --n 2 --pp 0 --qq 1 --a 1 --oracle", "text"):
+        (6, EMPTY,
+         "eb362217c3a4d27622c7e451fcdaa0fe72036e39d9bf3acb829dd16021764617"),
+    ("whittaker --r 17 --q 3 --n 2 --pp 0 --qq 1 --a 1 --oracle", "json"):
+        (6, EMPTY,
+         "eb362217c3a4d27622c7e451fcdaa0fe72036e39d9bf3acb829dd16021764617"),
+    ("table --r 2 --q 5 --n 4 --pp 0 --qq 1", "text"):
+        (0, "489f967060030e2055379bf9f3072616baa68ba0bd6facc0aad7ff650abb4972",
+         EMPTY),
+    ("table --r 2 --q 5 --n 4 --pp 0 --qq 1", "json"):
+        (0, "b385217439ff27759d0830f2f5e1fd9dc396ba1dadd6f7025b2ad5706f975639",
+         EMPTY),
+    ("table --r 3 --q 101 --n 2 --pp 0 --qq 1", "text"):
+        (6, EMPTY,
+         "0538654b39ded7a94c5c34ea5792a77e1dd774c533b88d691b2714cac59048ba"),
+    ("table --r 3 --q 101 --n 2 --pp 0 --qq 1", "json"):
+        (6, EMPTY,
+         "0538654b39ded7a94c5c34ea5792a77e1dd774c533b88d691b2714cac59048ba"),
+}
+
+
+def _write_cover_files():
+    for name, content in COVER_FILES.items():
+        with open(name, "w", encoding="utf-8") as fh:
+            fh.write(content if isinstance(content, str) else json.dumps(content))
+
+
+def _digest(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("command,fmt", list(GOLDEN))
+def test_cli_output_is_byte_identical(command, fmt, capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    _write_cover_files()
+    code = main(command.split() + ["--format", fmt])
+    captured = capsys.readouterr()
+    assert (code, _digest(captured.out), _digest(captured.err)) == GOLDEN[command, fmt]

@@ -13,6 +13,7 @@ from whitdim.lattice import Sublattice
 from whitdim.root_datum import (
     BasedRootDatum,
     FrobeniusAction,
+    PermutationBlocks,
     build_glr,
     build_slr,
     build_sp2r,
@@ -121,17 +122,84 @@ def test_coxeter_parameter_range_check():
             route(2, 6, 5, 0, 1, -1)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 10 ** 6), st.data())
+def test_parameter_round_trips_through_its_rationals(d, denominator, data):
+    numbers = st.integers(-10 ** 9, 10 ** 9)
+    nums = tuple(data.draw(numbers) for _ in range(d))
+    central = data.draw(numbers)
+    w = tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
+    p = LusztigParameter(w, denominator, nums, central)
+    assert LusztigParameter.from_theta(w, p.theta, p.central_exponent) == p
+    assert p.theta == tuple(Fraction(x, denominator) % 1 for x in nums)
+    assert p.central_exponent == Fraction(central, denominator) % 1
+    k = data.draw(st.integers(1, 10 ** 6))
+    scaled = LusztigParameter(w, k * denominator, tuple(k * x for x in nums), k * central)
+    assert scaled == p and hash(scaled) == hash(p)
+
+
+def test_parameter_is_read_in_lowest_terms():
+    # 5/10 = 1/2: the denominator 10 shares the factor 5 with q = 5, the
+    # exponent does not
+    w = glr_coxeter_parameter(1, 5, 0).w
+    param = LusztigParameter(w, 10, (5,))
+    assert (param.denominator, param.numerators, param.theta) == (2, (1,), (Fraction(1, 2),))
+    assert param == LusztigParameter.from_theta(w, (Fraction(1, 2),))
+    assert y_x_rho(glr_cover(1, 0, 0, 1, 5), param)[1] == 1
+    with pytest.raises(ValueError, match="denominator must be a positive integer"):
+        LusztigParameter(w, 0, (0,))
+
+
+def test_coxeter_parameter_matches_its_rational_definition():
+    for q in (2, 3, 4, 5, 7):
+        for r in (1, 2, 3):
+            modulus = q ** r - 1
+            for n in [None] + _divisors(q - 1):
+                central = Fraction(1, n) if n else 0
+                for a in range(modulus):
+                    theta = [Fraction(a * q ** i, modulus) for i in range(r)]
+                    expected = LusztigParameter.from_theta(
+                        glr_coxeter_parameter(r, q, 0).w, theta, central)
+                    assert glr_coxeter_parameter(r, q, a, n) == expected, (r, q, n, a)
+
+
+def test_glr_routes_refuse_a_rank_above_the_guard_quickly():
+    assert glr_coxeter_parameter(16, 3, 1).denominator == 3 ** 16 - 1
+    assert wh_dim_glr_closed(16, 3, 2, 0, 1, 1) == wh_dim_oracle(16, 3, 2, 0, 1, 1)
+    for r in (17, 10 ** 5):
+        start = time.perf_counter()
+        for route in (lambda: glr_coxeter_parameter(r, 3, 1),
+                      lambda: wh_dim_glr_closed(r, 3, 2, 0, 1, 1),
+                      lambda: wh_dim_oracle(r, 3, 2, 0, 1, 1)):
+            with pytest.raises(ResourceLimitError,
+                               match=f"^GL_r with r = {r} exceeds the rank guard 16$"):
+                route()
+        assert time.perf_counter() - start < 1
+
+
 def test_parameter_must_satisfy_twisted_character_equation():
-    bad = LusztigParameter(((1, 0), (0, 1)), (Fraction(1, 24), Fraction(5, 24)))
+    bad = LusztigParameter.from_theta(((1, 0), (0, 1)), (Fraction(1, 24), Fraction(5, 24)))
     with pytest.raises(MathConstraintError):
         y_x_rho(KP, bad)
 
 
 def test_parameter_denominators_must_avoid_p():
     w = glr_coxeter_parameter(1, 5, 0).w
-    bad = LusztigParameter(w, (Fraction(1, 5),))
+    bad = LusztigParameter.from_theta(w, (Fraction(1, 5),))
     with pytest.raises(MathConstraintError):
         y_x_rho(glr_cover(1, 0, 0, 1, 5), bad)
+
+
+def test_central_exponent_must_be_annihilated_by_q_minus_1():
+    cover = glr_cover(1, 0, 0, 1, 5)
+    for central in (Fraction(1, 4), Fraction(3, 2)):
+        assert y_x_rho(cover, LusztigParameter.from_theta(((1,),), (0,), central))[1] == 1
+    with pytest.raises(MathConstraintError,
+                       match="^central exponent is not annihilated by q - 1$"):
+        y_x_rho(cover, LusztigParameter.from_theta(((1,),), (0,), Fraction(1, 3)))
+    # a denominator divisible by p is named first
+    with pytest.raises(MathConstraintError, match="residue characteristic 5$"):
+        y_x_rho(cover, LusztigParameter.from_theta(((1,),), (0,), Fraction(1, 5)))
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +242,7 @@ def check_gp_against_twisted_centralizer(cover, denominator=None):
         for theta in theta_solutions(cover, w):
             if denominator and any((denominator * t).denominator != 1 for t in theta):
                 continue
-            param = LusztigParameter(w, theta)
+            param = LusztigParameter.from_theta(w, theta)
             expected = not twisted_centralizer_fixing(elements, w, cover.fr.matrix, theta)
             assert is_general_position(param, cover) == expected, (w, theta)
             if expected:
@@ -201,7 +269,8 @@ def test_gp_when_the_weyl_stabilizer_misses_the_twisted_centralizer():
     # order 3, which commute with no reflection w: general position all the same
     cover = CoverSpec(build_slr(3), WeylInvariantForm(((2, -1), (-1, 2))), 4, 5)
     reflection = ((-1, 1), (0, 1))
-    assert is_general_position(LusztigParameter(reflection, (Fraction(1, 3),) * 2), cover)
+    param = LusztigParameter.from_theta(reflection, (Fraction(1, 3),) * 2)
+    assert is_general_position(param, cover)
     assert check_gp_against_twisted_centralizer(cover) == 150
 
 
@@ -225,7 +294,7 @@ def test_y_x_rho_index_one_when_invariants_lie_in_y_qn():
 
 def test_y_x_rho_semisimple_is_one():
     cover = CoverSpec(build_slr(2), WeylInvariantForm(((2,),)), 4, 5)
-    param = LusztigParameter(((-1,),), (Fraction(1, 6),))
+    param = LusztigParameter.from_theta(((-1,),), (Fraction(1, 6),))
     lat, idx = y_x_rho(cover, param)
     assert idx == 1 and lat == Sublattice.zero(1)
 
@@ -247,13 +316,14 @@ def test_y_x_rho_looks_up_the_weyl_group_once_per_cover():
     # SL_3 in its coroot basis is not block-permutation data: W is enumerated
     cover = CoverSpec(build_slr(3), WeylInvariantForm(((2, -1), (-1, 2))), 2, 3)
     coxeter = ((0, -1), (1, -1))
-    params = [LusztigParameter(coxeter, theta) for theta in theta_solutions(cover, coxeter)]
+    params = [LusztigParameter.from_theta(coxeter, theta)
+              for theta in theta_solutions(cover, coxeter)]
     before = weyl_group.cache_info()
     for param in params[1:4]:
         y_x_rho(cover, param)
     after = weyl_group.cache_info()
     assert after.hits + after.misses == before.hits + before.misses + 1
-    assert cover._weyl_group is weyl_group(cover.datum)
+    assert cover._weyl is weyl_group(cover.datum)
 
 
 def test_y_x_rho_on_gl_r_never_looks_up_the_weyl_group():
@@ -262,7 +332,7 @@ def test_y_x_rho_on_gl_r_never_looks_up_the_weyl_group():
     for a in (1, 2, 5):
         y_x_rho(cover, glr_coxeter_parameter(3, 3, a, 2))
     assert weyl_group.cache_info() == before
-    assert "_weyl_group" not in vars(cover)
+    assert isinstance(cover._weyl, PermutationBlocks)
 
 
 def test_y_x_rho_lattice_contains_the_meet():
@@ -308,7 +378,7 @@ BLOCK_COVERS = (glr_cover(1, 1, 0, 4, 5), glr_cover(2, 0, 1, 4, 5),
 def check_against_orbit_reference(cover, params):
     """Compare general position and the y_x_rho lattice and index with the
     literal orbit search; returns (in general position, not) counts."""
-    assert cover._weyl_blocks is not None
+    assert isinstance(cover._weyl, PermutationBlocks)
     elements = weyl_group(cover.datum).elements
     counts = [0, 0]
     for param in params:
@@ -328,6 +398,7 @@ def check_against_orbit_reference(cover, params):
 
 def test_block_membership_matches_the_weyl_group():
     for cover in BLOCK_COVERS:
+        assert isinstance(cover._weyl, PermutationBlocks)
         d = cover.rank
         members = set(weyl_group(cover.datum).elements)
         if d <= 3:
@@ -339,13 +410,13 @@ def test_block_membership_matches_the_weyl_group():
                           for signs in product((1, -1), repeat=d))
         for flat in candidates:
             m = tuple(tuple(flat[i * d:(i + 1) * d]) for i in range(d))
-            assert (m in cover._weyl_blocks) == (m in members), m
+            assert (m in cover._weyl) == (m in members), m
 
 
 def test_block_orbit_search_matches_the_reference_for_every_twist():
     counts = []
     for cover in BLOCK_COVERS:
-        params = [LusztigParameter(w, theta, Fraction(1, cover.n))
+        params = [LusztigParameter.from_theta(w, theta, Fraction(1, cover.n))
                   for w in weyl_group(cover.datum).elements
                   for theta in theta_solutions(cover, w)]
         counts.append(check_against_orbit_reference(cover, params))
@@ -379,7 +450,7 @@ def test_the_stabilizer_guard_refuses_a_large_young_subgroup_quickly():
     # theta = 0 is fixed by all of S_12, of order 12! = 479001600
     cover = glr_cover(12, 0, 1, 2, 3)
     identity = tuple(tuple(int(i == j) for j in range(12)) for i in range(12))
-    zero = LusztigParameter(identity, (0,) * 12)
+    zero = LusztigParameter.from_theta(identity, (0,) * 12)
     start = time.perf_counter()
     with pytest.raises(ResourceLimitError, match="stabilizer of order 479001600"):
         is_general_position(zero, cover)
@@ -390,7 +461,7 @@ def test_the_stabilizer_guard_refuses_a_large_young_subgroup_quickly():
 
 def test_a_permutation_that_moves_a_block_is_not_a_weyl_element():
     cover = block_swap_cover()
-    param = LusztigParameter(SWAP_BLOCKS, (0,) * 4)
+    param = LusztigParameter.from_theta(SWAP_BLOCKS, (0,) * 4)
     with pytest.raises(MathConstraintError, match="not an element of the Weyl group"):
         y_x_rho(cover, param)
     with pytest.raises(MathConstraintError, match="not an element of the Weyl group"):
