@@ -10,11 +10,13 @@ Subcommands:
   GL_r parameter, optionally cross-checked by the brute-force and
   orbit-search routes.
 * ``table --r --q --n --pp --qq`` -- dimensions of all general-position
-  classes, with a histogram.
+  classes, with a histogram.  The classes are computed first; their rows
+  are then written to stdout in chunks, each through one fixed template,
+  byte for byte as ``json.dumps`` would print them.
 
 Exit codes: 0 success, 2 malformed input, 3 mathematical-constraint
-violation, 4 parameter not in general position, 5 stdout closed before the
-output was written (for example piped into ``head``), 6 a resource limit:
+violation, 4 parameter not in general position, 5 stdout closed before all
+the output was written (for example piped into ``head``), 6 a resource limit:
 an enumeration would exceed its size guard (the order of a Weyl group or of
 a Weyl stabilizer, r for GL_r, or q^r - 1 for ``table``), or q has a base
 beyond the bound of the deterministic Miller-Rabin test.  Results go to
@@ -120,11 +122,43 @@ def _record(command, inputs, results):
             "version": __version__}
 
 
+class TableRows(tuple):
+    """``table`` rows as (representative, class_size, dimension) int triples.
+
+    They print as JSON objects with those keys, but each through one fixed
+    ``%d`` template rather than ``json.dumps``: with three int values the
+    layout never changes, and the indented encoder is pure Python.
+    """
+
+
+#: A row as ``json.dumps(record, indent=2)`` lays it out three levels deep,
+#: in ``results.rows``.
+_ROW_JSON = ('      {\n'
+             '        "representative": %d,\n'
+             '        "class_size": %d,\n'
+             '        "dimension": %d\n'
+             '      }')
+#: A row as ``json.dumps`` prints it on one line.
+_ROW_LINE = '{"representative": %d, "class_size": %d, "dimension": %d}'
+#: Rows rendered per write to stdout.
+_CHUNK_ROWS = 4096
+
+
+def _write_rows(rows, template, sep):
+    for start in range(0, len(rows), _CHUNK_ROWS):
+        chunk = sep.join(template % row for row in rows[start:start + _CHUNK_ROWS])
+        sys.stdout.write(sep + chunk if start else chunk)
+
+
 def _print_value(key, value, indent=""):
     if isinstance(value, dict):
         print(f"{indent}{key}:")
         for k, v in value.items():
             _print_value(k, v, indent + "  ")
+    elif isinstance(value, TableRows) and value:
+        print(f"{indent}{key}:")
+        _write_rows(value, f"{indent}  {_ROW_LINE}", "\n")
+        sys.stdout.write("\n")
     elif isinstance(value, (list, tuple)) and value and isinstance(value[0], (list, tuple, dict)):
         print(f"{indent}{key}:")
         for item in value:
@@ -133,9 +167,24 @@ def _print_value(key, value, indent=""):
         print(f"{indent}{key} = {json.dumps(value)}")
 
 
+def _print_json(record):
+    results = record["results"]
+    rows = results.get("rows")
+    if not isinstance(rows, TableRows) or not rows:
+        print(json.dumps(record, indent=2))
+        return
+    # everything but the rows goes through json.dumps, with an empty list in
+    # their place; the one '"rows": []' in that text is where they go
+    text = json.dumps({**record, "results": {**results, "rows": []}}, indent=2)
+    head, tail = text.split('"rows": []', 1)
+    sys.stdout.write(f'{head}"rows": [\n')
+    _write_rows(rows, _ROW_JSON, ",\n")
+    sys.stdout.write(f"\n    ]{tail}\n")
+
+
 def _emit(record, fmt):
     if fmt == "json":
-        print(json.dumps(record, indent=2))
+        _print_json(record)
     else:
         print(f"command: {record['command']}")
         for key, value in record["results"].items():
@@ -210,8 +259,7 @@ def cmd_whittaker(args):
 def cmd_table(args):
     rows, histogram = enumerate_glr_table(args.r, args.q, args.n, args.pp, args.qq)
     results = {
-        "rows": [{"representative": a, "class_size": size, "dimension": dim}
-                 for a, size, dim in rows],
+        "rows": TableRows(rows),
         "histogram": {str(dim): count for dim, count in histogram.items()},
     }
     inputs = {"r": args.r, "q": args.q, "n": args.n, "pp": args.pp, "qq": args.qq}

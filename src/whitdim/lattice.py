@@ -46,13 +46,6 @@ def mat_mul(a, b):
                  for row in a)
 
 
-def mat_pow(mat, k):
-    result = identity_matrix(len(mat))
-    for _ in range(k):
-        result = mat_mul(result, mat)
-    return result
-
-
 def mat_vec(mat, vec):
     return tuple(sum(x * y for x, y in zip(row, vec)) for row in mat)
 

@@ -22,7 +22,6 @@ from .lattice import (
     identity_matrix,
     is_saturated,
     mat_mul,
-    mat_pow,
     mat_vec,
     transpose,
 )
@@ -44,7 +43,11 @@ def _as_matrix(rows):
 
 @dataclass(frozen=True)
 class FrobeniusAction:
-    """A finite-order integer matrix acting on the cocharacter lattice Y."""
+    """A finite-order integer matrix acting on the cocharacter lattice Y.
+
+    Building it decides ``order`` (at most MAX_FROBENIUS_ORDER) and keeps the
+    power before the identity as ``inverse``.
+    """
 
     matrix: tuple
 
@@ -54,25 +57,39 @@ class FrobeniusAction:
         d = len(mat)
         if any(len(row) != d for row in mat):
             raise ValueError("Frobenius matrix must be square")
-        acc = mat
+        identity = identity_matrix(d)
+        # the nonzero entries of each row, so that a signed permutation
+        # matrix costs O(d^2) per power rather than d^3
+        sparse = [[(j, x) for j, x in enumerate(row) if x] for row in mat]
+        # acc is mat^k and inverse mat^(k-1), which is the inverse once acc
+        # is the identity
+        acc, inverse = mat, identity
         order = None
         for k in range(1, MAX_FROBENIUS_ORDER + 1):
-            if acc == identity_matrix(d):
+            if acc == identity:
                 order = k
                 break
-            acc = mat_mul(acc, mat)
+            inverse, acc = acc, tuple(_row_times(row, sparse, d) for row in acc)
         if order is None:
             raise MathConstraintError(
                 f"Frobenius matrix must have finite order <= {MAX_FROBENIUS_ORDER}")
         object.__setattr__(self, "order", order)
-
-    @cached_property
-    def inverse(self):
-        return mat_pow(self.matrix, self.order - 1)
+        object.__setattr__(self, "inverse", inverse)
 
     @property
     def rank(self):
         return len(self.matrix)
+
+
+def _row_times(row, sparse, d):
+    """row * M for M given by the nonzero entries of its rows; zero entries
+    of row are skipped."""
+    out = [0] * d
+    for x, entries in zip(row, sparse):
+        if x:
+            for j, y in entries:
+                out[j] += x * y
+    return tuple(out)
 
 
 def _reflect(v, pairing, u):

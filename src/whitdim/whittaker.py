@@ -318,6 +318,26 @@ def squeeze_bounds(cover):
     return lower, upper
 
 
+#: Largest r * q.bit_length() for which the table guard's message forms q^r
+#: to print it.  Every q^r - 1 short enough for int-to-str conversion (4,300
+#: digits by default) is below 2^14,285, and r * q.bit_length() is less than
+#: twice log2(q^r).
+_PRINTED_POWER_BITS = 1 << 16
+
+
+def _table_bound_error(q, r, max_order):
+    """The error for q^r - 1 above max_order, quoting q^r - 1 when it is cheap
+    to form and short enough to print."""
+    if r * q.bit_length() <= _PRINTED_POWER_BITS:
+        try:
+            return ResourceLimitError(
+                f"q^r - 1 = {q ** r - 1} exceeds the enumeration bound {max_order}")
+        except ValueError:  # more digits than int-to-str conversion allows
+            pass
+    return ResourceLimitError(
+        f"q^r - 1 with r = {r} exceeds the enumeration bound {max_order}")
+
+
 def enumerate_glr_table(r, q, n, bold_p, bold_q, max_order=10 ** 6):
     """Dimensions across all general-position classes of a GL_r cover.
 
@@ -329,10 +349,11 @@ def enumerate_glr_table(r, q, n, bold_p, bold_q, max_order=10 ** 6):
     """
     if r < 1 or q < 2:
         raise ValueError("need r >= 1 and q >= 2")
+    # q >= 2, so an r beyond the bound's bit length puts q^r - 1 past it
+    # without forming the power
+    if r > max_order.bit_length() or q ** r - 1 > max_order:
+        raise _table_bound_error(q, r, max_order)
     modulus = q ** r - 1
-    if modulus > max_order:
-        raise ResourceLimitError(
-            f"q^r - 1 = {modulus} exceeds the enumeration bound {max_order}")
     _prime_power_base(q)
     if n < 1 or (q - 1) % n:
         raise MathConstraintError(f"cover degree n = {n} must divide q - 1 = {q - 1}")

@@ -1,13 +1,18 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 import whitdim
+from whitdim import cli
 from whitdim.cli import EXIT_BROKEN_PIPE, EXIT_CONSTRAINT, EXIT_RESOURCE_LIMIT, main
 
 KP_GL2 = {
@@ -264,12 +269,87 @@ def test_table_enumeration_guard_exits_6(capsys):
     assert out == "" and "exceeds the enumeration bound" in err
 
 
+@pytest.mark.parametrize("r,q", [(14_400, 2), (4_000_000, 3)])
+def test_table_guard_exits_6_for_large_r_without_forming_q_to_the_r(capsys, r, q):
+    start = time.perf_counter()
+    code, out, err = run(capsys, [
+        "table", "--r", str(r), "--q", str(q), "--n", "1", "--pp", "0", "--qq", "1"])
+    assert time.perf_counter() - start < 0.5
+    assert code == EXIT_RESOURCE_LIMIT
+    assert out == "" and err == (f"error: q^r - 1 with r = {r} exceeds the "
+                                 "enumeration bound 1000000\n")
+
+
+def test_table_guard_quotes_q_to_the_r_when_it_prints(capsys):
+    code, out, err = run(capsys, [
+        "table", "--r", "21", "--q", "2", "--n", "1", "--pp", "0", "--qq", "1"])
+    assert code == EXIT_RESOURCE_LIMIT
+    assert out == "" and err == "error: q^r - 1 = 2097151 exceeds the enumeration bound 1000000\n"
+
+
 def test_table_q_not_a_prime_power_exits_3_like_whittaker(capsys):
     args = ["--r", "2", "--q", "6", "--n", "5", "--pp", "0", "--qq", "1"]
     code, out, err = run(capsys, ["table", *args])
     wh_code, _, wh_err = run(capsys, ["whittaker", *args, "--a", "1"])
     assert code == wh_code == EXIT_CONSTRAINT
     assert out == "" and err == wh_err == "error: q = 6 is not a prime power\n"
+
+
+ROW_KEYS = ("representative", "class_size", "dimension")
+
+
+def _emitted(record, fmt):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        cli._emit(record, fmt)
+    return buf.getvalue()
+
+
+def _table_records(rows):
+    """The table record with its rows as triples, and as the dicts they print as."""
+    inputs = {"r": 2, "q": 5, "n": 4, "pp": 0, "qq": 1}
+    histogram = {"2": 1}
+    triples = cli._record("table", inputs, {"rows": cli.TableRows(rows), "histogram": histogram})
+    dicts = cli._record("table", inputs, {"rows": [dict(zip(ROW_KEYS, row)) for row in rows],
+                                          "histogram": histogram})
+    return triples, dicts
+
+
+big_ints = st.integers(min_value=-2 ** 80, max_value=2 ** 80)
+
+
+@given(st.lists(st.tuples(big_ints, big_ints, big_ints), max_size=6))
+def test_table_row_template_prints_as_json_dumps(rows):
+    for row in rows:
+        assert cli._ROW_LINE % row == json.dumps(dict(zip(ROW_KEYS, row)))
+    triples, dicts = _table_records(rows)
+    for fmt in ("json", "text"):
+        assert _emitted(triples, fmt) == _emitted(dicts, fmt)
+
+
+def test_table_rows_across_chunk_boundaries_print_as_json_dumps():
+    rows = [(a, 2, a % 7) for a in range(2 * cli._CHUNK_ROWS + 1)]
+    triples, dicts = _table_records(rows)
+    assert _emitted(triples, "json") == json.dumps(dicts, indent=2) + "\n"
+    assert _emitted(triples, "text") == _emitted(dicts, "text")
+
+
+WORST_TABLE = ["table", "--r", "2", "--q", "499", "--n", "498", "--pp", "-3", "--qq", "-1",
+               "--format", "json"]
+
+
+def test_worst_case_table_json_peak_memory():
+    # 124,251 rows and 12.5 MB of JSON; the output goes to the null device,
+    # so the peak is what the command itself holds
+    with open(os.devnull, "w") as null, contextlib.redirect_stdout(null):
+        tracemalloc.start()
+        try:
+            code = main(WORST_TABLE)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert code == 0
+    assert peak < 48 * 2 ** 20
 
 
 # ---------------------------------------------------------------------------
@@ -294,16 +374,26 @@ def test_results_go_to_stdout_only(capsys, kp_file):
     assert code == 0 and err == "" and out != ""
 
 
-def test_closed_stdout_exits_without_traceback():
-    # about 780 kB of JSON, far more than a pipe buffers, so the writer
-    # meets the closed pipe
+def _close_stdout_after_first_line(argv):
     env = dict(os.environ, PYTHONPATH=str(Path(whitdim.__file__).resolve().parents[1]))
-    with subprocess.Popen(
-            [sys.executable, "-m", "whitdim", "table", "--r", "2", "--q", "127", "--n", "6",
-             "--pp", "1", "--qq", "1", "--format", "json"],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+    with subprocess.Popen([sys.executable, "-m", "whitdim", *argv],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
         assert proc.stdout.readline() == b"{\n"
         proc.stdout.close()
         err = proc.stderr.read().decode()
         assert proc.wait(timeout=60) == EXIT_BROKEN_PIPE
     assert "Traceback" not in err, err
+
+
+def test_closed_stdout_exits_without_traceback():
+    # about 780 kB of JSON, far more than a pipe buffers, so the writer
+    # meets the closed pipe
+    _close_stdout_after_first_line([
+        "table", "--r", "2", "--q", "127", "--n", "6", "--pp", "1", "--qq", "1",
+        "--format", "json"])
+
+
+def test_closed_stdout_mid_stream_exits_without_traceback():
+    # the rows of the worst case are written in many chunks; the pipe closes
+    # after the first of them
+    _close_stdout_after_first_line(WORST_TABLE)

@@ -164,6 +164,20 @@ GOLDEN = {
     ("table --r 2 --q 5 --n 4 --pp 0 --qq 1", "json"):
         (0, "b385217439ff27759d0830f2f5e1fd9dc396ba1dadd6f7025b2ad5706f975639",
          EMPTY),
+    # the worst case of the table benchmark (124,251 classes) and a small n
+    # with the same form
+    ("table --r 2 --q 499 --n 498 --pp -3 --qq -1", "text"):
+        (0, "d73151de61408d8a3aa011d20491d7d2c5b9f0549b7acda42b6fa4cecd28bed1",
+         EMPTY),
+    ("table --r 2 --q 499 --n 498 --pp -3 --qq -1", "json"):
+        (0, "f6a41fe1c9deb1499e6397e3b2ce541cbeefb83e11cd68e0209477d13ea50e04",
+         EMPTY),
+    ("table --r 2 --q 499 --n 2 --pp -3 --qq -1", "text"):
+        (0, "f07d7aea199664b354190a793c8b8946a0ce4731540121784b6053f2746c30d1",
+         EMPTY),
+    ("table --r 2 --q 499 --n 2 --pp -3 --qq -1", "json"):
+        (0, "7bfb824c09aeb700327b26b019e6682d86f7d8aedcce73b139a52c3ab229d7b9",
+         EMPTY),
     ("table --r 3 --q 101 --n 2 --pp 0 --qq 1", "text"):
         (6, EMPTY,
          "0538654b39ded7a94c5c34ea5792a77e1dd774c533b88d691b2714cac59048ba"),

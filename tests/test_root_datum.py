@@ -2,10 +2,12 @@ import time
 from math import factorial
 
 import pytest
+from hypothesis import given, strategies as st
 
 from whitdim.errors import MathConstraintError, ResourceLimitError
 from whitdim.lattice import Sublattice, dot, mat_vec, transpose
 from whitdim.root_datum import (
+    MAX_FROBENIUS_ORDER,
     MAX_GLR_RANK,
     BasedRootDatum,
     FrobeniusAction,
@@ -281,6 +283,108 @@ def test_frobenius_order_bound():
         FrobeniusAction(((1, 1), (0, 1)))
     assert identity_frobenius(3).order == 1
     assert FrobeniusAction(((0, 1), (1, 0))).order == 2
+
+
+def _naive_mul(a, b):
+    return [[sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0]))]
+            for i in range(len(a))]
+
+
+def _dense_order(mat):
+    """The order of mat by dense products, or None above MAX_FROBENIUS_ORDER."""
+    d = len(mat)
+    identity = [[int(i == j) for j in range(d)] for i in range(d)]
+    acc = [list(row) for row in mat]
+    for k in range(1, MAX_FROBENIUS_ORDER + 1):
+        if acc == identity:
+            return k
+        acc = _naive_mul(acc, mat)
+    return None
+
+
+def _assert_order_as_dense(mat):
+    expected = _dense_order(mat)
+    if expected is None:
+        with pytest.raises(MathConstraintError, match="finite order <= 24$"):
+            FrobeniusAction(mat)
+    else:
+        fr = FrobeniusAction(mat)
+        assert fr.order == expected
+        d = len(mat)
+        assert _naive_mul(fr.inverse, mat) == [[int(i == j) for j in range(d)] for i in range(d)]
+
+
+#: Every Frobenius matrix the test suite builds, the refused ones included.
+SUITE_FROBENIUS = [
+    *(tuple(tuple(int(i == j) for j in range(d)) for i in range(d)) for d in (1, 2, 3, 4, 7)),
+    ((0, 1), (1, 0)),
+    ((1, 1), (0, 1)),
+    ((1, 0), (0, -1)),
+    ((0, 0, 1), (1, 0, 0), (0, 1, 0)),
+    ((0, 0, -1), (0, -1, 0), (-1, 0, 0)),
+    ((0, 0, 1, 0), (0, 0, 0, 1), (1, 0, 0, 0), (0, 1, 0, 0)),
+]
+
+
+@pytest.mark.parametrize("mat", SUITE_FROBENIUS)
+def test_frobenius_order_matches_dense_powers_on_suite_matrices(mat):
+    _assert_order_as_dense(mat)
+
+
+@st.composite
+def conjugated_signed_permutations(draw):
+    """U P U^-1 for a signed permutation matrix P and a product U of
+    elementary matrices: a dense matrix of the same order as P."""
+    d = draw(st.integers(1, 5))
+    perm = draw(st.permutations(range(d)))
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=d, max_size=d))
+    mat = [[signs[i] if j == perm[i] else 0 for j in range(d)] for i in range(d)]
+    pairs = st.tuples(st.integers(0, d - 1), st.integers(0, d - 1), st.integers(-2, 2))
+    for i, j, c in draw(st.lists(pairs, max_size=4)):
+        if i != j:
+            elem = [[int(a == b) + (c if (a, b) == (i, j) else 0) for b in range(d)]
+                    for a in range(d)]
+            inv = [[int(a == b) - (c if (a, b) == (i, j) else 0) for b in range(d)]
+                   for a in range(d)]
+            mat = _naive_mul(_naive_mul(elem, mat), inv)
+    return mat
+
+
+@given(conjugated_signed_permutations())
+def test_frobenius_order_matches_dense_powers_on_conjugates(mat):
+    _assert_order_as_dense(mat)
+
+
+@given(st.integers(1, 3).flatmap(lambda d: st.lists(
+    st.lists(st.integers(-1, 1), min_size=d, max_size=d), min_size=d, max_size=d)))
+def test_frobenius_order_matches_dense_powers_on_small_matrices(mat):
+    _assert_order_as_dense(mat)
+
+
+def test_long_frobenius_cycle_is_refused_quickly():
+    # a 120-cycle has order 120, so all 24 powers are formed before refusing
+    d = 120
+    cycle = [[int(j == (i + 1) % d) for j in range(d)] for i in range(d)]
+    start = time.perf_counter()
+    with pytest.raises(MathConstraintError,
+                       match="^Frobenius matrix must have finite order <= 24$"):
+        FrobeniusAction(cycle)
+    assert time.perf_counter() - start < 0.3
+
+
+def test_large_permutation_frobenius_and_inverse_are_quick():
+    # twelve 8-cycles and eight 3-cycles: order 24, so the inverse is the
+    # 23rd power
+    lengths = [8] * 12 + [3] * 8
+    starts = [sum(lengths[:k]) for k in range(len(lengths))]
+    perm = [s + (i + 1) % n for s, n in zip(starts, lengths) for i in range(n)]
+    d = len(perm)
+    start = time.perf_counter()
+    fr = FrobeniusAction([[int(j == perm[i]) for j in range(d)] for i in range(d)])
+    inverse = fr.inverse
+    assert time.perf_counter() - start < 0.3
+    assert fr.order == 24
+    assert all(inverse[perm[i]][i] == 1 for i in range(d))
 
 
 def test_bad_pairing_rejected():
