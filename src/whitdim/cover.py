@@ -163,6 +163,14 @@ class WeylInvariantForm:
         return self.bilinear(y, y) // 2
 
 
+def _check_q_and_degree(q, n):
+    """The prime below q, once q is a prime power and n divides q - 1."""
+    p = _prime_power_base(q)
+    if n < 1 or (q - 1) % n:
+        raise MathConstraintError(f"cover degree n = {n} must divide q - 1 = {q - 1}")
+    return p
+
+
 @dataclass(frozen=True)
 class CoverSpec:
     """A root datum together with (Q, n, q); validates n | q - 1 and invariance."""
@@ -177,11 +185,7 @@ class CoverSpec:
             raise ValueError("form size does not match the root datum rank")
         if not isinstance(self.n, int) or self.n < 1:
             raise ValueError("cover degree n must be a positive integer")
-        p = _prime_power_base(self.q)
-        object.__setattr__(self, "_p", p)
-        if (self.q - 1) % self.n:
-            raise MathConstraintError(
-                f"cover degree n = {self.n} must divide q - 1 = {self.q - 1}")
+        object.__setattr__(self, "_p", _check_q_and_degree(self.q, self.n))
         g = self.form.gram
         for s in simple_reflections(self.datum):
             if mat_mul(transpose(s), mat_mul(g, s)) != g:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product as _cartesian
-from math import prod
+from math import gcd, prod
 
 IntVector = tuple[int, ...]
 IntMatrix = tuple[IntVector, ...]
@@ -127,47 +127,23 @@ def _right_kernel(rows, d):
 
 
 def _smith_diagonal(rows, ncols):
-    """Diagonal d_1 | d_2 | ... of the Smith normal form (nonzero entries)."""
-    mat = [list(r) for r in rows]
-    m, n = len(mat), ncols
-    t = 0
-    while t < m and t < n:
-        pivot = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if mat[i][j] and (pivot is None
-                                  or abs(mat[i][j]) < abs(mat[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        i0, j0 = pivot
-        mat[t], mat[i0] = mat[i0], mat[t]
-        if j0 != t:
-            for r in mat:
-                r[t], r[j0] = r[j0], r[t]
-        head = mat[t][t]
-        dirty = False
-        for i in range(t + 1, m):
-            if mat[i][t]:
-                f = mat[i][t] // head
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[t])]
-                dirty = dirty or mat[i][t] != 0
-        for j in range(t + 1, n):
-            if mat[t][j]:
-                f = mat[t][j] // head
-                for r in mat:
-                    r[j] -= f * r[t]
-                dirty = dirty or mat[t][j] != 0
-        if dirty:
-            continue
-        stray = next(((i, j) for i in range(t + 1, m) for j in range(t + 1, n)
-                      if mat[i][j] % head), None)
-        if stray is not None:
-            i, _ = stray
-            mat[t] = [a + b for a, b in zip(mat[t], mat[i])]
-            continue
-        t += 1
-    return [abs(mat[i][i]) for i in range(t) if mat[i][i]]
+    """Diagonal d_1 | d_2 | ... of the Smith normal form (nonzero entries).
+
+    Row echelon forms of the matrix and of its transpose alternate until only
+    diagonal entries are nonzero.  Each pass replaces the leading pivot by a
+    proper divisor or leaves it alone in its row and column, so by induction
+    on the rest this ends.  Trading each pair (d_i, d_j), i < j, for its gcd
+    and lcm then sorts the exponent of every prime into a divisibility chain.
+    """
+    body, _ = _echelon(rows, ncols)
+    while any(a and i != j for i, row in enumerate(body) for j, a in enumerate(row)):
+        body, _ = _echelon(transpose(body), len(body))
+    diag = [row[i] for i, row in enumerate(body)]
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            g = gcd(diag[i], diag[j])
+            diag[i], diag[j] = g, diag[i] * diag[j] // g
+    return diag
 
 
 # ---------------------------------------------------------------------------
@@ -219,9 +195,6 @@ class Sublattice:
     @property
     def rank(self):
         return len(self.basis)
-
-    def pivots(self):
-        return tuple(next(j for j, a in enumerate(row) if a) for row in self.basis)
 
     def coordinates(self, vec):
         """Coefficients of ``vec`` in this basis, or None if not a member."""

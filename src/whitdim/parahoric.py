@@ -7,6 +7,10 @@ the cover contributes one extra coordinate, sending each such coroot to
 (coroot, root(x) * Q(coroot)) inside Y + Z.  Saturation of the span of these
 extended coroots detects a simply-connected derived subgroup, and an exact
 integer linear solve decides whether the extended pairing is split.
+
+Each root is evaluated at x once per call, in integers: x is read as integer
+numerators over the least common denominator of its coordinates.  Fractions
+appear only when a point is parsed and in ``ApartmentPoint.coords``.
 """
 
 from __future__ import annotations
@@ -14,18 +18,20 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import MathConstraintError
-from .lattice import Sublattice, hermite_normal_form, is_saturated, mat_vec, transpose
+from .lattice import Sublattice, dot, hermite_normal_form, is_saturated, mat_vec, transpose
 from .root_datum import identity_matrix
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+_RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/(\d+))?$")
 
 
 def parse_rational(text):
     """Exact rational from the textual form 'p', '+p' or 'p/q'."""
     token = text.strip()
-    if not _RATIONAL_RE.match(token) or token.endswith("/0"):
+    match = _RATIONAL_RE.match(token)
+    if not match or match[1] is not None and int(match[1]) == 0:
         raise ValueError(f"malformed rational {text!r}; expected e.g. '2' or '-1/3'")
     return Fraction(token)
 
@@ -47,35 +53,30 @@ class ApartmentPoint:
         """Parse a comma-separated list of rationals, e.g. '1/2,-1/2'."""
         return cls(tuple(parse_rational(part) for part in text.split(",")))
 
-    @classmethod
-    def origin(cls, d):
-        return cls((Fraction(0),) * d)
 
+def _integral_roots(rd, x):
+    """The point x and, for each root integral at x, the pair (index, root(x)).
 
-def _coerce_point(x, d):
+    With the coordinates of x written as integer numerators over their least
+    common denominator D > 0, a root is integral at x iff D divides its
+    pairing with the numerators, and Frobenius fixes x iff it fixes the
+    numerators.
+    """
     point = x if isinstance(x, ApartmentPoint) else ApartmentPoint(tuple(x))
-    if len(point.coords) != d:
+    if len(point.coords) != rd.rank:
         raise ValueError("point dimension does not match the root datum rank")
-    return point
-
-
-def _check_fr_fixed(rd, point):
-    if mat_vec(rd.fr.matrix, point.coords) != point.coords:
+    den = lcm(*(c.denominator for c in point.coords))
+    nums = tuple(c.numerator * (den // c.denominator) for c in point.coords)
+    if mat_vec(rd.fr.matrix, nums) != nums:
         raise MathConstraintError(
             "point is not fixed by Frobenius, so it does not lie in the rational apartment")
-
-
-def root_value(root, point):
-    """Exact value of a root (an X-covector) at an apartment point."""
-    return sum(Fraction(a) * c for a, c in zip(root, point.coords))
+    pairings = ((i, dot(root, nums)) for i, root in enumerate(rd.roots))
+    return point, tuple((i, v // den) for i, v in pairings if v % den == 0)
 
 
 def phi_x(rd, x):
     """Indices of the roots taking an integral value at x."""
-    point = _coerce_point(x, rd.rank)
-    _check_fr_fixed(rd, point)
-    return tuple(i for i, root in enumerate(rd.roots)
-                 if root_value(root, point).denominator == 1)
+    return tuple(i for i, _ in _integral_roots(rd, x)[1])
 
 
 @dataclass(frozen=True)
@@ -101,15 +102,11 @@ class ResidualRootData:
 
 def residual_extension(cover, x):
     """Extended coroot table at x: coroot -> (coroot, root(x) * Q(coroot))."""
-    rd = cover.datum
-    point = _coerce_point(x, rd.rank)
-    indices = phi_x(rd, point)
-    iota = []
-    for i in indices:
-        value = root_value(rd.roots[i], point)
-        coroot = rd.coroots[i]
-        iota.append(coroot + (int(value) * cover.form.q_value(coroot),))
-    return ResidualRootData(point, indices, tuple(iota))
+    point, integral = _integral_roots(cover.datum, x)
+    coroots = cover.datum.coroots
+    iota = tuple(coroots[i] + (value * cover.form.q_value(coroots[i]),)
+                 for i, value in integral)
+    return ResidualRootData(point, tuple(i for i, _ in integral), iota)
 
 
 def _span_rank(vectors, d):

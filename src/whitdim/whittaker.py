@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .cover import _prime_power_base, m_qr
+from .cover import _check_q_and_degree, m_qr
 from .errors import GeneralPositionError, MathConstraintError, ResourceLimitError
 from .lattice import (
     congruence_kernel,
@@ -216,9 +216,7 @@ def _check_glr_args(r, q):
 
 def _check_glr_dim_args(r, q, n, a):
     _check_glr_args(r, q)
-    _prime_power_base(q)
-    if n < 1 or (q - 1) % n:
-        raise MathConstraintError(f"cover degree n = {n} must divide q - 1 = {q - 1}")
+    _check_q_and_degree(q, n)
     if not 0 <= a < q ** r - 1:
         raise ValueError(f"exponent a must lie in [0, q^r - 1) = [0, {q ** r - 1})")
 
@@ -354,9 +352,7 @@ def enumerate_glr_table(r, q, n, bold_p, bold_q, max_order=10 ** 6):
     if r > max_order.bit_length() or q ** r - 1 > max_order:
         raise _table_bound_error(q, r, max_order)
     modulus = q ** r - 1
-    _prime_power_base(q)
-    if n < 1 or (q - 1) % n:
-        raise MathConstraintError(f"cover degree n = {n} must divide q - 1 = {q - 1}")
+    _check_q_and_degree(q, n)
     solver = _GLrSolver(r, q, n, m_qr(r, bold_p, bold_q))
     q_powers = solver.q_powers
     rows = []

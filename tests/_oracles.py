@@ -209,6 +209,35 @@ def glr_general_position(r, q, a):
     return all(a * (q ** s - 1) % modulus for s in range(1, r))
 
 
+def integral_roots_reference(rd, x):
+    """(index, root(x)) for each root integral at x, each value an explicit
+    sum of rational products whose denominator is 1; None when x is not
+    fixed by Frobenius."""
+    d = rd.rank
+    f = rd.fr.matrix
+    point = tuple(Fraction(c) for c in x)
+    if any(sum(f[i][j] * point[j] for j in range(d)) != point[i] for i in range(d)):
+        return None
+    values = [sum(Fraction(a) * c for a, c in zip(root, point)) for root in rd.roots]
+    return [(i, int(v)) for i, v in enumerate(values) if v.denominator == 1]
+
+
+def residual_extension_reference(cover, x):
+    """(phi_x, iota) with Q read off the gram matrix; None when x is not
+    fixed by Frobenius."""
+    integral = integral_roots_reference(cover.datum, x)
+    if integral is None:
+        return None
+    gram = cover.form.gram
+    iota = []
+    for i, value in integral:
+        coroot = cover.datum.coroots[i]
+        q_coroot = sum(a * gram[k][m] * b for k, a in enumerate(coroot)
+                       for m, b in enumerate(coroot)) // 2
+        iota.append(coroot + (value * q_coroot,))
+    return tuple(i for i, _ in integral), tuple(iota)
+
+
 def residual_splits_reference(cover, x):
     """Whether coroot -> root(x) Q(coroot) extends to a Frobenius-equivariant
     homomorphism Y -> Z, with the rows and right sides derived directly from
@@ -220,19 +249,11 @@ def residual_splits_reference(cover, x):
     rd = cover.datum
     d = rd.rank
     f = rd.fr.matrix
-    point = tuple(Fraction(c) for c in x)
-    if any(sum(f[i][j] * point[j] for j in range(d)) != point[i] for i in range(d)):
+    reference = residual_extension_reference(cover, x)
+    if reference is None:
         return None
-    gram = cover.form.gram
-    rows, rhs = [], []
-    for root, coroot in zip(rd.roots, rd.coroots):
-        value = sum(a * c for a, c in zip(root, point))
-        if value.denominator != 1:
-            continue
-        q_coroot = sum(coroot[i] * gram[i][j] * coroot[j]
-                       for i in range(d) for j in range(d)) // 2
-        rows.append(coroot)
-        rhs.append(int(value) * q_coroot)
+    rows = [v[:-1] for v in reference[1]]
+    rhs = [v[-1] for v in reference[1]]
     for i in range(d):
         rows.append(tuple(f[j][i] - (i == j) for j in range(d)))
         rhs.append(0)

@@ -142,6 +142,16 @@ def test_residual_malformed_point_exits_2(capsys, kp_file):
     assert code == 2
 
 
+def test_residual_zero_denominator_exits_2_without_traceback(kp_file):
+    env = dict(os.environ, PYTHONPATH=str(Path(whitdim.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "whitdim", "residual", kp_file, "--point", "1/00,0"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "malformed rational '1/00'" in proc.stderr
+    assert "Traceback" not in proc.stderr, proc.stderr
+
+
 def test_residual_fr_fixedness_exits_3(capsys, tmp_path):
     torus = {"rank": 2, "roots": [], "coroots": [], "simple": [],
              "frobenius": [[0, 1], [1, 0]], "bq": [[2, 0], [0, 2]],

@@ -16,6 +16,7 @@ import pytest
 from whitdim.cli import main
 
 GL3_ROOTS = [[1, -1, 0], [1, 0, -1], [-1, 1, 0], [0, 1, -1], [-1, 0, 1], [0, -1, 1]]
+BLOCK_ROOTS = [[1, -1, 0, 0], [-1, 1, 0, 0], [0, 0, 1, -1], [0, 0, -1, 1]]
 KP_GL2 = {"rank": 2, "roots": [[1, -1], [-1, 1]], "coroots": [[1, -1], [-1, 1]],
           "simple": [0], "bq": [[0, 1], [1, 0]], "n": 4, "q": 5}
 
@@ -37,6 +38,16 @@ COVER_FILES = {
                  "coroots": [[1, 0], [0, 1], [-1, 0], [1, 1], [0, -1], [-1, -1]],
                  "simple": [0, 1], "bq": [[2, -1], [-1, 2]], "n": 4, "q": 5},
     "non_invariant.json": dict(KP_GL2, bq=[[2, 0], [0, 4]], n=1),
+    "torus_swap.json": {"rank": 2, "roots": [], "coroots": [], "simple": [],
+                        "frobenius": [[0, 1], [1, 0]], "bq": [[2, 0], [0, 2]],
+                        "n": 2, "q": 5},
+    # two GL_2 blocks swapped by Frobenius, each with the Kazhdan-Patterson form
+    "block_swap.json": {"rank": 4, "roots": BLOCK_ROOTS, "coroots": BLOCK_ROOTS,
+                        "simple": [0, 2],
+                        "frobenius": [[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0],
+                                      [0, 1, 0, 0]],
+                        "bq": [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
+                        "n": 2, "q": 5},
     "broken.json": "{not json",
 }
 
@@ -116,6 +127,32 @@ GOLDEN = {
     ("residual gl2.json --point 1/2,zebra", "json"):
         (2, EMPTY,
          "a0419fa546ab67e15c4f125f6dec926b79e1c75533f7887b1b0c0ac0188e5db5"),
+    # a Frobenius that moves coordinates: a fixed point, a point that is not
+    # fixed, a point of the wrong length, and mixed denominators on the blocks
+    ("residual torus_swap.json --point 1/2,1/2", "text"):
+        (0, "2a156424c5492d8b999e453a58db3327ac9bda5c675c5243e8631b040be4c709",
+         EMPTY),
+    ("residual torus_swap.json --point 1/2,1/2", "json"):
+        (0, "0b973e7985e34ce80bf9fc3002a8cf12c74c9141f4b5f122d860eeab9ff28769",
+         EMPTY),
+    ("residual torus_swap.json --point 1/2,0", "text"):
+        (3, EMPTY,
+         "7c3467bf11bf6cadf3257c1ed649f5fd06319a4415af321d20e0679fa424f378"),
+    ("residual torus_swap.json --point 1/2,0", "json"):
+        (3, EMPTY,
+         "7c3467bf11bf6cadf3257c1ed649f5fd06319a4415af321d20e0679fa424f378"),
+    ("residual torus_swap.json --point 1/2", "text"):
+        (2, EMPTY,
+         "47a3dd9bc0a733576ec20f3afc31d7b89318f2f4a05cc3accd6d527ec63e37f9"),
+    ("residual torus_swap.json --point 1/2", "json"):
+        (2, EMPTY,
+         "47a3dd9bc0a733576ec20f3afc31d7b89318f2f4a05cc3accd6d527ec63e37f9"),
+    ("residual block_swap.json --point 1/6,-5/6,1/6,-5/6", "text"):
+        (0, "e144a80cbb827366ed20dfd16c62b11c82b762b53103f39155a72f29d3e4ec14",
+         EMPTY),
+    ("residual block_swap.json --point 1/6,-5/6,1/6,-5/6", "json"):
+        (0, "72594be48a0dc6f1a7d4040a96403a635fa0e5291561150b981946e7a245721a",
+         EMPTY),
     ("whittaker --r 2 --q 5 --n 4 --pp 0 --qq 1 --a 3", "text"):
         (0, "ca05a58eda94e6f940de9b32d6e1e357e53044f9a3771eb70d6efd206511b455",
          EMPTY),

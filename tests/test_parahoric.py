@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -24,7 +25,7 @@ from whitdim.root_datum import (
     build_torus,
 )
 
-from _oracles import residual_splits_reference
+from _oracles import residual_extension_reference, residual_splits_reference
 
 H = Fraction(1, 2)
 
@@ -45,7 +46,7 @@ def test_parse_rational_forms():
     assert parse_rational("2") == 2
     assert parse_rational("-1/3") == Fraction(-1, 3)
     assert parse_rational("+7/2") == Fraction(7, 2)
-    for bad in ("1.5", "x", "1/0", ""):
+    for bad in ("1.5", "x", "1/0", "1/00", "-3/000", ""):
         with pytest.raises(ValueError):
             parse_rational(bad)
 
@@ -72,6 +73,18 @@ def test_phi_x_requires_frobenius_fixed_points():
     with pytest.raises(MathConstraintError):
         phi_x(torus, (H, 0))
     assert phi_x(torus, (H, H)) == ()
+
+
+def test_point_length_is_checked_before_frobenius_fixedness():
+    # a length-3 point is not fixed by the 2 x 2 swap either
+    torus = build_torus(2, ((0, 1), (1, 0)))
+    cover = CoverSpec(torus, WeylInvariantForm(((2, 0), (0, 2))), 2, 5)
+    for route in (lambda x: phi_x(torus, x), lambda x: residual_extension(cover, x)):
+        with pytest.raises(ValueError) as info:
+            route((H, 0, 0))
+        assert type(info.value) is ValueError
+        with pytest.raises(MathConstraintError):
+            route((H, 0))
 
 
 def test_phi_x_invariant_under_cocharacter_translation():
@@ -164,6 +177,26 @@ def block_swap_cover():
     return CoverSpec(rd, WeylInvariantForm(gram), 2, 5)
 
 
+def assert_matches_reference(cover, x):
+    """phi_x, residual_extension and residual_splits at x against the
+    rational references; returns the reference split outcome (None when x
+    is not fixed by Frobenius, and then every route must refuse x)."""
+    reference = residual_extension_reference(cover, x)
+    expected = residual_splits_reference(cover, x)
+    if reference is None:
+        for route in (lambda: phi_x(cover.datum, x), lambda: residual_extension(cover, x),
+                      lambda: residual_splits(cover, x)):
+            with pytest.raises(MathConstraintError):
+                route()
+        return None
+    indices, iota = reference
+    res = residual_extension(cover, x)
+    assert phi_x(cover.datum, x) == res.phi_x == indices, x
+    assert res.iota == iota, x
+    assert residual_splits(cover, x) == expected, (cover.datum.rank, x)
+    return expected
+
+
 def test_residual_splits_matches_reference():
     # every point with denominators <= 4 in [-1, 1]^d; the SO_4 pattern adds
     # points that do not split
@@ -175,14 +208,32 @@ def test_residual_splits_matches_reference():
               CoverSpec(BasedRootDatum(2, so4, so4, (0, 2)),
                         WeylInvariantForm(((0, 1), (1, 0))), 1, 5),
               block_swap_cover())
+    outcomes = {assert_matches_reference(cover, x)
+                for cover in covers for x in product(values, repeat=cover.rank)}
+    assert outcomes == {None, True, False}
+
+
+def test_residual_extension_matches_reference_on_large_data():
+    # seeded points whose coordinates have their own denominators, and
+    # constant points, which every permutation Frobenius fixes
+    rng = random.Random(0)
+    cycle = tuple(tuple(int(j == (i + 1) % 5) for j in range(5)) for i in range(5))
+    slr_gram = tuple(tuple(2 if i == j else -(abs(i - j) == 1) for j in range(5))
+                     for i in range(5))
+    covers = (glr_cover(7, -1, 2, 4, 5),
+              CoverSpec(build_slr(6), WeylInvariantForm(slr_gram), 2, 5),
+              CoverSpec(build_sp2r(4), WeylInvariantForm(tuple(
+                  tuple(6 * (i == j) for j in range(4)) for i in range(4))), 4, 5),
+              CoverSpec(build_torus(5, cycle), WeylInvariantForm(tuple(
+                  tuple(2 if i == j else 1 for j in range(5)) for i in range(5))), 2, 5))
     outcomes = set()
     for cover in covers:
-        for x in product(values, repeat=cover.rank):
-            expected = residual_splits_reference(cover, x)
-            if expected is None:
-                with pytest.raises(MathConstraintError):
-                    residual_splits(cover, x)
-            else:
-                assert residual_splits(cover, x) == expected, (cover.datum.rank, x)
-            outcomes.add(expected)
-    assert outcomes == {None, True, False}
+        d = cover.rank
+        points = [tuple(Fraction(k, 3) for k in range(d))]
+        for _ in range(150):
+            x = [Fraction(rng.randint(-24, 24), rng.choice((1, 2, 3, 4, 6, 12)))
+                 for _ in range(d)]
+            points.append(tuple(x) if rng.random() < 0.7 else (x[0],) * d)
+        for x in points:
+            outcomes.add(assert_matches_reference(cover, x))
+    assert outcomes == {None, True}
