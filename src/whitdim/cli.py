@@ -217,9 +217,6 @@ def cmd_residual(args):
     cover = load_cover_document(args.cover_file)
     rd = cover.datum
     point = ApartmentPoint.parse(args.point)
-    if len(point.coords) != rd.rank:
-        raise ValueError(
-            f"point has {len(point.coords)} coordinates but the rank is {rd.rank}")
     res = residual_extension(cover, point)
     table = [{"root": list(rd.roots[i]),
               "coroot": list(rd.coroots[i]),

@@ -12,9 +12,9 @@ and bold_q = B(e_i, e_j) off it.  The combination 2*bold_p - bold_q = Q of a
 simple coroot classifies the family (determinantal, Kazhdan-Patterson,
 Savin), and m = 2*bold_p + (r-1)*bold_q = B(e_0, e_i) controls dimensions.
 
-Lattices derived from a cover (Y_{Q,n}, the invariant lattice and its coset
-representatives) are computed on first use and kept on the cover, so they
-live exactly as long as it does.
+Data derived from a cover (Q on the coroots, Y_{Q,n}, the invariant lattice
+and its coset representatives) are computed on first use and kept on the
+cover, so they live exactly as long as it does.
 """
 
 from __future__ import annotations
@@ -207,6 +207,11 @@ class CoverSpec:
     @property
     def fr(self):
         return self.datum.fr
+
+    @cached_property
+    def coroot_q(self):
+        """Q of every coroot, in root order."""
+        return tuple(self.form.q_value(c) for c in self.datum.coroots)
 
     @cached_property
     def _weyl(self):

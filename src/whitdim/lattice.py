@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product as _cartesian
 from math import gcd, prod
+from operator import mul
 
 IntVector = tuple[int, ...]
 IntMatrix = tuple[IntVector, ...]
@@ -42,16 +43,15 @@ def transpose(mat):
 
 def mat_mul(a, b):
     bt = transpose(b)
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt)
-                 for row in a)
+    return tuple(tuple(sum(map(mul, row, col)) for col in bt) for row in a)
 
 
 def mat_vec(mat, vec):
-    return tuple(sum(x * y for x, y in zip(row, vec)) for row in mat)
+    return tuple(sum(map(mul, row, vec)) for row in mat)
 
 
 def dot(u, v):
-    return sum(x * y for x, y in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def _as_int_rows(rows):

@@ -8,9 +8,12 @@ the cover contributes one extra coordinate, sending each such coroot to
 extended coroots detects a simply-connected derived subgroup, and an exact
 integer linear solve decides whether the extended pairing is split.
 
-Each root is evaluated at x once per call, in integers: x is read as integer
-numerators over the least common denominator of its coordinates.  Fractions
-appear only when a point is parsed and in ``ApartmentPoint.coords``.
+Each root is evaluated at x once per point, in integers: x is read as integer
+numerators over the least common denominator of its coordinates, and the
+datum keeps the roots integral at the last point it was asked about, so
+``phi_x``, the flags and the residual functions at one point share one
+evaluation.  Q on the coroots is kept on the cover.  Fractions appear only
+when a point is parsed and in ``ApartmentPoint.coords``.
 """
 
 from __future__ import annotations
@@ -60,18 +63,25 @@ def _integral_roots(rd, x):
     With the coordinates of x written as integer numerators over their least
     common denominator D > 0, a root is integral at x iff D divides its
     pairing with the numerators, and Frobenius fixes x iff it fixes the
-    numerators.
+    numerators.  The answer for the last point that passed both checks is
+    kept in the datum's instance dict, as ``cached_property`` keeps values.
     """
     point = x if isinstance(x, ApartmentPoint) else ApartmentPoint(tuple(x))
     if len(point.coords) != rd.rank:
-        raise ValueError("point dimension does not match the root datum rank")
+        raise ValueError(
+            f"point has {len(point.coords)} coordinates but the rank is {rd.rank}")
+    last = rd.__dict__.get("_integral_roots")
+    if last is not None and last[0].coords == point.coords:
+        return last
     den = lcm(*(c.denominator for c in point.coords))
     nums = tuple(c.numerator * (den // c.denominator) for c in point.coords)
     if mat_vec(rd.fr.matrix, nums) != nums:
         raise MathConstraintError(
             "point is not fixed by Frobenius, so it does not lie in the rational apartment")
     pairings = ((i, dot(root, nums)) for i, root in enumerate(rd.roots))
-    return point, tuple((i, v // den) for i, v in pairings if v % den == 0)
+    last = point, tuple((i, v // den) for i, v in pairings if v % den == 0)
+    rd.__dict__["_integral_roots"] = last
+    return last
 
 
 def phi_x(rd, x):
@@ -103,16 +113,9 @@ class ResidualRootData:
 def residual_extension(cover, x):
     """Extended coroot table at x: coroot -> (coroot, root(x) * Q(coroot))."""
     point, integral = _integral_roots(cover.datum, x)
-    coroots = cover.datum.coroots
-    iota = tuple(coroots[i] + (value * cover.form.q_value(coroots[i]),)
-                 for i, value in integral)
+    coroots, q = cover.datum.coroots, cover.coroot_q
+    iota = tuple(coroots[i] + (value * q[i],) for i, value in integral)
     return ResidualRootData(point, tuple(i for i, _ in integral), iota)
-
-
-def _span_rank(vectors, d):
-    if not vectors:
-        return 0
-    return hermite_normal_form(vectors, d).rank
 
 
 def is_hyperspecial(rd, x):
@@ -122,9 +125,9 @@ def is_hyperspecial(rd, x):
 
 def is_vertex(rd, x):
     """True iff the roots integral at x span the full semisimple rank."""
-    indices = phi_x(rd, x)
-    full = _span_rank(rd.roots, rd.rank)
-    return _span_rank([rd.roots[i] for i in indices], rd.rank) == full
+    integral = [rd.roots[i] for i in phi_x(rd, x)]
+    rank = hermite_normal_form(integral, rd.rank).rank if integral else 0
+    return rank == rd.semisimple_rank
 
 
 def residual_derived_simply_connected(cover, x):

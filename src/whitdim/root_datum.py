@@ -108,6 +108,8 @@ class BasedRootDatum:
 
     ``roots[i]`` (an X-vector) is paired with ``coroots[i]`` (a Y-vector) and
     their dot pairing is 2.  ``simple_indices`` points at the simple system.
+    Its simple reflections and semisimple rank are computed on first use and
+    kept on the datum.
     """
 
     rank: int
@@ -174,10 +176,17 @@ class BasedRootDatum:
         if root_set and {mat_vec(fx, r) for r in roots} != root_set:
             raise MathConstraintError("the dual Frobenius does not permute the roots")
 
-    def _reflection(self, i):
-        """Matrix of s_i on Y: y -> y - <root_i, y> coroot_i."""
-        a, av = self.roots[i], self.coroots[i]
-        return transpose([_reflect(e, a, av) for e in identity_matrix(self.rank)])
+    @cached_property
+    def _simple_reflections(self):
+        """Matrices of s_i on Y, y -> y - <root_i, y> coroot_i, for the simple i."""
+        basis = identity_matrix(self.rank)
+        return tuple(transpose([_reflect(e, self.roots[i], self.coroots[i]) for e in basis])
+                     for i in self.simple_indices)
+
+    @cached_property
+    def semisimple_rank(self):
+        """Rank of the span of all roots."""
+        return hermite_normal_form(self.roots, self.rank).rank if self.roots else 0
 
 
 @dataclass(frozen=True)
@@ -290,8 +299,8 @@ def _closure(start, step):
 
 
 def simple_reflections(rd):
-    """Matrices of the simple reflections acting on Y."""
-    return tuple(rd._reflection(i) for i in rd.simple_indices)
+    """Matrices of the simple reflections acting on Y, computed once per datum."""
+    return rd._simple_reflections
 
 
 @lru_cache(maxsize=None)

@@ -19,8 +19,15 @@ from whitdim.cover import (
     y_qn,
 )
 from whitdim.errors import MathConstraintError, ResourceLimitError
-from whitdim.lattice import Sublattice, mat_vec
-from whitdim.root_datum import build_glr, build_sp2r, build_torus, weyl_group
+from whitdim.lattice import Sublattice, hermite_normal_form, mat_vec
+from whitdim.root_datum import (
+    build_glr,
+    build_slr,
+    build_sp2r,
+    build_torus,
+    simple_reflections,
+    weyl_group,
+)
 from whitdim.whittaker import squeeze_bounds
 
 from _oracles import prime_power_base_trial
@@ -186,6 +193,44 @@ def test_frobenius_invariance_of_form_checked():
     with pytest.raises(MathConstraintError):
         CoverSpec(torus, WeylInvariantForm(((2, 0), (0, 4))), 1, 5)
     CoverSpec(torus, WeylInvariantForm(((2, 0), (0, 2))), 1, 5)  # fine
+
+
+# ---------------------------------------------------------------------------
+# state held on the cover and on its datum
+
+def held_state_covers():
+    """GL_7, SL_6, Sp_8 and a torus whose Frobenius is a 5-cycle, each with
+    its semisimple rank."""
+    cycle = tuple(tuple(int(j == (i + 1) % 5) for j in range(5)) for i in range(5))
+    slr_gram = tuple(tuple(2 if i == j else -(abs(i - j) == 1) for j in range(5))
+                     for i in range(5))
+    return ((glr_cover(7, -1, 2, 4, 5), 6),
+            (CoverSpec(build_slr(6), WeylInvariantForm(slr_gram), 2, 5), 5),
+            (CoverSpec(build_sp2r(4), WeylInvariantForm(tuple(
+                tuple(6 * (i == j) for j in range(4)) for i in range(4))), 4, 5), 4),
+            (CoverSpec(build_torus(5, cycle), WeylInvariantForm(tuple(
+                tuple(2 if i == j else 1 for j in range(5)) for i in range(5))), 2, 5), 0))
+
+
+def test_coroot_q_is_q_on_every_coroot_in_root_order():
+    for cover, _ in held_state_covers():
+        table = cover.coroot_q
+        assert table == tuple(cover.form.q_value(c) for c in cover.datum.coroots)
+        assert cover.coroot_q is table
+
+
+def test_held_simple_reflections_and_semisimple_rank_match_fresh_computation():
+    for cover, semisimple_rank in held_state_covers():
+        rd, d = cover.datum, cover.rank
+        # s_i y = y - <root_i, y> coroot_i, entry by entry
+        fresh = tuple(tuple(tuple(int(j == k) - rd.coroots[i][j] * rd.roots[i][k]
+                                  for k in range(d)) for j in range(d))
+                      for i in rd.simple_indices)
+        assert simple_reflections(rd) == fresh
+        assert simple_reflections(rd) is simple_reflections(rd)
+        assert rd.semisimple_rank == semisimple_rank
+        if rd.roots:
+            assert hermite_normal_form(rd.roots, d).rank == semisimple_rank
 
 
 # ---------------------------------------------------------------------------

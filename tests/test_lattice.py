@@ -9,13 +9,17 @@ from whitdim.lattice import (
     Sublattice,
     congruence_kernel,
     coset_representatives,
+    dot,
     fixed_sublattice,
     hermite_normal_form,
     index,
     intersect,
     is_saturated,
+    mat_mul,
+    mat_vec,
     saturation,
     smith_invariants,
+    transpose,
 )
 
 from _oracles import (
@@ -24,6 +28,56 @@ from _oracles import (
     elementary_row_hnf,
     in_span_z,
 )
+
+
+# ---------------------------------------------------------------------------
+# integer kernels, against their generator-over-zip definitions
+
+def dot_by_zip(u, v):
+    return sum(x * y for x, y in zip(u, v))
+
+
+def mat_vec_by_zip(mat, vec):
+    return tuple(sum(x * y for x, y in zip(row, vec)) for row in mat)
+
+
+def mat_mul_by_zip(a, b):
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in transpose(b))
+                 for row in a)
+
+
+def test_kernels_match_generator_definitions():
+    rng = random.Random(11)
+
+    def entry():
+        # small entries, or entries far beyond 2^64 of either sign
+        return rng.choice((rng.randint(-3, 3), rng.randint(-2 ** 80, 2 ** 80)))
+
+    def matrix(n, m):
+        return tuple(tuple(entry() for _ in range(m)) for _ in range(n))
+
+    for _ in range(300):
+        n, k, m = (rng.randint(0, 5) for _ in range(3))
+        a, b = matrix(n, k), matrix(k, m)
+        vec = tuple(entry() for _ in range(k))
+        assert mat_mul(a, b) == mat_mul_by_zip(a, b)
+        assert mat_vec(a, vec) == mat_vec_by_zip(a, vec)
+        for row in a:
+            assert dot(row, vec) == dot_by_zip(row, vec)
+        # unequal lengths truncate to the shorter, as zip does
+        short = vec[:rng.randint(0, k)]
+        assert mat_vec(a, short) == mat_vec_by_zip(a, short)
+        assert dot(vec, short) == dot_by_zip(vec, short) == dot(short, vec)
+
+
+def test_kernels_on_empty_rows_and_large_entries():
+    big = 2 ** 64 + 1
+    assert dot((), ()) == 0 and isinstance(dot((), ()), int)
+    assert mat_vec(((), ()), ()) == (0, 0) == mat_vec_by_zip(((), ()), ())
+    assert mat_mul(((), ()), ()) == ((), ()) == mat_mul_by_zip(((), ()), ())
+    assert dot((big, -big), (big, big)) == 0
+    assert mat_vec(((big, 1), (-big, 0)), (big, -1)) == (big * big - 1, -big * big)
+    assert mat_mul(((big,),), ((-big, 2),)) == ((-big * big, 2 * big),)
 
 
 # ---------------------------------------------------------------------------

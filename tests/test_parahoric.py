@@ -1,11 +1,15 @@
+import json
 import random
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
+from whitdim import parahoric
+from whitdim.cli import main
 from whitdim.cover import CoverSpec, WeylInvariantForm, glr_cover
 from whitdim.errors import MathConstraintError
+from whitdim.lattice import dot
 from whitdim.parahoric import (
     ApartmentPoint,
     is_hyperspecial,
@@ -237,3 +241,102 @@ def test_residual_extension_matches_reference_on_large_data():
         for x in points:
             outcomes.add(assert_matches_reference(cover, x))
     assert outcomes == {None, True}
+
+
+# ---------------------------------------------------------------------------
+# one evaluation of the roots per point
+
+#: every function of a cover and a point, each reading the roots at the point
+ROUTES = (lambda cover, x: phi_x(cover.datum, x),
+          lambda cover, x: is_hyperspecial(cover.datum, x),
+          lambda cover, x: is_vertex(cover.datum, x),
+          residual_extension,
+          residual_splits,
+          residual_derived_simply_connected)
+
+
+def gl3_cover():
+    return glr_cover(3, 1, 1, 2, 5)
+
+
+def sp4_cover():
+    return CoverSpec(build_sp2r(2), WeylInvariantForm(((2, 0), (0, 2))), 4, 5)
+
+
+@pytest.fixture
+def pairings(monkeypatch):
+    """One entry per root pairing that parahoric computes."""
+    calls = []
+
+    def counting_dot(u, v):
+        calls.append(1)
+        return dot(u, v)
+
+    monkeypatch.setattr(parahoric, "dot", counting_dot)
+    return calls
+
+
+def test_alternating_points_match_fresh_covers():
+    cases = ((gl3_cover, (H, 0, -H), (Fraction(1, 3), 0, Fraction(2, 3))),
+             (sp4_cover, (H, 0), (H, H)),
+             (block_swap_cover, (H, 0, H, 0),
+              (Fraction(1, 6), Fraction(-5, 6), Fraction(1, 6), Fraction(-5, 6))))
+    for build, a, b in cases:
+        cover = build()
+        for route in ROUTES:
+            for x in (a, b, a):
+                assert route(cover, x) == route(build(), x), (cover.rank, x)
+
+
+def test_ints_fractions_and_points_give_the_same_answers():
+    cover = gl3_cover()
+    integral = (1, 0, -2)
+    half = (H, 0, -H)
+    forms = ((integral, tuple(map(Fraction, integral)), ApartmentPoint(integral)),
+             (half, ApartmentPoint.parse("1/2,0,-1/2")))
+    for same in forms:
+        for route in ROUTES:
+            expected = route(gl3_cover(), same[0])
+            for x in same + same:
+                assert route(cover, x) == expected, x
+
+
+def test_bad_points_always_raise_and_leave_the_memo_usable(pairings):
+    cover = block_swap_cover()
+    good = (Fraction(1, 6), Fraction(-5, 6), Fraction(1, 6), Fraction(-5, 6))
+    expected = [route(block_swap_cover(), good) for route in ROUTES]
+    pairings.clear()
+    for _ in range(2):
+        for route, answer in zip(ROUTES, expected):
+            assert route(cover, good) == answer
+            with pytest.raises(ValueError, match="^point has 3 coordinates but the rank is 4$"):
+                route(cover, (H, 0, H))
+            with pytest.raises(MathConstraintError):
+                route(cover, (H, 0, 0, 0))
+            assert route(cover, good) == answer
+    # neither bad point replaced the good one, which was evaluated once
+    assert len(pairings) == len(cover.datum.roots)
+
+
+def test_cli_residual_evaluates_the_roots_once_per_point(pairings, tmp_path, capsys):
+    path = tmp_path / "gl2.json"
+    path.write_text(json.dumps({"rank": 2, "roots": [[1, -1], [-1, 1]],
+                                "coroots": [[1, -1], [-1, 1]], "simple": [0],
+                                "bq": [[0, 1], [1, 0]], "n": 4, "q": 5}))
+    for point in ("0,0", "1/2,-1/2", "1/3,0"):
+        pairings.clear()
+        assert main(["residual", str(path), "--point", point]) == 0
+        assert len(pairings) == 2, point
+    capsys.readouterr()
+
+
+def test_residual_functions_share_one_evaluation_per_point(pairings):
+    cover = gl3_cover()
+    # the memo holds one point, so the origin is evaluated again after the other
+    for x in ((0, 0, 0), (Fraction(1, 3), 0, Fraction(2, 3)), (0, 0, 0)):
+        pairings.clear()
+        residual_extension(cover, x)
+        residual_splits(cover, x)
+        residual_derived_simply_connected(cover, x)
+        is_vertex(cover.datum, x)
+        assert len(pairings) == len(cover.datum.roots), x
