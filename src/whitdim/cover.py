@@ -12,9 +12,12 @@ and bold_q = B(e_i, e_j) off it.  The combination 2*bold_p - bold_q = Q of a
 simple coroot classifies the family (determinantal, Kazhdan-Patterson,
 Savin), and m = 2*bold_p + (r-1)*bold_q = B(e_0, e_i) controls dimensions.
 
-Data derived from a cover (Q on the coroots, Y_{Q,n}, the invariant lattice
-and its coset representatives) are computed on first use and kept on the
-cover, so they live exactly as long as it does.
+Data derived from a cover (Q on the coroots, Y_{Q,n}, the meet of the
+invariant lattice Y^{W x Fr} with it, the coset representatives of the
+quotient, and the residual record of the last apartment point) are computed
+on first use and kept on the cover, so they live exactly as long as it does.
+The invariant lattice itself is held on the datum.  More than 100,000
+cosets are refused before any is built.
 """
 
 from __future__ import annotations
@@ -43,7 +46,6 @@ from .root_datum import (
     weyl_frobenius_fixed_lattice,
     weyl_group,
 )
-
 
 #: the first 13 primes: trial divisors and Miller-Rabin bases
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -231,7 +233,9 @@ class CoverSpec:
     @cached_property
     def _cosets(self):
         """Canonical representatives y of L / (L meet Y_{Q,n}), the zero
-        coset first, each paired with its twist covector gram . y."""
+        coset first, each paired with its twist covector gram . y.  More
+        than :data:`whitdim.lattice.MAX_COSETS` of them are refused before
+        any is built."""
         reps = coset_representatives(*self._invariant_lattices)
         return tuple((rep, mat_vec(self.form.gram, rep)) for rep in reps)
 

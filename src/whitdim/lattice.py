@@ -11,6 +11,13 @@ A :class:`Sublattice` always stores its basis in row Hermite normal form:
 pivots are positive, strictly ordered left to right, and every entry above a
 pivot lies in ``[0, pivot)``.  Equality of lattices is therefore structural
 equality of the stored data.
+
+Every elimination is one routine, ``_echelon``; the cheaper questions take
+no more of it than they need.  ``rank`` is one echelon pass without the
+reduction above the pivots, ``is_saturated`` reads the Smith factors of the
+basis (all 1 exactly when Z^d / lat is free, and at once when every pivot is
+1) instead of computing the saturation, and ``intersect`` returns the other
+side when one side is Z^d.
 """
 
 from __future__ import annotations
@@ -20,11 +27,17 @@ from itertools import product as _cartesian
 from math import gcd, prod
 from operator import mul
 
+from .errors import ResourceLimitError
+
 IntVector = tuple[int, ...]
 IntMatrix = tuple[IntVector, ...]
 
 #: Sentinel returned by :func:`index` when the subgroup has infinite index.
 INFINITE = "infinite"
+
+#: Largest quotient whose coset representatives are built; in the orbit
+#: search of a cover one coset costs about 300 bytes.
+MAX_COSETS = 100_000
 
 
 # ---------------------------------------------------------------------------
@@ -71,23 +84,21 @@ def _echelon(rows, width, track=False):
     mat = [list(r) for r in rows]
     n = len(mat)
     aug = [[1 if i == j else 0 for j in range(n)] for i in range(n)] if track else None
-
-    def combine(i, f, k):
-        mat[i] = [a - f * b for a, b in zip(mat[i], mat[k])]
-        if track:
-            aug[i] = [a - f * b for a, b in zip(aug[i], aug[k])]
-
     pivot_row = 0
     for col in range(width):
-        while True:
-            live = [i for i in range(pivot_row, n) if mat[i][col]]
-            if len(live) <= 1:
-                break
-            live.sort(key=lambda i: abs(mat[i][col]))
-            base = live[0]
-            for i in live[1:]:
-                combine(i, mat[i][col] // mat[base][col], base)
         live = [i for i in range(pivot_row, n) if mat[i][col]]
+        while len(live) > 1:
+            # the first row of least absolute value in the column reduces
+            # the others; a row that reaches 0 there stays 0
+            base = min(live, key=lambda i: abs(mat[i][col]))
+            brow, piv = mat[base], mat[base][col]
+            for i in live:
+                if i != base:
+                    f = mat[i][col] // piv
+                    mat[i] = [a - f * b for a, b in zip(mat[i], brow)]
+                    if track:
+                        aug[i] = [a - f * b for a, b in zip(aug[i], aug[base])]
+            live = [i for i in live if mat[i][col]]
         if not live:
             continue
         i0 = live[0]
@@ -295,6 +306,11 @@ def smith_invariants(sup, sub):
     return FiniteAbelianStructure(factors, sup.rank - sub.rank)
 
 
+def _is_full(lat):
+    """Is lat all of Z^d?  In Hermite normal form that means d pivots of 1."""
+    return lat.rank == lat.ambient_rank and all(row[i] == 1 for i, row in enumerate(lat.basis))
+
+
 def intersect(a, b):
     """Exact intersection of two sublattices of the same Z^d."""
     if a.ambient_rank != b.ambient_rank:
@@ -302,6 +318,10 @@ def intersect(a, b):
     d = a.ambient_rank
     if a.rank == 0 or b.rank == 0:
         return Sublattice.zero(d)
+    if _is_full(a):
+        return b
+    if _is_full(b):
+        return a
     stacked = list(a.basis) + list(b.basis)
     _, kernel = _echelon(stacked, d, track=True)
     gens = []
@@ -322,7 +342,16 @@ def saturation(lat):
 
 
 def is_saturated(lat):
-    return saturation(lat) == lat
+    """Is Z^d / lat free?  Exactly when every Smith invariant factor of the
+    basis is 1, as it is when every pivot is 1."""
+    if all(next(filter(None, row)) == 1 for row in lat.basis):
+        return True
+    return all(f == 1 for f in _smith_diagonal(lat.basis, lat.ambient_rank))
+
+
+def rank(rows, d):
+    """Rank of the span of integer vectors of length d, by one echelon pass."""
+    return len(_echelon(rows, d)[0])
 
 
 def fixed_sublattice(endomorphisms, ambient_rank=None):
@@ -376,9 +405,15 @@ def quotient_hnf(sup, sub):
 def coset_representatives(sup, sub):
     """Canonical coset representatives of the finite quotient sup/sub.
 
-    Returned as ambient vectors; the representative of 0 comes first.
+    Returned as ambient vectors; the representative of 0 comes first.  A
+    quotient of order above :data:`MAX_COSETS` raises
+    :class:`ResourceLimitError` before any representative is built.
     """
     h = quotient_hnf(sup, sub)
+    order = prod(h[i][i] for i in range(len(h)))
+    if order > MAX_COSETS:
+        raise ResourceLimitError(
+            f"the quotient has {order} cosets, more than the coset guard {MAX_COSETS}")
     d = sup.ambient_rank
     reps = []
     for combo in _cartesian(*[range(h[i][i]) for i in range(len(h))]):

@@ -12,8 +12,13 @@ Each root is evaluated at x once per point, in integers: x is read as integer
 numerators over the least common denominator of its coordinates, and the
 datum keeps the roots integral at the last point it was asked about, so
 ``phi_x``, the flags and the residual functions at one point share one
-evaluation.  Q on the coroots is kept on the cover.  Fractions appear only
-when a point is parsed and in ``ApartmentPoint.coords``.
+evaluation.  A repeated point is recognised before it is coerced.  Q on the
+coroots is kept on the cover, and so is the :class:`ResidualRootData` of the
+last point, which builds the Hermite form of its extended coroots once:
+``residual_derived_simply_connected`` reads its Smith factors and
+``residual_splits`` solves over its rows.  ``is_vertex`` takes the rank of
+the integral roots from one echelon pass.  Fractions appear only when a
+point is parsed and in ``ApartmentPoint.coords``.
 """
 
 from __future__ import annotations
@@ -21,11 +26,19 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 
 from .errors import MathConstraintError
-from .lattice import Sublattice, dot, hermite_normal_form, is_saturated, mat_vec, transpose
-from .root_datum import identity_matrix
+from .lattice import (
+    Sublattice,
+    dot,
+    hermite_normal_form,
+    is_saturated,
+    mat_vec,
+    rank,
+    transpose,
+)
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/(\d+))?$")
 
@@ -65,14 +78,18 @@ def _integral_roots(rd, x):
     pairing with the numerators, and Frobenius fixes x iff it fixes the
     numerators.  The answer for the last point that passed both checks is
     kept in the datum's instance dict, as ``cached_property`` keeps values.
+    x is compared with that point before it is coerced: equal coordinates
+    coerce to that point, and a point that fails a check never equals it, so
+    such a point raises on every call.
     """
-    point = x if isinstance(x, ApartmentPoint) else ApartmentPoint(tuple(x))
+    coords = x.coords if isinstance(x, ApartmentPoint) else tuple(x)
+    last = rd.__dict__.get("_integral_roots")
+    if last is not None and last[0].coords == coords:
+        return last
+    point = x if isinstance(x, ApartmentPoint) else ApartmentPoint(coords)
     if len(point.coords) != rd.rank:
         raise ValueError(
             f"point has {len(point.coords)} coordinates but the rank is {rd.rank}")
-    last = rd.__dict__.get("_integral_roots")
-    if last is not None and last[0].coords == point.coords:
-        return last
     den = lcm(*(c.denominator for c in point.coords))
     nums = tuple(c.numerator * (den // c.denominator) for c in point.coords)
     if mat_vec(rd.fr.matrix, nums) != nums:
@@ -102,20 +119,33 @@ class ResidualRootData:
     phi_x: tuple
     iota: tuple
 
-    def lambda_lattice(self):
-        """Span of the extended coroots inside Z^(d+1)."""
+    @cached_property
+    def _lambda(self):
         ambient = len(self.point.coords) + 1
         if not self.iota:
             return Sublattice.zero(ambient)
         return hermite_normal_form(self.iota, ambient)
 
+    def lambda_lattice(self):
+        """Span of the extended coroots inside Z^(d+1), built once per record."""
+        return self._lambda
+
 
 def residual_extension(cover, x):
-    """Extended coroot table at x: coroot -> (coroot, root(x) * Q(coroot))."""
+    """Extended coroot table at x: coroot -> (coroot, root(x) * Q(coroot)).
+
+    The record of the last point asked about is kept in the cover's instance
+    dict, so the residual functions at one point share it and its lattice.
+    """
     point, integral = _integral_roots(cover.datum, x)
+    last = cover.__dict__.get("_residual")
+    if last is not None and last.point == point:
+        return last
     coroots, q = cover.datum.coroots, cover.coroot_q
     iota = tuple(coroots[i] + (value * q[i],) for i, value in integral)
-    return ResidualRootData(point, tuple(i for i, _ in integral), iota)
+    last = ResidualRootData(point, tuple(i for i, _ in integral), iota)
+    cover.__dict__["_residual"] = last
+    return last
 
 
 def is_hyperspecial(rd, x):
@@ -125,9 +155,7 @@ def is_hyperspecial(rd, x):
 
 def is_vertex(rd, x):
     """True iff the roots integral at x span the full semisimple rank."""
-    integral = [rd.roots[i] for i in phi_x(rd, x)]
-    rank = hermite_normal_form(integral, rd.rank).rank if integral else 0
-    return rank == rd.semisimple_rank
+    return rank([rd.roots[i] for i in phi_x(rd, x)], rd.rank) == rd.semisimple_rank
 
 
 def residual_derived_simply_connected(cover, x):
@@ -137,19 +165,28 @@ def residual_derived_simply_connected(cover, x):
 
 def residual_splits(cover, x):
     """Whether coroot -> root(x) * Q(coroot) extends to a Frobenius-equivariant
-    homomorphism Y -> Z (an exact integer linear solve)."""
+    homomorphism Y -> Z (an exact integer linear solve).
+
+    The equations coroot . k = root(x) * Q(coroot) are the rows of iota; the
+    basis of the lambda lattice is those rows after unimodular row operations,
+    so as equations it has the same integer solutions.
+    """
     rd = cover.datum
-    iota = residual_extension(cover, x).iota
-    rows = [v[:-1] for v in iota]
-    rhs = [v[-1] for v in iota]
-    f = rd.fr.matrix
-    if f != identity_matrix(rd.rank):
-        ft = transpose(f)
+    basis = residual_extension(cover, x).lambda_lattice().basis
+    rows = [v[:-1] for v in basis]
+    rhs = [v[-1] for v in basis]
+    if not any(rhs):
+        return True  # k = 0
+    if rd.fr.order == 1:
+        # rows in echelon form with every pivot 1 are solved by back
+        # substitution for any right side
+        if all(next(filter(None, row), 0) == 1 for row in rows):
+            return True
+    else:
+        ft = transpose(rd.fr.matrix)
         for i in range(rd.rank):
             rows.append(tuple(ft[i][j] - (i == j) for j in range(rd.rank)))
             rhs.append(0)
-    if not rows:
-        return True
     # solvability of rows . k = rhs over Z: rhs must lie in the column lattice
     columns = transpose(rows)
     return hermite_normal_form(columns, len(rows)).contains_vector(rhs)

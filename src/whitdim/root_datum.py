@@ -5,6 +5,13 @@ identified with Z^d, paired by the dot product.  Roots are stored in
 X-coordinates and coroots in Y-coordinates, index-paired.  Every automorphism
 (simple reflection, Frobenius, Weyl element) is stored as its action on Y; the
 action on X is the inverse-transpose and is derived on demand, never stored.
+
+A datum computes on first use and then holds its simple reflections, its
+semisimple rank and the fixed lattices Y^W, Y^Fr and Y^{W x Fr}; with the
+identity Frobenius the last two are Z^d and Y^W, with no kernel computed.
+Validation pairs each simple root and coroot with every coroot and root
+once, and checks only that each reflected vector lies in the set: a
+reflection is injective, so mapping a finite set into itself permutes it.
 """
 
 from __future__ import annotations
@@ -16,6 +23,7 @@ from math import factorial, prod
 
 from .errors import MathConstraintError, ResourceLimitError
 from .lattice import (
+    Sublattice,
     dot,
     fixed_sublattice,
     hermite_normal_form,
@@ -23,6 +31,7 @@ from .lattice import (
     is_saturated,
     mat_mul,
     mat_vec,
+    rank,
     transpose,
 )
 
@@ -98,6 +107,20 @@ def _reflect(v, pairing, u):
     return tuple(x - k * y for x, y in zip(v, u))
 
 
+def _maps_into(vectors, pairings, u, targets):
+    """Does v -> v - k u, with k the pairing of v, send every vector into
+    targets?  Only the nonzero entries of u are subtracted."""
+    support = [(j, y) for j, y in enumerate(u) if y]
+    for v, k in zip(vectors, pairings):
+        if k:
+            image = list(v)
+            for j, y in support:
+                image[j] -= k * y
+            if tuple(image) not in targets:
+                return False
+    return True
+
+
 def identity_frobenius(d):
     return FrobeniusAction(identity_matrix(d))
 
@@ -108,8 +131,8 @@ class BasedRootDatum:
 
     ``roots[i]`` (an X-vector) is paired with ``coroots[i]`` (a Y-vector) and
     their dot pairing is 2.  ``simple_indices`` points at the simple system.
-    Its simple reflections and semisimple rank are computed on first use and
-    kept on the datum.
+    Its simple reflections, semisimple rank and fixed lattices are computed
+    on first use and kept on the datum.
     """
 
     rank: int
@@ -147,13 +170,15 @@ class BasedRootDatum:
                 raise MathConstraintError(
                     f"pairing of root {a} with its coroot {av} must be 2")
 
+        # a reflection is injective, so it permutes a finite set once it maps
+        # the set into itself; a vector with pairing 0 is fixed
         root_set, coroot_set = frozenset(roots), frozenset(coroots)
         for i in simple:
             a, av = roots[i], coroots[i]
-            if {_reflect(c, a, av) for c in coroots} != coroot_set:
+            if not _maps_into(coroots, mat_vec(coroots, a), av, coroot_set):
                 raise MathConstraintError(
                     f"simple reflection {i} does not permute the coroots")
-            if {_reflect(r, av, a) for r in roots} != root_set:
+            if not _maps_into(roots, mat_vec(roots, av), a, root_set):
                 raise MathConstraintError(
                     f"simple reflection {i} does not permute the roots")
 
@@ -166,6 +191,8 @@ class BasedRootDatum:
                     raise MathConstraintError(
                         f"Cartan entry <root {i}, coroot {j}> = {c} is out of range")
 
+        if fr.order == 1:  # the identity permutes everything
+            return
         f = fr.matrix
         if coroot_set and {mat_vec(f, c) for c in coroots} != coroot_set:
             raise MathConstraintError("Frobenius does not permute the coroots")
@@ -186,7 +213,28 @@ class BasedRootDatum:
     @cached_property
     def semisimple_rank(self):
         """Rank of the span of all roots."""
-        return hermite_normal_form(self.roots, self.rank).rank if self.roots else 0
+        return rank(self.roots, self.rank)
+
+    @cached_property
+    def _weyl_fixed(self):
+        """Y^W: the vectors fixed by every simple reflection."""
+        return fixed_sublattice(self._simple_reflections, self.rank)
+
+    @cached_property
+    def _frobenius_fixed(self):
+        """Y^Fr; all of Y when Frobenius is the identity."""
+        if self.fr.order == 1:
+            return Sublattice.full(self.rank)
+        return fixed_sublattice([self.fr.matrix], self.rank)
+
+    @cached_property
+    def _weyl_frobenius_fixed(self):
+        """Y^{W x Fr}: Y^W when Frobenius is the identity, Y^Fr when W is."""
+        if self.fr.order == 1:
+            return self._weyl_fixed
+        if not self.simple_indices:
+            return self._frobenius_fixed
+        return fixed_sublattice([*self._simple_reflections, self.fr.matrix], self.rank)
 
 
 @dataclass(frozen=True)
@@ -335,7 +383,7 @@ def weyl_order(rd):
     :class:`MathConstraintError`.
     """
     simple = rd.simple_indices
-    if hermite_normal_form([rd.roots[i] for i in simple], rd.rank).rank != len(simple):
+    if rank([rd.roots[i] for i in simple], rd.rank) != len(simple):
         raise MathConstraintError("the simple roots are not a base: they are linearly dependent")
 
     def reflect(item):
@@ -424,8 +472,9 @@ def _close_root_system(simple_pairs):
         root, coroot = pair
         for sroot, scoroot in simple_pairs:
             c, cc = dot(root, scoroot), dot(sroot, coroot)
-            yield (tuple(a - c * b for a, b in zip(root, sroot)),
-                   tuple(a - cc * b for a, b in zip(coroot, scoroot)))
+            if c or cc:  # else the pair is fixed, and already found
+                yield (tuple(a - c * b for a, b in zip(root, sroot)),
+                       tuple(a - cc * b for a, b in zip(coroot, scoroot)))
 
     roots, coroots = zip(*_closure(simple_pairs, reflect))
     return roots, coroots, tuple(range(len(simple_pairs)))
@@ -469,12 +518,17 @@ def build_torus(d, fr=None):
     return BasedRootDatum(d, (), (), (), fr)
 
 
+def weyl_fixed_lattice(rd):
+    """Y^W as a sublattice of Y, computed once per datum."""
+    return rd._weyl_fixed
+
+
 def frobenius_fixed_lattice(rd):
-    """Y^Fr as a sublattice of Y."""
-    return fixed_sublattice([rd.fr.matrix], rd.rank)
+    """Y^Fr as a sublattice of Y, computed once per datum."""
+    return rd._frobenius_fixed
 
 
 def weyl_frobenius_fixed_lattice(rd):
-    """Y^{W x Fr}: vectors fixed by every Weyl generator and by Frobenius."""
-    gens = list(simple_reflections(rd)) + [rd.fr.matrix]
-    return fixed_sublattice(gens, rd.rank)
+    """Y^{W x Fr}: vectors fixed by every Weyl generator and by Frobenius,
+    computed once per datum."""
+    return rd._weyl_frobenius_fixed

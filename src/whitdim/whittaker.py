@@ -28,7 +28,8 @@ within each block, and the stabilizer is the Young subgroup of equal
 entries.  Other data map theta by every element of W, enumerated once.
 Resource guards raise :class:`ResourceLimitError` before any enumeration:
 |W| above 40,320 (computed from the root heights), a Weyl stabilizer above
-the same bound, and GL_r with r above 16.
+the same bound, GL_r with r above 16, more than 100,000 cosets for the orbit
+search, and an oracle scan of more than 100,000 steps.
 """
 
 from __future__ import annotations
@@ -42,14 +43,16 @@ from .cover import _check_q_and_degree, m_qr
 from .errors import GeneralPositionError, MathConstraintError, ResourceLimitError
 from .lattice import (
     congruence_kernel,
-    fixed_sublattice,
     hermite_normal_form,
     index,
     intersect,
     mat_mul,
     mat_vec,
 )
-from .root_datum import check_glr_rank, simple_reflections
+from .root_datum import check_glr_rank, weyl_fixed_lattice
+
+#: Longest scan of :func:`wh_dim_oracle`, n/gcd(n, m) steps of exact rationals.
+MAX_ORACLE_SCAN = 100_000
 
 
 @dataclass(frozen=True)
@@ -280,10 +283,17 @@ def wh_dim_oracle(r, q, n, bold_p, bold_q, a):
 
     Tests e^(2 pi i m k / n) * theta_1 = theta_1^(q^s) literally, as equality
     of rationals mod 1, for k = 1, 2, ... up to a hard stop at n.  A zero
-    target at some s > 0 means a is not in general position.
+    target at some s > 0 means a is not in general position.  k = n/gcd(n, m)
+    always passes, so a scan longer than :data:`MAX_ORACLE_SCAN` is refused
+    before it starts.
     """
     _check_glr_dim_args(r, q, n, a)
     m = m_qr(r, bold_p, bold_q)
+    steps = n // gcd(n, m)
+    if steps > MAX_ORACLE_SCAN:
+        raise ResourceLimitError(
+            f"the oracle's scan of n/gcd(n, m) = {steps} steps exceeds the guard "
+            f"{MAX_ORACLE_SCAN}")
     modulus = q ** r - 1
     theta1 = Fraction(a, modulus)
     targets = {(q ** s * theta1 - theta1) % 1 for s in range(1, r)}
@@ -305,12 +315,10 @@ def squeeze_bounds(cover):
     upper = [L : L meet Y_{Q,n}] and lower = [L : {y in L : B(y, y') in nZ
     for all y' in Y^W}], with L = Y^{W x Fr}; lower always divides upper.
     """
-    datum = cover.datum
-    d = datum.rank
+    d = cover.rank
     lat, meet = cover._invariant_lattices
     upper = index(lat, meet)
-    weyl_fixed = fixed_sublattice(simple_reflections(datum), d)
-    rows = [mat_vec(cover.form.gram, b) for b in weyl_fixed.basis]
+    rows = [mat_vec(cover.form.gram, b) for b in weyl_fixed_lattice(cover.datum).basis]
     mid = intersect(lat, congruence_kernel(rows, cover.n, d))
     lower = index(lat, mid)
     return lower, upper

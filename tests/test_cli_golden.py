@@ -195,6 +195,15 @@ GOLDEN = {
     ("whittaker --r 17 --q 3 --n 2 --pp 0 --qq 1 --a 1 --oracle", "json"):
         (6, EMPTY,
          "eb362217c3a4d27622c7e451fcdaa0fe72036e39d9bf3acb829dd16021764617"),
+    # the oracle's scan guard refuses n/gcd(n, m) near 10^12 before scanning
+    ("whittaker --r 2 --q 1000000000039 --n 1000000000038 --pp 0 --qq 1 --a 5 --oracle",
+     "text"):
+        (6, EMPTY,
+         "3211e26554f19e45ecd199f18927fc059e5d453ee991c40188430d42ff44d79b"),
+    ("whittaker --r 2 --q 1000000000039 --n 1000000000038 --pp 0 --qq 1 --a 5 --oracle",
+     "json"):
+        (6, EMPTY,
+         "3211e26554f19e45ecd199f18927fc059e5d453ee991c40188430d42ff44d79b"),
     ("table --r 2 --q 5 --n 4 --pp 0 --qq 1", "text"):
         (0, "489f967060030e2055379bf9f3072616baa68ba0bd6facc0aad7ff650abb4972",
          EMPTY),

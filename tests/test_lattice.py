@@ -1,10 +1,13 @@
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from whitdim.errors import ResourceLimitError
 from whitdim.lattice import (
     INFINITE,
+    MAX_COSETS,
     FiniteAbelianStructure,
     Sublattice,
     congruence_kernel,
@@ -17,6 +20,7 @@ from whitdim.lattice import (
     is_saturated,
     mat_mul,
     mat_vec,
+    rank,
     saturation,
     smith_invariants,
     transpose,
@@ -417,3 +421,80 @@ def test_coset_representatives_cover_the_quotient():
     for i, u in enumerate(reps):
         for v in reps[i + 1:]:
             assert not sub.contains_vector(tuple(a - b for a, b in zip(u, v)))
+
+
+# ---------------------------------------------------------------------------
+# saturation by Smith factors, rank by one echelon pass, meets with Z^d
+
+def _random_lattices(seed, count, max_d=4, bound=5):
+    rng = random.Random(seed)
+    for _ in range(count):
+        d = rng.randint(1, max_d)
+        rows = [[rng.randint(-bound, bound) for _ in range(d)]
+                for _ in range(rng.randint(0, d + 1))]
+        yield d, rows, hermite_normal_form(rows, d)
+
+
+def test_is_saturated_agrees_with_saturation():
+    lattices = [lat for _, _, lat in _random_lattices(17, 300)]
+    lattices += [Sublattice.zero(d) for d in (1, 3)] + [Sublattice.full(d) for d in (1, 3)]
+    lattices += [hermite_normal_form([(2, 1)]), hermite_normal_form([(1, 1), (1, -1)]),
+                 hermite_normal_form([(2, 0, 0), (0, 3, 0)], 3)]
+    outcomes = set()
+    for lat in lattices:
+        outcomes.add(is_saturated(lat))
+        assert is_saturated(lat) == (saturation(lat) == lat), lat
+    assert outcomes == {True, False}
+    assert is_saturated(Sublattice.zero(2)) and is_saturated(Sublattice.full(2))
+    # (2, 1) is primitive although its pivot is 2; (1, 1), (1, -1) span index 2
+    assert is_saturated(hermite_normal_form([(2, 1)]))
+    assert not is_saturated(hermite_normal_form([(1, 1), (1, -1)]))
+
+
+def test_is_saturated_against_brute_force_membership():
+    for d, rows, lat in _random_lattices(23, 40, max_d=3, bound=3):
+        basis = [list(row) for row in lat.basis]
+        # a vector outside the lattice with a positive multiple inside it
+        # proves the lattice is not saturated
+        witness = any(not lat.contains_vector(vec)
+                      and brute_force_saturation_member(vec, basis, k_max=12)
+                      for vec in product(range(-2, 3), repeat=d))
+        if is_saturated(lat):
+            assert not witness, lat
+        else:
+            sat = saturation(lat)
+            k_max = index(sat, lat)
+            assert any(brute_force_saturation_member(row, basis, k_max)
+                       for row in sat.basis if not lat.contains_vector(row)), lat
+
+
+def test_rank_matches_the_hnf_rank():
+    for d, rows, lat in _random_lattices(29, 300, max_d=5):
+        assert rank(rows, d) == lat.rank
+    assert rank([], 3) == 0
+    assert rank([(0, 0), (0, 0)], 2) == 0
+    assert rank([(1, 2), (2, 4), (3, 6)], 2) == 1
+
+
+def test_intersect_with_the_full_lattice_on_either_side():
+    for d, rows, lat in _random_lattices(31, 100):
+        full = Sublattice.full(d)
+        assert intersect(full, lat) == lat
+        assert intersect(lat, full) == lat
+        # a full-rank sublattice that is not Z^d still goes through the meet
+        doubled = hermite_normal_form([[2 * (i == j) for j in range(d)] for i in range(d)])
+        meet = intersect(doubled, lat)
+        assert meet == intersect(lat, doubled)
+        assert doubled.contains_lattice(meet) and lat.contains_lattice(meet)
+        assert all(meet.contains_vector([2 * x for x in row]) for row in lat.basis)
+
+
+def test_coset_guard_at_its_bound_and_one_past_it():
+    assert MAX_COSETS == 100_000
+    sup = Sublattice.full(2)
+    # Z^2 / (200 Z x 500 Z) has 100,000 cosets
+    reps = coset_representatives(sup, hermite_normal_form([(200, 0), (0, 500)]))
+    assert len(reps) == len(set(reps)) == 100_000
+    with pytest.raises(ResourceLimitError,
+                       match="^the quotient has 100001 cosets, more than the coset guard 100000$"):
+        coset_representatives(sup, hermite_normal_form([(1, 0), (0, 100_001)]))

@@ -5,11 +5,11 @@ from itertools import product
 
 import pytest
 
-from whitdim import parahoric
+from whitdim import lattice, parahoric
 from whitdim.cli import main
 from whitdim.cover import CoverSpec, WeylInvariantForm, glr_cover
 from whitdim.errors import MathConstraintError
-from whitdim.lattice import dot
+from whitdim.lattice import dot, hermite_normal_form
 from whitdim.parahoric import (
     ApartmentPoint,
     is_hyperspecial,
@@ -340,3 +340,44 @@ def test_residual_functions_share_one_evaluation_per_point(pairings):
         residual_derived_simply_connected(cover, x)
         is_vertex(cover.datum, x)
         assert len(pairings) == len(cover.datum.roots), x
+
+
+# ---------------------------------------------------------------------------
+# one residual record and one lattice per point
+
+@pytest.fixture
+def hnf_rows(monkeypatch):
+    """The generator rows of every Hermite normal form built."""
+    built = []
+
+    def counting_hnf(rows, ambient_rank=None):
+        built.append(tuple(map(tuple, rows)))
+        return hermite_normal_form(rows, ambient_rank)
+
+    monkeypatch.setattr(parahoric, "hermite_normal_form", counting_hnf)
+    monkeypatch.setattr(lattice, "hermite_normal_form", counting_hnf)
+    return built
+
+
+def test_residual_calls_build_one_lambda_lattice_per_point(hnf_rows):
+    # two covers on one datum, with different values of Q on the coroots, so
+    # the records of one point differ between them
+    datum = build_glr(3)
+    forms = (((2, 1, 1), (1, 2, 1), (1, 1, 2)), ((0, 1, 1), (1, 0, 1), (1, 1, 0)))
+    covers = [CoverSpec(datum, WeylInvariantForm(gram), 2, 5) for gram in forms]
+    points = ((1, 0, -1), (H, 0, -H), (Fraction(1, 3), 0, Fraction(2, 3)), (1, 0, -1))
+    for x in points:
+        # each cover builds its lattice at its first visit to x, then keeps it
+        for visit in (1, 2):
+            for cover, gram in zip(covers, forms):
+                fresh = CoverSpec(build_glr(3), WeylInvariantForm(gram), 2, 5)
+                hnf_rows.clear()
+                ext = residual_extension(cover, x)
+                answers = (ext, residual_splits(cover, x),
+                           residual_derived_simply_connected(cover, x))
+                assert hnf_rows.count(ext.iota) == (visit == 1 and len(ext.iota) > 0), x
+                hnf_rows.clear()
+                assert is_vertex(cover.datum, x) == is_vertex(fresh.datum, x)
+                assert hnf_rows == []
+                assert answers == (residual_extension(fresh, x), residual_splits(fresh, x),
+                                   residual_derived_simply_connected(fresh, x)), x

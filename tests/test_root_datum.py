@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from whitdim.errors import MathConstraintError, ResourceLimitError
-from whitdim.lattice import Sublattice, dot, mat_vec, transpose
+from whitdim.lattice import Sublattice, dot, fixed_sublattice, mat_vec, transpose
 from whitdim.root_datum import (
     MAX_FROBENIUS_ORDER,
     MAX_GLR_RANK,
@@ -22,6 +22,7 @@ from whitdim.root_datum import (
     is_derived_simply_connected,
     permutation_blocks,
     simple_reflections,
+    weyl_fixed_lattice,
     weyl_frobenius_fixed_lattice,
     weyl_group,
     weyl_order,
@@ -437,3 +438,74 @@ def test_simple_reflections_square_to_identity():
     for rd in (build_glr(3), build_slr(3), build_sp2r(2)):
         for s in simple_reflections(rd):
             assert mat_mul(s, s) == identity_matrix(rd.rank)
+
+
+# ---------------------------------------------------------------------------
+# fixed lattices held on the datum; reflection checks by images
+
+def _cycle(d, shift):
+    return tuple(tuple(int(j == (i + shift) % d) for j in range(d)) for i in range(d))
+
+
+def test_held_fixed_lattices_match_fresh_kernels():
+    block_roots = ((1, -1, 0, 0), (-1, 1, 0, 0), (0, 0, 1, -1), (0, 0, -1, 1))
+    swap_blocks = ((0, 0, 1, 0), (0, 0, 0, 1), (1, 0, 0, 0), (0, 1, 0, 0))
+    data = ([build_glr(r) for r in range(1, 8)] + [build_slr(r) for r in range(2, 8)]
+            + [build_sp2r(r) for r in range(2, 6)]
+            + [build_torus(d, _cycle(d, shift)) for d in (1, 2, 3, 4, 6) for shift in (0, 1)]
+            + [build_torus(4, ((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)))]
+            + [BasedRootDatum(4, block_roots, block_roots, (0, 2),
+                              FrobeniusAction(swap_blocks))])
+    for rd in data:
+        reflections = list(simple_reflections(rd))
+        fr = rd.fr.matrix
+        expected = (fixed_sublattice(reflections, rd.rank),
+                    fixed_sublattice([fr], rd.rank),
+                    fixed_sublattice(reflections + [fr], rd.rank))
+        getters = (weyl_fixed_lattice, frobenius_fixed_lattice, weyl_frobenius_fixed_lattice)
+        for getter, lattice in zip(getters, expected):
+            assert getter(rd) == lattice, (rd.rank, getter.__name__)
+            assert getter(rd) is getter(rd)
+
+
+def _first_reflection_failure(roots, coroots, simple):
+    """The message of the first simple reflection that fails to permute the
+    coroots or the roots, comparing whole image sets."""
+    def reflect(v, pairing, u):
+        k = dot(pairing, v)
+        return tuple(x - k * y for x, y in zip(v, u))
+
+    for i in simple:
+        a, av = roots[i], coroots[i]
+        if {reflect(c, a, av) for c in coroots} != set(coroots):
+            return f"simple reflection {i} does not permute the coroots"
+        if {reflect(r, av, a) for r in roots} != set(roots):
+            return f"simple reflection {i} does not permute the roots"
+    return None
+
+
+def test_mutated_data_fail_the_first_reflection_check():
+    seen = set()
+    for rd in (build_glr(3), build_glr(4), build_slr(3), build_sp2r(2), build_sp2r(3)):
+        d = rd.rank
+        shifts = [tuple(int(k == j) for k in range(d)) for j in range(d)]
+        shifts += [tuple(-x for x in u) for u in shifts]
+        for j in range(len(rd.roots)):
+            for u in shifts:
+                for which in ("roots", "coroots"):
+                    roots, coroots = list(rd.roots), list(rd.coroots)
+                    target = coroots if which == "coroots" else roots
+                    other = roots if which == "coroots" else coroots
+                    # keep the pairing with the partner at 2
+                    if dot(other[j], u):
+                        continue
+                    target[j] = tuple(x + y for x, y in zip(target[j], u))
+                    if len(set(roots)) != len(roots):
+                        continue
+                    message = _first_reflection_failure(roots, coroots, rd.simple_indices)
+                    if message is None:
+                        continue
+                    seen.add(message.split()[-1])
+                    with pytest.raises(MathConstraintError, match=f"^{message}$"):
+                        BasedRootDatum(d, roots, coroots, rd.simple_indices)
+    assert seen == {"roots", "coroots"}

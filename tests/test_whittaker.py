@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from whitdim.cover import CoverSpec, WeylInvariantForm, central_index, glr_cover, m_qr
 from whitdim.errors import GeneralPositionError, MathConstraintError, ResourceLimitError
-from whitdim.lattice import Sublattice
+from whitdim.lattice import MAX_COSETS, Sublattice
 from whitdim.root_datum import (
     BasedRootDatum,
     FrobeniusAction,
@@ -21,6 +21,7 @@ from whitdim.root_datum import (
     weyl_group,
 )
 from whitdim.whittaker import (
+    MAX_ORACLE_SCAN,
     LusztigParameter,
     _GLrSolver,
     enumerate_glr_table,
@@ -726,3 +727,40 @@ def test_theta_solution_count_is_twisted_torus_order():
     assert len(sols) == 24
     expected = {glr_coxeter_parameter(2, 5, a).theta for a in range(24)}
     assert set(sols) == expected
+
+
+# ---------------------------------------------------------------------------
+# size guards of the oracle's scan and of the coset enumeration
+
+#: primes q with q - 1 divisible by 100,000 (the bound) and by 200,002
+Q_AT_BOUND, Q_PAST_BOUND = 700_001, 200_003
+
+
+def test_oracle_scan_guard_at_its_bound_and_one_past_it():
+    assert MAX_ORACLE_SCAN == 100_000
+    # m = 1, so the scan has n steps; a = 0 is not in general position, which
+    # the oracle finds only once its guard has passed
+    with pytest.raises(GeneralPositionError):
+        wh_dim_oracle(2, Q_AT_BOUND, 100_000, 0, 1, 0)
+    past = "^the oracle's scan of n/gcd\\(n, m\\) = 100001 steps exceeds the guard 100000$"
+    with pytest.raises(ResourceLimitError, match=past):
+        wh_dim_oracle(2, Q_PAST_BOUND, 100_001, 0, 1, 1)
+    # m = 2 halves n = 200,002
+    with pytest.raises(ResourceLimitError, match=past):
+        wh_dim_oracle(2, Q_PAST_BOUND, 200_002, 1, 0, 1)
+    # the closed form has no scan to guard
+    assert wh_dim_glr_closed(2, Q_PAST_BOUND, 100_001, 0, 1, 1) > 0
+
+
+def test_coset_guard_at_its_bound_and_one_past_it():
+    assert MAX_COSETS == 100_000
+    # on GL_2 with the Kazhdan-Patterson form, L / (L meet Y_{Q,n}) has order n
+    at = glr_cover(2, 0, 1, 100_000, Q_AT_BOUND)
+    _, dim = y_x_rho(at, glr_coxeter_parameter(2, Q_AT_BOUND, 1, 100_000))
+    assert len(at._cosets) == squeeze_bounds(at)[1] == 100_000
+    assert dim == wh_dim_glr_closed(2, Q_AT_BOUND, 100_000, 0, 1, 1)
+    past = glr_cover(2, 0, 1, 100_001, Q_PAST_BOUND)
+    assert squeeze_bounds(past)[1] == 100_001
+    with pytest.raises(ResourceLimitError,
+                       match="^the quotient has 100001 cosets, more than the coset guard 100000$"):
+        y_x_rho(past, glr_coxeter_parameter(2, Q_PAST_BOUND, 1, 100_001))
