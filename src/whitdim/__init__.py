@@ -17,7 +17,6 @@ from .cover import (
     glr_cover,
     glr_invariants_of,
     m_qr,
-    q_of_coroot,
     q_of_e0,
     y_qn,
 )

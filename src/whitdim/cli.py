@@ -40,7 +40,6 @@ from .cover import (
     classify_glr_family,
     glr_cover,
     glr_invariants_of,
-    q_of_coroot,
     q_of_e0,
 )
 from .errors import GeneralPositionError, MathConstraintError, ResourceLimitError
@@ -199,7 +198,7 @@ def cmd_info(args):
         "rank": rd.rank,
         "n": cover.n,
         "q": cover.q,
-        "q_simple_coroots": list(q_of_coroot(cover.form, rd)),
+        "q_simple_coroots": [cover.coroot_q[i] for i in rd.simple_indices],
     }
     invariants = glr_invariants_of(rd, cover.form)
     if invariants is not None:

@@ -12,12 +12,16 @@ and bold_q = B(e_i, e_j) off it.  The combination 2*bold_p - bold_q = Q of a
 simple coroot classifies the family (determinantal, Kazhdan-Patterson,
 Savin), and m = 2*bold_p + (r-1)*bold_q = B(e_0, e_i) controls dimensions.
 
-Data derived from a cover (Q on the coroots, Y_{Q,n}, the meet of the
-invariant lattice Y^{W x Fr} with it, the coset representatives of the
-quotient, and the residual record of the last apartment point) are computed
-on first use and kept on the cover, so they live exactly as long as it does.
-The invariant lattice itself is held on the datum.  More than 100,000
-cosets are refused before any is built.
+Weyl invariance is read off the simple roots: as <alpha, alpha^vee> = 2,
+s_alpha preserves B exactly when gram . alpha^vee = Q(alpha^vee) alpha.  A
+datum is GL_r-shaped when its r(r - 1) roots are e_i - e_j = their coroots.
+
+Data derived from a cover (Q on the coroots, read first by validation,
+Y_{Q,n}, the meet of the invariant lattice Y^{W x Fr} with it, the coset
+representatives of the quotient, and the residual record of the last
+apartment point) are computed on first use and kept on the cover, so they
+live exactly as long as it does.  The invariant lattice itself is held on
+the datum.  More than 100,000 cosets are refused before any is built.
 """
 
 from __future__ import annotations
@@ -39,10 +43,10 @@ from .lattice import (
 )
 from .root_datum import (
     BasedRootDatum,
+    _swaps_coordinates,
     build_glr,
     frobenius_fixed_lattice,
     permutation_blocks,
-    simple_reflections,
     weyl_frobenius_fixed_lattice,
     weyl_group,
 )
@@ -188,12 +192,13 @@ class CoverSpec:
         if not isinstance(self.n, int) or self.n < 1:
             raise ValueError("cover degree n must be a positive integer")
         object.__setattr__(self, "_p", _check_q_and_degree(self.q, self.n))
-        g = self.form.gram
-        for s in simple_reflections(self.datum):
-            if mat_mul(transpose(s), mat_mul(g, s)) != g:
+        # s_i^T G s_i = G exactly when G coroot_i = Q(coroot_i) root_i
+        g, rd, qs = self.form.gram, self.datum, self.coroot_q
+        for i in rd.simple_indices:
+            if mat_vec(g, rd.coroots[i]) != tuple(qs[i] * x for x in rd.roots[i]):
                 raise MathConstraintError(
                     "form is not invariant under the Weyl group")
-        f = self.datum.fr.matrix
+        f = rd.fr.matrix
         if mat_mul(transpose(f), mat_mul(g, f)) != g:
             raise MathConstraintError("form is not invariant under Frobenius")
 
@@ -256,10 +261,10 @@ def glr_cover(r, bold_p, bold_q, n, q):
 
 def glr_invariants_of(datum, form):
     """Recover (bold_p, bold_q) when the datum/form pair is GL_r-shaped, else None."""
+    # the roots are distinct, so r(r - 1) of the form e_i - e_j are all of them
     r = datum.rank
-    glr = build_glr(r)
-    if (frozenset(datum.roots) != frozenset(glr.roots)
-            or dict(zip(datum.roots, datum.coroots)) != dict(zip(glr.roots, glr.coroots))):
+    if len(datum.roots) != r * (r - 1) or not all(
+            map(_swaps_coordinates, datum.roots, datum.coroots)):
         return None
     g = form.gram
     diag = {g[i][i] for i in range(r)}
@@ -267,11 +272,6 @@ def glr_invariants_of(datum, form):
     if len(diag) != 1 or len(off) > 1:
         return None
     return next(iter(diag)) // 2, next(iter(off)) if off else 0
-
-
-def q_of_coroot(form, rd):
-    """Q of each simple coroot, in the order of the simple system."""
-    return tuple(form.q_value(rd.coroots[i]) for i in rd.simple_indices)
 
 
 def q_of_e0(r, bold_p, bold_q):

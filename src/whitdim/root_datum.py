@@ -9,9 +9,12 @@ action on X is the inverse-transpose and is derived on demand, never stored.
 A datum computes on first use and then holds its simple reflections, its
 semisimple rank and the fixed lattices Y^W, Y^Fr and Y^{W x Fr}; with the
 identity Frobenius the last two are Z^d and Y^W, with no kernel computed.
+Only the closure of W and the fixed-lattice kernels read the matrices
+I - alpha_i^vee alpha_i^T of the s_i; the rest reads roots and coroots.
 Validation pairs each simple root and coroot with every coroot and root
 once, and checks only that each reflected vector lies in the set: a
 reflection is injective, so mapping a finite set into itself permutes it.
+That a root is W-conjugate to a simple one is not checked.
 """
 
 from __future__ import annotations
@@ -101,10 +104,10 @@ def _row_times(row, sparse, d):
     return tuple(out)
 
 
-def _reflect(v, pairing, u):
-    """v - <pairing, v> u, the pairing computed once."""
-    k = dot(pairing, v)
-    return tuple(x - k * y for x, y in zip(v, u))
+def _swaps_coordinates(root, coroot):
+    """Is I - coroot root^T the swap of two coordinates, that is, is
+    root = coroot = +-(e_a - e_b)?"""
+    return root == coroot and sorted(root) == [-1] + [0] * (len(root) - 2) + [1]
 
 
 def _maps_into(vectors, pairings, u, targets):
@@ -205,10 +208,10 @@ class BasedRootDatum:
 
     @cached_property
     def _simple_reflections(self):
-        """Matrices of s_i on Y, y -> y - <root_i, y> coroot_i, for the simple i."""
-        basis = identity_matrix(self.rank)
-        return tuple(transpose([_reflect(e, self.roots[i], self.coroots[i]) for e in basis])
-                     for i in self.simple_indices)
+        """Matrices I - coroot_i root_i^T of s_i on Y, for the simple i."""
+        d = self.rank
+        return tuple(tuple(tuple(int(j == k) - av[j] * a[k] for k in range(d)) for j in range(d))
+                     for a, av in ((self.roots[i], self.coroots[i]) for i in self.simple_indices))
 
     @cached_property
     def semisimple_rank(self):
@@ -409,15 +412,10 @@ def permutation_blocks(rd):
     """
     d = rd.rank
     neighbours = [[] for _ in range(d)]
-    for s in simple_reflections(rd):
-        moved = [i for i in range(d) if s[i][i] != 1]
-        if len(moved) != 2:
+    for i in rd.simple_indices:
+        if not _swaps_coordinates(rd.roots[i], rd.coroots[i]):
             return None
-        a, b = moved
-        image = list(range(d))
-        image[a], image[b] = b, a
-        if s != tuple(tuple(int(j == image[i]) for j in range(d)) for i in range(d)):
-            return None
+        a, b = (j for j, x in enumerate(rd.roots[i]) if x)
         neighbours[a].append(b)
         neighbours[b].append(a)
     blocks, seen = [], set()

@@ -29,7 +29,8 @@ entries.  Other data map theta by every element of W, enumerated once.
 Resource guards raise :class:`ResourceLimitError` before any enumeration:
 |W| above 40,320 (computed from the root heights), a Weyl stabilizer above
 the same bound, GL_r with r above 16, more than 100,000 cosets for the orbit
-search, and an oracle scan of more than 100,000 steps.
+search, an oracle scan of more than 100,000 steps, and a table with
+q^r - 1 above 10^6.
 """
 
 from __future__ import annotations
@@ -53,6 +54,8 @@ from .root_datum import check_glr_rank, weyl_fixed_lattice
 
 #: Longest scan of :func:`wh_dim_oracle`, n/gcd(n, m) steps of exact rationals.
 MAX_ORACLE_SCAN = 100_000
+#: Largest q^r - 1 whose exponents :func:`enumerate_glr_table` runs through.
+MAX_TABLE_ORDER = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -331,20 +334,20 @@ def squeeze_bounds(cover):
 _PRINTED_POWER_BITS = 1 << 16
 
 
-def _table_bound_error(q, r, max_order):
-    """The error for q^r - 1 above max_order, quoting q^r - 1 when it is cheap
-    to form and short enough to print."""
+def _table_bound_error(q, r):
+    """The error for q^r - 1 above :data:`MAX_TABLE_ORDER`, quoting q^r - 1
+    when it is cheap to form and short enough to print."""
     if r * q.bit_length() <= _PRINTED_POWER_BITS:
         try:
             return ResourceLimitError(
-                f"q^r - 1 = {q ** r - 1} exceeds the enumeration bound {max_order}")
+                f"q^r - 1 = {q ** r - 1} exceeds the enumeration bound {MAX_TABLE_ORDER}")
         except ValueError:  # more digits than int-to-str conversion allows
             pass
     return ResourceLimitError(
-        f"q^r - 1 with r = {r} exceeds the enumeration bound {max_order}")
+        f"q^r - 1 with r = {r} exceeds the enumeration bound {MAX_TABLE_ORDER}")
 
 
-def enumerate_glr_table(r, q, n, bold_p, bold_q, max_order=10 ** 6):
+def enumerate_glr_table(r, q, n, bold_p, bold_q):
     """Dimensions across all general-position classes of a GL_r cover.
 
     Groups exponents a by the geometric-conjugacy orbit a -> a*q mod q^r - 1
@@ -357,8 +360,8 @@ def enumerate_glr_table(r, q, n, bold_p, bold_q, max_order=10 ** 6):
         raise ValueError("need r >= 1 and q >= 2")
     # q >= 2, so an r beyond the bound's bit length puts q^r - 1 past it
     # without forming the power
-    if r > max_order.bit_length() or q ** r - 1 > max_order:
-        raise _table_bound_error(q, r, max_order)
+    if r > MAX_TABLE_ORDER.bit_length() or q ** r - 1 > MAX_TABLE_ORDER:
+        raise _table_bound_error(q, r)
     modulus = q ** r - 1
     _check_q_and_degree(q, n)
     solver = _GLrSolver(r, q, n, m_qr(r, bold_p, bold_q))

@@ -333,3 +333,72 @@ def orbit_search_reference(cover, w, theta, weyl_elements):
                         for i, t in enumerate(theta))
         passes[y] = tuple(number.get(v) for v in twisted) in orbit
     return passes
+
+
+def _naive_product(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def _reflection_matrix(root, coroot):
+    """I - coroot root^T, entry by entry: y -> y - <root, y> coroot on Y."""
+    d = len(root)
+    return [[int(j == k) - coroot[j] * root[k] for k in range(d)] for j in range(d)]
+
+
+def form_invariance_failure(datum, gram):
+    """The message of the first invariance check that the gram matrix fails,
+    or None: G is conjugated by the matrix of each simple reflection, then by
+    Frobenius, with explicit matrix products, and compared with itself."""
+    gram = [list(row) for row in gram]
+
+    def conjugate(m):
+        return _naive_product(transpose(m), _naive_product(gram, m))
+
+    for i in datum.simple_indices:
+        if conjugate(_reflection_matrix(datum.roots[i], datum.coroots[i])) != gram:
+            return "form is not invariant under the Weyl group"
+    if conjugate(datum.fr.matrix) != gram:
+        return "form is not invariant under Frobenius"
+    return None
+
+
+def permutation_blocks_reference(rd):
+    """The blocks of coordinates joined by the simple reflections, when the
+    matrix of each one is the transposition of the two coordinates it moves
+    (those whose diagonal entry is not 1); None otherwise."""
+    d = rd.rank
+    block_of = list(range(d))
+    for i in rd.simple_indices:
+        s = _reflection_matrix(rd.roots[i], rd.coroots[i])
+        moved = [j for j in range(d) if s[j][j] != 1]
+        if len(moved) != 2:
+            return None
+        a, b = moved
+        swap = [[int(k == {a: b, b: a}.get(j, j)) for k in range(d)] for j in range(d)]
+        if s != swap:
+            return None
+        old, new = block_of[a], block_of[b]
+        block_of = [new if x == old else x for x in block_of]
+    blocks = {}
+    for j, x in enumerate(block_of):
+        blocks.setdefault(x, []).append(j)
+    return tuple(sorted(tuple(block) for block in blocks.values()))
+
+
+def glr_invariants_reference(datum, form):
+    """(bold_p, bold_q) when the roots and their coroots are exactly those of
+    a freshly built GL_r datum and the form has one diagonal and at most one
+    off-diagonal value, else None."""
+    from whitdim.root_datum import build_glr
+
+    r = datum.rank
+    glr = build_glr(r)
+    if (set(datum.roots) != set(glr.roots)
+            or dict(zip(datum.roots, datum.coroots)) != dict(zip(glr.roots, glr.coroots))):
+        return None
+    g = form.gram
+    diag = {g[i][i] for i in range(r)}
+    off = {g[i][j] for i in range(r) for j in range(r) if i != j}
+    if len(diag) != 1 or len(off) > 1:
+        return None
+    return diag.pop() // 2, off.pop() if off else 0

@@ -19,6 +19,10 @@ GL3_ROOTS = [[1, -1, 0], [1, 0, -1], [-1, 1, 0], [0, 1, -1], [-1, 0, 1], [0, -1,
 BLOCK_ROOTS = [[1, -1, 0, 0], [-1, 1, 0, 0], [0, 0, 1, -1], [0, 0, -1, 1]]
 KP_GL2 = {"rank": 2, "roots": [[1, -1], [-1, 1]], "coroots": [[1, -1], [-1, 1]],
           "simple": [0], "bq": [[0, 1], [1, 0]], "n": 4, "q": 5}
+#: the roots e_i - e_j of GL_17, in the order of build_glr; the simple ones
+#: are those with j = i + 1
+GL17_PAIRS = [(i, j) for i in range(17) for j in range(17) if i != j]
+GL17_ROOTS = [[(k == i) - (k == j) for k in range(17)] for i, j in GL17_PAIRS]
 
 #: file name -> contents (a JSON document, or raw text)
 COVER_FILES = {
@@ -49,6 +53,22 @@ COVER_FILES = {
                         "bq": [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
                         "n": 2, "q": 5},
     "broken.json": "{not json",
+    # above the rank guard of build_glr: a torus, and the Kazhdan-Patterson
+    # cover of GL_17
+    "torus17.json": {"rank": 17, "roots": [], "coroots": [], "simple": [],
+                     "bq": [[2 * (i == j) for j in range(17)] for i in range(17)],
+                     "n": 4, "q": 5},
+    "gl17.json": {"rank": 17, "roots": GL17_ROOTS, "coroots": GL17_ROOTS,
+                  "simple": [k for k, (i, j) in enumerate(GL17_PAIRS) if j == i + 1],
+                  "bq": [[int(i != j) for j in range(17)] for i in range(17)],
+                  "n": 2, "q": 5},
+    # accepted by validation, though not a root datum: the roots +-(1, 1, 0)
+    # are not Weyl-conjugate to the simple root, and B(coroot, y) differs
+    # from Q(coroot) <root, y> for them
+    "not_root_datum.json": {"rank": 3, "roots": [[1, -1, 0], [-1, 1, 0], [1, 1, 0], [-1, -1, 0]],
+                            "coroots": [[1, -1, 0], [-1, 1, 0], [1, 1, 1], [-1, -1, -1]],
+                            "simple": [0], "bq": [[2, 0, 1], [0, 2, 1], [1, 1, 0]],
+                            "n": 2, "q": 5},
 }
 
 EMPTY = hashlib.sha256(b"").hexdigest()
@@ -91,6 +111,30 @@ GOLDEN = {
     ("info non_invariant.json", "json"):
         (3, EMPTY,
          "4606806b26bbdbf9eb20b7cd5a6d2ea2401c8725387054a8a61d8654086654a5"),
+    ("info torus17.json", "text"):
+        (0, "772476b4672a14e715da1b53175589b5be298f0355457fc204cb544617dba9ac",
+         EMPTY),
+    ("info torus17.json", "json"):
+        (0, "331003249b59aa322234bcf41d0342bfe066fff4c619e4c2071dcfac4842800b",
+         EMPTY),
+    ("info gl17.json", "text"):
+        (0, "e698cb1f4cc8e22b16388153f65136ff85fcdf0ec0f16c381c644deee0d57a62",
+         EMPTY),
+    ("info gl17.json", "json"):
+        (0, "bee1199d52d135bb1bb24e70b3e6722e82fdc9f0e2d5ead3b7848246089cc2e3",
+         EMPTY),
+    ("info not_root_datum.json", "text"):
+        (0, "58063af36bfc53208e78c3aa3e92bba5b829a15ef4d3d05e88161e9384ea5760",
+         EMPTY),
+    ("info not_root_datum.json", "json"):
+        (0, "e96ad8c0d1b6d5447a57ff7bdb373472c13621a655e71bb171f16a8e3cacb730",
+         EMPTY),
+    ("residual not_root_datum.json --point 1/2,1/2,1/2", "text"):
+        (0, "8598543d5c1ec949ababd088b9306f3f65188725375193b7dab172b8014e0328",
+         EMPTY),
+    ("residual not_root_datum.json --point 1/2,1/2,1/2", "json"):
+        (0, "651843a9f5c20666d04196b4fcf59cddc3d4eb108403f3655ec6ce37b848c003",
+         EMPTY),
     ("info broken.json", "text"):
         (2, EMPTY,
          "0ff55156d89f76264f3f7cf2b3d93e17831268327d1592eebfcef8011eb5a818"),

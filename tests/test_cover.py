@@ -14,7 +14,6 @@ from whitdim.cover import (
     glr_cover,
     glr_invariants_of,
     m_qr,
-    q_of_coroot,
     q_of_e0,
     y_qn,
 )
@@ -41,9 +40,8 @@ def test_form_from_glr_invariants_kp_shape():
 
 
 def test_form_coroot_value_is_2p_minus_q():
-    form = form_from_glr_invariants(3, 1, 2)
-    rd = build_glr(3)
-    assert q_of_coroot(form, rd) == (0, 0)  # 2*1 - 2
+    cover = glr_cover(3, 1, 2, 1, 5)
+    assert [cover.coroot_q[i] for i in cover.datum.simple_indices] == [0, 0]  # 2*1 - 2
 
 
 def test_form_rank_one_ignores_off_diagonal():

@@ -660,9 +660,11 @@ def test_table_determinantal_n_divides_m():
     assert set(hist) == {1}
 
 
-def test_table_respects_enumeration_bound():
-    with pytest.raises(ValueError):
-        enumerate_glr_table(2, 5, 4, 0, 1, max_order=10)
+def test_table_respects_enumeration_bound(monkeypatch):
+    monkeypatch.setattr("whitdim.whittaker.MAX_TABLE_ORDER", 10)
+    with pytest.raises(ResourceLimitError,
+                       match="^q\\^r - 1 = 24 exceeds the enumeration bound 10$"):
+        enumerate_glr_table(2, 5, 4, 0, 1)
 
 
 def test_table_requires_a_prime_power_q():
