@@ -198,8 +198,9 @@ class CoverSpec:
             if mat_vec(g, rd.coroots[i]) != tuple(qs[i] * x for x in rd.roots[i]):
                 raise MathConstraintError(
                     "form is not invariant under the Weyl group")
+        # the identity Frobenius (order 1) leaves every form invariant
         f = rd.fr.matrix
-        if mat_mul(transpose(f), mat_mul(g, f)) != g:
+        if rd.fr.order != 1 and mat_mul(transpose(f), mat_mul(g, f)) != g:
             raise MathConstraintError("form is not invariant under Frobenius")
 
     @property

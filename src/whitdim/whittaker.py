@@ -355,6 +355,23 @@ def enumerate_glr_table(r, q, n, bold_p, bold_q):
     (rows, histogram): rows are (representative, class size, dimension)
     triples in increasing representative order, histogram maps each dimension
     to its number of classes.  q must be a prime power, as for a cover.
+
+    With M = q^r - 1, P = M/(q - 1) and g_s = (q^s - 1)/(q - 1), q - 1
+    divides q^s - 1, so a * q^s = a + (q - 1) * t_s mod M with
+    t_s = a * g_s mod P.  Each t_s, and so all the following, depends only on
+    the residue c = a mod P:
+
+    * a is in general position exactly when t_s != 0 for every 0 < s < r;
+    * each right side a * (q^s - 1) = (q - 1) * t_s mod M of the congruence
+      is that of c, so a and c have the same dimension;
+    * a is the least member of its orbit (which then has r members) exactly
+      when a < limit(c) = M - (q - 1) * max_s t_s.
+
+    So each residue is solved once, and the solver's consistency check, run
+    once per residue, still covers every row, because the rows of one
+    residue share its right sides.  The rows are then read off block by
+    block, a = base + c for base = 0, P, 2P, ..., at one comparison with
+    limit(c) per exponent.
     """
     if r < 1 or q < 2:
         raise ValueError("need r >= 1 and q >= 2")
@@ -365,16 +382,29 @@ def enumerate_glr_table(r, q, n, bold_p, bold_q):
     modulus = q ** r - 1
     _check_q_and_degree(q, n)
     solver = _GLrSolver(r, q, n, m_qr(r, bold_p, bold_q))
-    q_powers = solver.q_powers
-    rows = []
+    period = modulus // (q - 1)
+    shifts = [(q ** s - 1) // (q - 1) for s in range(1, r)]
+    # (residue, limit, dimension) for each residue that emits a row
+    emitting = []
     histogram = {}
-    for a in range(modulus):
-        # an image a * q^s equal to a breaks general position, a smaller one
-        # means a is not the orbit minimum; otherwise the orbit has exactly
-        # r members
-        if any(a * qs % modulus <= a for qs in q_powers):
-            continue
-        dim = solver.dimension(a)
-        rows.append((a, r, dim))
-        histogram[dim] = histogram.get(dim, 0) + 1
+    for c in range(period):
+        # t = 0 breaks general position; t >= cap means c >= M - (q - 1) * t,
+        # past its limit, so no exponent of the residue is an orbit minimum
+        cap = (modulus - c + q - 2) // (q - 1)
+        top = 0
+        for g in shifts:
+            t = c * g % period
+            if not 0 < t < cap:
+                break
+            if t > top:
+                top = t
+        else:
+            limit = modulus - (q - 1) * top
+            dim = solver.dimension(c)
+            emitting.append((c, limit, dim))
+            # ceil((limit - c) / P) rows, one per block
+            histogram[dim] = histogram.get(dim, 0) - (c - limit) // period
+    rows = []
+    for base in range(0, modulus, period):
+        rows.extend([(base + c, r, dim) for c, limit, dim in emitting if base + c < limit])
     return tuple(rows), dict(sorted(histogram.items()))

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import time
 from fractions import Fraction
@@ -701,8 +702,12 @@ def _reference_table(r, q, n, pp, qq):
 
 
 def test_table_matches_the_literal_reference():
+    # q = 2 (P = M) and r = 1 (P = 1) are the extremes of the residue period
+    # P = (q^r - 1)/(q - 1); the last five have P much smaller than M, and
+    # q = 49 is a prime power that is not a prime
     for r, q in [(1, 2), (2, 2), (3, 2), (4, 2), (1, 5), (2, 5), (3, 3), (4, 3),
-                 (2, 4), (3, 4), (2, 7), (3, 5), (2, 9), (2, 13)]:
+                 (2, 4), (3, 4), (2, 7), (3, 5), (2, 9), (2, 13),
+                 (3, 7), (3, 13), (4, 5), (2, 31), (2, 49)]:
         for n in _divisors(q - 1):
             for pp, qq in [(0, 1), (1, 0), (-2, 3), (0, 0)]:
                 assert enumerate_glr_table(r, q, n, pp, qq) == _reference_table(r, q, n, pp, qq)
@@ -715,6 +720,24 @@ def test_table_worst_case_q_997():
     assert sum(histogram.values()) == len(rows)
     for a, _, dim in random.Random(0).sample(rows, 40):
         assert dim == wh_dim_oracle(r, q, n, pp, qq, a)
+
+
+def test_table_solves_each_residue_once(monkeypatch):
+    # the dimension depends only on a mod P = (q^r - 1)/(q - 1) = 500, so at
+    # most 500 solver calls, against one per class representative (124,251)
+    calls = []
+    dimension = _GLrSolver.dimension
+
+    def counted(self, a):
+        calls.append(a)
+        return dimension(self, a)
+
+    monkeypatch.setattr(_GLrSolver, "dimension", counted)
+    table = enumerate_glr_table(2, 499, 498, -3, -1)
+    assert len(calls) <= 500
+    assert len(table[0]) == 124_251
+    assert hashlib.sha256(repr(table).encode()).hexdigest() == (
+        "b7331f96b62b340b53650a1026c9b1017cc62bb01b9f3f3c80ef51dd6ac435db")
 
 
 # ---------------------------------------------------------------------------
