@@ -17,10 +17,10 @@ Subcommands:
 Exit codes: 0 success, 2 malformed input, 3 mathematical-constraint
 violation, 4 parameter not in general position, 5 stdout closed before all
 the output was written (for example piped into ``head``), 6 a resource limit:
-an enumeration would exceed its size guard (the order of a Weyl group or of
-a Weyl stabilizer, r for GL_r, q^r - 1 for ``table``, the cosets of the
-orbit search, or the steps of the oracle's scan), or q has a base beyond the
-bound of the deterministic Miller-Rabin test.  Results go to
+an enumeration would exceed its size guard (the order of a Weyl group, r
+for GL_r, q^r - 1 for ``table``, the cosets of the orbit search, or the
+steps of the oracle's scan), or q has a base beyond the bound of the
+deterministic Miller-Rabin test.  Results go to
 stdout (``--format json`` for machine consumption, fixed key order, no
 timestamps); diagnostics go to stderr.
 """

@@ -21,8 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import islice, permutations, product
-from math import factorial, prod
 
 from .errors import MathConstraintError, ResourceLimitError
 from .lattice import (
@@ -31,6 +29,7 @@ from .lattice import (
     fixed_sublattice,
     hermite_normal_form,
     identity_matrix,
+    intersect,
     is_saturated,
     mat_mul,
     mat_vec,
@@ -41,8 +40,7 @@ from .lattice import (
 #: Largest multiplicative order accepted for a Frobenius matrix.
 MAX_FROBENIUS_ORDER = 24
 
-#: Largest Weyl group (or Weyl stabilizer) enumerated element by element:
-#: |W(A_7)| = 8!.
+#: Largest Weyl group enumerated element by element: |W(A_7)| = 8!.
 MAX_WEYL_ORDER = 40_320
 
 #: Largest r accepted by :func:`build_glr`; validating the datum costs about r^4.
@@ -232,24 +230,31 @@ class BasedRootDatum:
 
     @cached_property
     def _weyl_frobenius_fixed(self):
-        """Y^{W x Fr}: Y^W when Frobenius is the identity, Y^Fr when W is."""
-        if self.fr.order == 1:
-            return self._weyl_fixed
-        if not self.simple_indices:
-            return self._frobenius_fixed
-        return fixed_sublattice([*self._simple_reflections, self.fr.matrix], self.rank)
+        """Y^{W x Fr} = Y^W meet Y^Fr; either one when the other is all of Y."""
+        return intersect(self._weyl_fixed, self._frobenius_fixed)
 
 
 @dataclass(frozen=True)
 class WeylGroup:
-    """Complete list of Weyl elements as integer matrices acting on Y; the
-    identity comes first."""
+    """The Weyl group of a datum, with its order |W| known from the root
+    heights; its elements are closed from the simple reflections on first
+    use."""
 
-    elements: tuple
+    datum: BasedRootDatum
+    order: int
 
-    @property
-    def order(self):
-        return len(self.elements)
+    @cached_property
+    def elements(self):
+        """Every Weyl element as an integer matrix acting on Y, the identity
+        first and the rest sorted."""
+        gens = simple_reflections(self.datum)
+        ident, *rest = _closure([identity_matrix(self.datum.rank)],
+                                lambda m: (mat_mul(g, m) for g in gens))
+        if len(rest) + 1 != self.order:
+            raise RuntimeError(
+                f"internal consistency: closure found {len(rest) + 1} Weyl elements, "
+                f"the root heights give {self.order}")
+        return (ident, *sorted(rest))
 
     @cached_property
     def _members(self):
@@ -264,14 +269,19 @@ class WeylGroup:
         on X as ``elements[i]`` inverted, so the tuple runs over the group."""
         return tuple(transpose(m) for m in self.elements)
 
-    def orbit(self, v, denom):
-        """(orbit test, stabilizer) of the exponents v mod denom: a test for
-        the W-orbit of v, and the elements other than the identity fixing v."""
+    def orbit(self, v, denom, w, f):
+        """A test for the W-orbit of the exponents v mod denom, or None when
+        v is not in general position for the twist w Fr: some element other
+        than the identity fixes v and commutes with w Fr."""
         images = [tuple(sum(a * t for a, t in zip(row, v)) % denom for row in mt)
                   for mt in self.x_action]
-        orbit = set(images)
         stabilizer = [m for m, image in zip(self.elements[1:], images[1:]) if image == v]
-        return (lambda u: tuple(u) in orbit), stabilizer
+        if stabilizer:
+            wf = mat_mul(w, f)
+            if any(mat_mul(wf, m) == mat_mul(m, wf) for m in stabilizer):
+                return None
+        orbit = set(images)
+        return lambda u: tuple(u) in orbit
 
 
 @dataclass(frozen=True)
@@ -305,35 +315,29 @@ class PermutationBlocks:
             return sorted(v)
         return [sorted([v[i] for i in block]) for block in self.blocks]
 
-    def orbit(self, v, denom):
-        """As :meth:`WeylGroup.orbit`, by keys.  The stabilizer is the Young
-        subgroup of equal entries within each block; its order
-        prod(multiplicity!) is checked against :data:`MAX_WEYL_ORDER` before
-        its elements are generated."""
+    def orbit(self, v, denom, w, f):
+        """As :meth:`WeylGroup.orbit`, by keys: None exactly when two entries
+        of v in one block are equal, whatever the twist.
+
+        The stabilizer of v is the Young subgroup H of equal entries.  Let
+        g = w Fr.  Fr permutes the simple coroots, so g normalizes W; and
+        q v = g^T v with q invertible mod denom, so g^-1 H g fixes v and g
+        normalizes H.  Conjugation phi by g sends reflections to reflections,
+        so it permutes the transpositions of H and with them its factors
+        S_C.  On a cycle C_1 -> ... -> C_k of factors, phi^k acts on S_{C_1}
+        by an automorphism that keeps transpositions, which is conjugation
+        by some tau.  Take s = tau, or any transposition if tau = 1: then
+        s phi(s) ... phi^(k-1)(s) is an element of H other than the identity
+        that commutes with g.  So equal entries in one block always put v
+        out of general position.  That Fr normalizes W holds on every root
+        datum; it can fail only on validated data that are not root data
+        (a root not W-conjugate to a simple one).
+        """
         key = self.key(v)
-        classes = []
-        for block in self.blocks:
-            by_value = {}
-            for i in block:
-                by_value.setdefault(v[i], []).append(i)
-            classes += [c for c in by_value.values() if len(c) > 1]
-        order = prod(factorial(len(c)) for c in classes)
-        if order > MAX_WEYL_ORDER:
-            raise ResourceLimitError(
-                f"the Weyl stabilizer of order {order} exceeds the guard {MAX_WEYL_ORDER}")
-        return (lambda u: self.key(u) == key), _young_elements(classes, len(v))
-
-
-def _young_elements(classes, d):
-    """The permutation matrices that permute each class of coordinates,
-    except the identity."""
-    # the first choice of images is the identity
-    for images in islice(product(*map(permutations, classes)), 1, None):
-        perm = list(range(d))
-        for c, image in zip(classes, images):
-            for i, j in zip(c, image):
-                perm[i] = j
-        yield tuple(tuple(int(j == perm[i]) for j in range(d)) for i in range(d))
+        for block in [key] if len(self.blocks) == 1 else key:
+            if any(a == b for a, b in zip(block, block[1:])):
+                return None
+        return lambda u: self.key(u) == key
 
 
 def _closure(start, step):
@@ -356,7 +360,7 @@ def simple_reflections(rd):
 
 @lru_cache(maxsize=None)
 def weyl_group(rd):
-    """All Weyl elements, generated from the simple reflections by closure.
+    """The Weyl group of a datum, its elements closed on first use.
 
     Cached by the value of the datum, so equal data built separately share
     one group and its derived data.  |W| is computed from the Cartan matrix
@@ -366,14 +370,7 @@ def weyl_group(rd):
     if order > MAX_WEYL_ORDER:
         raise ResourceLimitError(
             f"the Weyl group of order {order} exceeds the guard {MAX_WEYL_ORDER}")
-    gens = simple_reflections(rd)
-    ident, *rest = _closure([identity_matrix(rd.rank)],
-                            lambda m: (mat_mul(g, m) for g in gens))
-    if len(rest) + 1 != order:
-        raise RuntimeError(
-            f"internal consistency: closure found {len(rest) + 1} Weyl elements, "
-            f"the root heights give {order}")
-    return WeylGroup((ident, *sorted(rest)))
+    return WeylGroup(rd, order)
 
 
 def weyl_order(rd):

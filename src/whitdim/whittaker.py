@@ -19,18 +19,19 @@ Three independent routes compute the same dimension for covers of GL_r:
 
 Each route decides general position on its own, as it computes.  Only the
 orbit search touches W, through one method of the cover's Weyl group,
-``orbit(v, D)``: a test for the W-orbit of the numerators v mod D, and the
-nonidentity elements fixing v, one of which commutes with w Fr exactly when
-theta is not in general position.  On block-permutation data (each simple
-reflection swaps two coordinates: GL_r, tori, roots +-(e_i - e_j)) W is held
-as its blocks: vectors share an orbit exactly when they agree after sorting
-within each block, and the stabilizer is the Young subgroup of equal
-entries.  Other data map theta by every element of W, enumerated once.
-Resource guards raise :class:`ResourceLimitError` before any enumeration:
-|W| above 40,320 (computed from the root heights), a Weyl stabilizer above
-the same bound, GL_r with r above 16, more than 100,000 cosets for the orbit
-search, an oracle scan of more than 100,000 steps, and a table with
-q^r - 1 above 10^6.
+``orbit(v, D, w, Fr)``: a test for the W-orbit of the numerators v mod D,
+or None when theta is not in general position, that is when an element
+other than the identity fixes v and commutes with w Fr.  On
+block-permutation data (each simple reflection swaps two coordinates: GL_r,
+tori, roots +-(e_i - e_j)) W is held as its blocks: vectors share an orbit
+exactly when they agree after sorting within each block, and theta is in
+general position exactly when its entries are distinct within each block.
+Other data map theta by every element of W, enumerated once, and search
+the stabilizer for an element commuting with w Fr.  Resource guards raise
+:class:`ResourceLimitError` before any enumeration: |W| above 40,320
+(computed from the root heights), GL_r with r above 16, more than 100,000
+cosets for the orbit search, an oracle scan of more than 100,000 steps, and
+a table with q^r - 1 above 10^6.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ from .lattice import (
     hermite_normal_form,
     index,
     intersect,
-    mat_mul,
     mat_vec,
 )
 from .root_datum import check_glr_rank, weyl_fixed_lattice
@@ -134,13 +134,7 @@ def _orbit_pass(cover, param):
         if (cover.q * tnum[i] - sum(f[j][i] * wt[j] for j in range(d))) % denom:
             raise MathConstraintError(
                 "q * theta = (w Fr)^T theta mod 1 fails: not a character of the twisted torus")
-    in_orbit, stabilizer = cover._weyl.orbit(tnum, denom)
-    wf = None
-    for m in stabilizer:
-        wf = wf or mat_mul(w, f)
-        if mat_mul(wf, m) == mat_mul(m, wf):
-            return denom, tnum, None
-    return denom, tnum, in_orbit
+    return denom, tnum, cover._weyl.orbit(tnum, denom, w, f)
 
 
 # ---------------------------------------------------------------------------

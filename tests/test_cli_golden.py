@@ -69,6 +69,12 @@ COVER_FILES = {
                             "coroots": [[1, -1, 0], [-1, 1, 0], [1, 1, 1], [-1, -1, -1]],
                             "simple": [0], "bq": [[2, 0, 1], [0, 2, 1], [1, 1, 0]],
                             "n": 2, "q": 5},
+    # malformed documents: not an object, a string rank, a boolean among the
+    # roots, and simple indices that are not a list
+    "not_an_object.json": [KP_GL2],
+    "string_rank.json": dict(KP_GL2, rank="2"),
+    "boolean_root.json": dict(KP_GL2, roots=[[True, -1], [-1, 1]]),
+    "simple_not_a_list.json": dict(KP_GL2, simple=0),
 }
 
 EMPTY = hashlib.sha256(b"").hexdigest()
@@ -141,6 +147,34 @@ GOLDEN = {
     ("info broken.json", "json"):
         (2, EMPTY,
          "0ff55156d89f76264f3f7cf2b3d93e17831268327d1592eebfcef8011eb5a818"),
+    # error: cover document must be a JSON object
+    ("info not_an_object.json", "text"):
+        (2, EMPTY,
+         "85e3464b3e3903e7fe57bad0260ae50cab65222b2872f2fe325602a98b704d5e"),
+    ("info not_an_object.json", "json"):
+        (2, EMPTY,
+         "85e3464b3e3903e7fe57bad0260ae50cab65222b2872f2fe325602a98b704d5e"),
+    # error: field 'rank' must be an integer
+    ("info string_rank.json", "text"):
+        (2, EMPTY,
+         "6c71d9f646a0e65a5297add25f827ce42f23c211a37e43c637d782f87fed9e82"),
+    ("info string_rank.json", "json"):
+        (2, EMPTY,
+         "6c71d9f646a0e65a5297add25f827ce42f23c211a37e43c637d782f87fed9e82"),
+    # error: field 'roots' must be a non-empty matrix of integers
+    ("info boolean_root.json", "text"):
+        (2, EMPTY,
+         "0bc9df7c5c039f88213daf8fda181c493f803f7c37ac8f5ef174996c5aa070f3"),
+    ("info boolean_root.json", "json"):
+        (2, EMPTY,
+         "0bc9df7c5c039f88213daf8fda181c493f803f7c37ac8f5ef174996c5aa070f3"),
+    # error: field 'simple' must be a list of root indices
+    ("info simple_not_a_list.json", "text"):
+        (2, EMPTY,
+         "d21ffcc9af3d97fb346c485821b3bcf59a562af4b0edcef49e78778f4bedc790"),
+    ("info simple_not_a_list.json", "json"):
+        (2, EMPTY,
+         "d21ffcc9af3d97fb346c485821b3bcf59a562af4b0edcef49e78778f4bedc790"),
     ("residual gl2.json --point 0,0", "text"):
         (0, "05b74f533376d7d824a031adf4b3d4378efd83c0688db52d7bfcd2b36025639f",
          EMPTY),

@@ -25,7 +25,7 @@ def _flat(text):
 
 def test_readme_quotes_every_guard():
     text = _flat(README.read_text(encoding="utf-8"))
-    for phrase in (f"a Weyl stabilizer of order above {MAX_WEYL_ORDER:,},",
+    for phrase in (f"a Weyl group of order above {MAX_WEYL_ORDER:,},",
                    f"GL_r with r above {MAX_GLR_RANK},",
                    f"with q^r - 1 above {_power_of_ten(MAX_TABLE_ORDER)},",
                    f"an orbit search over more than {MAX_COSETS:,} cosets",

@@ -4,6 +4,7 @@ from math import factorial
 import pytest
 from hypothesis import given, strategies as st
 
+from whitdim import root_datum
 from whitdim.errors import MathConstraintError, ResourceLimitError
 from whitdim.lattice import Sublattice, dot, fixed_sublattice, mat_vec, transpose
 from whitdim.root_datum import (
@@ -52,7 +53,7 @@ def test_glr_two_roots_and_pairing():
 def test_glr_root_count_and_weyl_order():
     rd = build_glr(3)
     assert len(rd.roots) == 6
-    assert weyl_group(rd).order == 6  # S_3
+    assert len(weyl_group(rd).elements) == 6  # S_3
 
 
 def test_glr_rejects_rank_zero():
@@ -104,19 +105,19 @@ def test_invalid_ranks_rejected():
 
 @pytest.mark.parametrize("r", [2, 3, 4])
 def test_glr_weyl_group_sizes(r):
-    assert weyl_group(build_glr(r)).order == factorial(r)
+    assert len(weyl_group(build_glr(r)).elements) == factorial(r)
 
 
 def test_gl4_weyl_group_size():
-    assert weyl_group(build_glr(4)).order == 24
+    assert len(weyl_group(build_glr(4)).elements) == 24
 
 
 def test_sp4_weyl_group_by_closure():
-    assert weyl_group(build_sp2r(2)).order == 8  # 2^2 * 2!
+    assert len(weyl_group(build_sp2r(2)).elements) == 8  # 2^2 * 2!
 
 
 def test_spr_weyl_group_classical_orders():
-    assert weyl_group(build_sp2r(3)).order == 2 ** 3 * factorial(3)
+    assert len(weyl_group(build_sp2r(3)).elements) == 2 ** 3 * factorial(3)
 
 
 def test_weyl_elements_permute_roots_and_coroots():
@@ -138,7 +139,7 @@ def test_weyl_order_from_the_cartan_type_matches_the_closure():
             + [build_sp2r(r) for r in range(2, 6)]
             + [build_torus(3), build_torus(2, ((0, 1), (1, 0)))])
     for rd in data:
-        assert weyl_order(rd) == weyl_group(rd).order, rd.rank
+        assert weyl_order(rd) == len(weyl_group(rd).elements), rd.rank
 
 
 def datum_of_cartan(bonds, k):
@@ -176,7 +177,7 @@ def test_weyl_order_of_every_dynkin_type(name):
     rd = datum_of_cartan(bonds, k)
     assert weyl_order(rd) == order
     if order <= 40320:
-        assert weyl_group(rd).order == order
+        assert len(weyl_group(rd).elements) == order
     else:
         with pytest.raises(ResourceLimitError, match=f"order {order} exceeds the guard 40320"):
             weyl_group(rd)
@@ -220,6 +221,23 @@ def test_permutation_blocks():
         assert permutation_blocks(rd).blocks == expected
     for rd in (build_slr(3), build_sp2r(2), BasedRootDatum(2, so4, so4, (0, 2))):
         assert permutation_blocks(rd) is None
+
+
+def test_weyl_order_leaves_the_elements_unbuilt():
+    # the function under the cache, so that no closure another test made is read
+    group = weyl_group.__wrapped__(build_glr(7))
+    assert group.order == 5040
+    assert "elements" not in vars(group)
+    assert weyl_group(build_glr(7)).order == 5040
+
+
+def test_a_closure_that_disagrees_with_the_heights_is_an_internal_error(monkeypatch):
+    monkeypatch.setattr(root_datum, "weyl_order", lambda rd: 5)
+    group = weyl_group.__wrapped__(build_glr(3))
+    assert group.order == 5
+    with pytest.raises(RuntimeError, match="^internal consistency: closure found 6 Weyl "
+                                           "elements, the root heights give 5$"):
+        group.elements
 
 
 def test_weyl_data_shared_across_equal_data():
@@ -421,6 +439,23 @@ def test_frobenius_must_preserve_the_simple_system():
     with pytest.raises(MathConstraintError):
         BasedRootDatum(rd.rank, rd.roots, rd.coroots, rd.simple_indices,
                        FrobeniusAction(((0, 1), (1, 0))))
+
+
+def test_cartan_entry_out_of_range_rejected():
+    # GL_3 with the simple roots e_1 - e_2 and e_1 - e_3, which pair to 1
+    rd = build_glr(3)
+    with pytest.raises(MathConstraintError,
+                       match="^Cartan entry <root 0, coroot 1> = 1 is out of range$"):
+        BasedRootDatum(3, rd.roots, rd.coroots, (0, 1))
+
+
+def test_dual_frobenius_must_permute_the_roots():
+    # Frobenius fixes the coroots +-(2, 0), but its dual sends the root
+    # (1, 1) to (1, -1)
+    with pytest.raises(MathConstraintError,
+                       match="^the dual Frobenius does not permute the roots$"):
+        BasedRootDatum(2, ((1, 1), (-1, -1)), ((2, 0), (-2, 0)), (0,),
+                       FrobeniusAction(((1, 0), (0, -1))))
 
 
 def test_restriction_of_scalars_frobenius_accepted():
