@@ -18,14 +18,16 @@ datum is GL_r-shaped when its r(r - 1) roots are e_i - e_j = their coroots.
 
 Data derived from a cover (Q on the coroots, read first by validation,
 Y_{Q,n}, the meet of the invariant lattice Y^{W x Fr} with it, the coset
-representatives of the quotient, and the residual record of the last
-apartment point) are computed on first use and kept on the cover, so they
+representatives of the quotient, the residual record of the last apartment
+point, and the map from each passing set of the orbit search to its checked
+subgroup and index) are computed on first use and kept on the cover, so they
 live exactly as long as it does.  The invariant lattice itself is held on
 the datum.  More than 100,000 cosets are refused before any is built.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from math import comb
@@ -147,7 +149,7 @@ class WeylInvariantForm:
     gram: tuple
 
     def __post_init__(self):
-        g = tuple(tuple(int(x) for x in row) for row in self.gram)
+        g = tuple(tuple(map(operator.index, row)) for row in self.gram)
         object.__setattr__(self, "gram", g)
         d = len(g)
         if d < 1 or any(len(row) != d for row in g):
@@ -244,6 +246,13 @@ class CoverSpec:
         any is built."""
         reps = coset_representatives(*self._invariant_lattices)
         return tuple((rep, mat_vec(self.form.gram, rep)) for rep in reps)
+
+    @cached_property
+    def _passing_subgroups(self):
+        """The subgroups ``y_x_rho`` has built and checked, as a map from the
+        tuple of passing representatives, in coset order, to (lattice,
+        index); empty until the first orbit search."""
+        return {}
 
 
 def form_from_glr_invariants(r, bold_p, bold_q):

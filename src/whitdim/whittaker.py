@@ -74,7 +74,7 @@ class LusztigParameter:
     central: int = 0
 
     def __post_init__(self):
-        w = tuple(tuple(int(x) for x in row) for row in self.w)
+        w = tuple(tuple(map(operator.index, row)) for row in self.w)
         denom = operator.index(self.denominator)
         if denom < 1:
             raise ValueError("the denominator must be a positive integer")
@@ -127,13 +127,16 @@ def _orbit_pass(cover, param):
         raise MathConstraintError("central exponent is not annihilated by q - 1")
     denom = lcm(cover.n, param.denominator)
     tnum = tuple(x * (denom // param.denominator) for x in param.numerators)
-    # (w Fr)^T theta = Fr^T (w^T theta)
+    # (w Fr)^T theta = Fr^T (w^T theta), by column sums; the identity
+    # Frobenius (order 1) leaves w^T theta as it is
     w, f = param.w, datum.fr.matrix
-    wt = [sum(w[j][i] * tnum[j] for j in range(d)) for i in range(d)]
-    for i in range(d):
-        if (cover.q * tnum[i] - sum(f[j][i] * wt[j] for j in range(d))) % denom:
-            raise MathConstraintError(
-                "q * theta = (w Fr)^T theta mod 1 fails: not a character of the twisted torus")
+    image = [sum(map(operator.mul, col, tnum)) for col in zip(*w)]
+    if datum.fr.order != 1:
+        image = [sum(map(operator.mul, col, image)) for col in zip(*f)]
+    q = cover.q
+    if any((q * t - s) % denom for t, s in zip(tnum, image)):
+        raise MathConstraintError(
+            "q * theta = (w Fr)^T theta mod 1 fails: not a character of the twisted torus")
     return denom, tnum, cover._weyl.orbit(tnum, denom, w, f)
 
 
@@ -142,7 +145,7 @@ def _orbit_pass(cover, param):
 
 def xi_of(cover, y):
     """The twisting exponent vector (gram . y) / n mod 1, for invariant y."""
-    vec = tuple(int(v) for v in y)
+    vec = tuple(map(operator.index, y))
     if not cover._invariant_lattices[0].contains_vector(vec):
         raise MathConstraintError("y is not fixed by the Weyl group and Frobenius")
     return tuple(Fraction(c, cover.n) % 1 for c in mat_vec(cover.form.gram, vec))
@@ -158,7 +161,9 @@ def glr_coxeter_parameter(r, q, a, n=None):
     modulus = q ** r - 1
     if not 0 <= a < modulus:
         raise ValueError(f"exponent a must lie in [0, q^r - 1) = [0, {modulus})")
-    w = tuple(tuple(1 if i == (j + 1) % r else 0 for j in range(r)) for i in range(r))
+    # row i of the r-cycle is the unit row e_(i-1 mod r)
+    units = [(0,) * j + (1,) + (0,) * (r - 1 - j) for j in range(r)]
+    w = (units[-1], *units[:-1])
     nums = [a * pow(q, i, modulus) % modulus for i in range(r)]
     if any((q * nums[i] - nums[(i + 1) % r]) % modulus for i in range(r)):
         raise RuntimeError("internal consistency: theta is not fixed by q times the Coxeter twist")
@@ -180,6 +185,13 @@ def y_x_rho(cover, param):
     keeps the cosets y whose twisted parameter theta + xi_y stays in the Weyl
     orbit of theta.  The passing set must form a subgroup of the quotient;
     anything else signals an internal inconsistency.
+
+    Every call scans every coset and checks that the zero coset passes and
+    that the passing count divides the quotient.  The subgroup's Hermite
+    normal form and its index check depend on the passing set alone, so
+    they run on the first call with that set; the pair is then kept in the
+    cover's ``_passing_subgroups``, keyed by the tuple of passing
+    representatives in coset order, and returned by later calls.
     """
     denom, tnum, in_orbit = _orbit_pass(cover, param)
     if in_orbit is None:
@@ -198,13 +210,19 @@ def y_x_rho(cover, param):
         raise RuntimeError("internal consistency: subgroup size does not divide the quotient")
     idx = total // len(passing)
 
-    # the passing cosets generate a subgroup of order total / index(lat, lattice),
-    # so the index matches exactly when they already form a subgroup
-    lattice = hermite_normal_form(list(sub.basis) + passing, cover.rank)
-    if index(lat, lattice) != idx:
-        raise RuntimeError(
-            "internal consistency: passing cosets do not form a subgroup (lattice index mismatch)")
-    return lattice, idx
+    key = tuple(passing)
+    held = cover._passing_subgroups
+    found = held.get(key)
+    if found is None:
+        # the passing cosets generate a subgroup of order total / index(lat, lattice),
+        # so the index matches exactly when they already form a subgroup
+        lattice = hermite_normal_form(list(sub.basis) + passing, cover.rank)
+        if index(lat, lattice) != idx:
+            raise RuntimeError(
+                "internal consistency: passing cosets do not form a subgroup "
+                "(lattice index mismatch)")
+        found = held[key] = (lattice, idx)
+    return found
 
 
 def _check_glr_args(r, q):

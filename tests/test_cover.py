@@ -55,6 +55,12 @@ def test_form_validation():
         WeylInvariantForm(((2, 1), (0, 2)))   # not symmetric
 
 
+def test_form_refuses_non_integer_entries():
+    # 2.9 was truncated to 2, which passed the even-diagonal check
+    with pytest.raises(TypeError):
+        WeylInvariantForm(((2.9, 0), (0, 2)))
+
+
 def test_q_of_e0_values():
     assert q_of_e0(2, -1, -1) == -3
     assert q_of_e0(4, 0, 0) == 0

@@ -10,7 +10,14 @@ from hypothesis import assume, given, settings, strategies as st
 
 from whitdim.cover import CoverSpec, WeylInvariantForm, central_index, glr_cover, m_qr
 from whitdim.errors import GeneralPositionError, MathConstraintError, ResourceLimitError
-from whitdim.lattice import MAX_COSETS, Sublattice, identity_matrix, mat_mul, transpose
+from whitdim.lattice import (
+    MAX_COSETS,
+    Sublattice,
+    hermite_normal_form,
+    identity_matrix,
+    mat_mul,
+    transpose,
+)
 from whitdim.root_datum import (
     BasedRootDatum,
     FrobeniusAction,
@@ -68,6 +75,12 @@ def test_xi_zero_for_degree_one():
 def test_xi_rejects_non_invariant_vectors():
     with pytest.raises(MathConstraintError):
         xi_of(KP, (1, 0))
+
+
+def test_xi_refuses_a_non_integer_cocharacter():
+    # 3/2 was read as 1, and (1, 1) is invariant
+    with pytest.raises(TypeError):
+        xi_of(glr_cover(2, 1, 0, 4, 5), (Fraction(3, 2),) * 2)
 
 
 def test_xi_additive_and_vanishing_exactly_on_the_meet():
@@ -153,9 +166,17 @@ def test_parameter_is_read_in_lowest_terms():
         LusztigParameter(w, 0, (0,))
 
 
+def test_parameter_refuses_a_non_integer_twist():
+    # the entries were truncated to the swap ((0, 1), (1, 0))
+    with pytest.raises(TypeError):
+        LusztigParameter(((0.9, 1), (1, 0.2)), 5, (1, 2))
+
+
 def test_coxeter_parameter_matches_its_rational_definition():
     for q in (2, 3, 4, 5, 7):
         for r in (1, 2, 3):
+            r_cycle = tuple(tuple(int(i == (j + 1) % r) for j in range(r)) for i in range(r))
+            assert glr_coxeter_parameter(r, q, 0).w == r_cycle
             modulus = q ** r - 1
             for n in [None] + _divisors(q - 1):
                 central = Fraction(1, n) if n else 0
@@ -542,6 +563,110 @@ def test_a_permutation_that_moves_a_block_is_not_a_weyl_element():
         y_x_rho(cover, param)
     with pytest.raises(MathConstraintError, match="not an element of the Weyl group"):
         is_general_position(param, cover)
+
+
+# ---------------------------------------------------------------------------
+# passing subgroups held on the cover
+
+#: a cover of the acceptance sweep with 6 cosets, passing sets of 1 and 3
+SWEEP_COVER = (3, 0, 1, 12, 13)
+#: GL_2 x GL_2 with identity Frobenius: 8 cosets, and two distinct passing
+#: subgroups of order 2, {0, (0, 0, 1, 1)} and {0, (2, 2, 0, 0)}
+PRODUCT_DATUM = _swap_datum(4, [(0, 1), (2, 3)])
+PRODUCT_GRAM = ((-4, -1, 0, 0), (-1, -4, 0, 0), (0, 0, -4, -2), (0, 0, -2, -4))
+
+
+def _sweep_cover_parameters():
+    r, _, _, n, q = SWEEP_COVER
+    return [glr_coxeter_parameter(r, q, a, n)
+            for a in range(q ** r - 1) if glr_general_position(r, q, a)]
+
+
+def _product_cover():
+    return CoverSpec(PRODUCT_DATUM, WeylInvariantForm(PRODUCT_GRAM), 4, 5)
+
+
+def _product_cover_parameters():
+    cover = _product_cover()
+    params = [LusztigParameter.from_theta(w, theta, Fraction(1, 4))
+              for w in weyl_group(PRODUCT_DATUM).elements
+              for theta in theta_solutions(cover, w)]
+    return [p for p in params if is_general_position(p, cover)]
+
+
+def test_a_shared_cover_answers_like_fresh_covers():
+    cases = [(lambda: glr_cover(*SWEEP_COVER), _sweep_cover_parameters()),
+             (_product_cover, _product_cover_parameters())]
+    for make, params in cases:
+        shared = make()
+        for param in params:
+            assert y_x_rho(shared, param) == y_x_rho(make(), param), param
+    # the product cover meets two passing subgroups of the same order, so a
+    # map keyed by the order alone would answer one of them wrongly
+    held = shared._passing_subgroups
+    assert sorted(len(key) for key in held) == [1, 2, 2, 4]
+    assert len({lattice for lattice, _ in held.values()}) == 4
+    # a cover of smaller degree on the same datum, after the map of the
+    # product cover is full: the same passing tuples, other subgroups
+    smaller = CoverSpec(PRODUCT_DATUM, WeylInvariantForm(PRODUCT_GRAM), 2, 5)
+    assert len(smaller._cosets) < len(shared._cosets)
+    assert check_against_orbit_reference(smaller, params) == (len(params), 0)
+
+
+def test_each_passing_set_is_checked_once_per_cover(monkeypatch):
+    calls = []
+
+    def counted(rows, ambient_rank=None):
+        calls.append(len(rows))
+        return hermite_normal_form(rows, ambient_rank)
+
+    cover = glr_cover(*SWEEP_COVER)
+    monkeypatch.setattr("whitdim.whittaker.hermite_normal_form", counted)
+    params = _sweep_cover_parameters()
+    lattices = {y_x_rho(cover, param)[0] for param in params}
+    assert len(params) > 2000
+    # a passing set is the set of cosets in its lattice, so distinct lattices
+    # count distinct passing sets
+    assert len(calls) == len(lattices) == len(cover._passing_subgroups) == 2
+
+    # a warm cover still refuses what it refused cold (exit codes 3, 3, 4)
+    r, _, _, n, q = SWEEP_COVER
+    coxeter = params[0]
+    shear = ((1, 1, 0), (0, 1, 0), (0, 0, 1))
+    not_weyl = LusztigParameter(shear, coxeter.denominator, coxeter.numerators,
+                                coxeter.central)
+    not_character = LusztigParameter(coxeter.w, coxeter.denominator,
+                                     (1, 0, 0), coxeter.central)
+    not_general = glr_coxeter_parameter(r, q, 0, n)
+    for param, error, match in (
+            (not_weyl, MathConstraintError, "not an element of the Weyl group"),
+            (not_character, MathConstraintError, "not a character of the twisted torus"),
+            (not_general, GeneralPositionError, "not in general position")):
+        with pytest.raises(error, match=match) as caught:
+            y_x_rho(cover, param)
+        assert caught.type is error
+    assert len(calls) == len(cover._passing_subgroups) == 2
+
+
+def test_passing_cosets_that_are_no_subgroup_are_refused_every_time(monkeypatch):
+    # the first two of the 6 cosets pass: 2 divides 6, but (1, 1, 1) has
+    # order 6 in the quotient
+    cover = glr_cover(*SWEEP_COVER)
+
+    class FirstTwoCosetsPass:
+        def __contains__(self, w):
+            return True
+
+        def orbit(self, v, denom, w, f):
+            calls = iter(range(len(cover._cosets)))
+            return lambda u: next(calls) < 2
+
+    monkeypatch.setitem(cover.__dict__, "_weyl", FirstTwoCosetsPass())
+    param = _sweep_cover_parameters()[0]
+    for _ in range(2):
+        with pytest.raises(RuntimeError, match="do not form a subgroup"):
+            y_x_rho(cover, param)
+    assert cover._passing_subgroups == {}
 
 
 # ---------------------------------------------------------------------------
