@@ -13,7 +13,9 @@ Three independent routes compute the same dimension for covers of GL_r:
 
 * the congruence solved by one modular inverse per power of q
   (`wh_dim_glr_closed`),
-* a literal root-of-unity scan in exact rationals (`wh_dim_oracle`),
+* a literal scan of k, each step an exact rational equality tested by
+  cross-multiplication (`wh_dim_oracle`), sharing no helper with the closed
+  form,
 * a Weyl-orbit search over coset representatives of the invariant lattice
   (`y_x_rho`), which also works for arbitrary root data.
 
@@ -52,7 +54,7 @@ from .lattice import (
 )
 from .root_datum import check_glr_rank, weyl_fixed_lattice
 
-#: Longest scan of :func:`wh_dim_oracle`, n/gcd(n, m) steps of exact rationals.
+#: Longest scan of :func:`wh_dim_oracle`, n/gcd(n, m) steps of exact equality tests.
 MAX_ORACLE_SCAN = 100_000
 #: Largest q^r - 1 whose exponents :func:`enumerate_glr_table` runs through.
 MAX_TABLE_ORDER = 10 ** 6
@@ -74,16 +76,22 @@ class LusztigParameter:
     central: int = 0
 
     def __post_init__(self):
-        w = tuple(tuple(map(operator.index, row)) for row in self.w)
+        w = tuple([tuple(map(operator.index, row)) for row in self.w])
         denom = operator.index(self.denominator)
         if denom < 1:
             raise ValueError("the denominator must be a positive integer")
-        nums = [operator.index(x) % denom for x in (*self.numerators, self.central)]
-        g = gcd(denom, *nums)
-        *nums, central = (x // g for x in nums)
-        for name, value in (("w", w), ("denominator", denom // g),
-                            ("numerators", tuple(nums)), ("central", central)):
-            object.__setattr__(self, name, value)
+        nums = tuple([operator.index(x) % denom for x in self.numerators])
+        central = operator.index(self.central) % denom
+        g = gcd(denom, central, *nums)
+        if g != 1:
+            denom //= g
+            nums = tuple([x // g for x in nums])
+            central //= g
+        setattr_ = object.__setattr__
+        setattr_(self, "w", w)
+        setattr_(self, "denominator", denom)
+        setattr_(self, "numerators", nums)
+        setattr_(self, "central", central)
         d = len(nums)
         if len(w) != d or any(len(row) != d for row in w):
             raise ValueError("w must be a square matrix matching the length of theta")
@@ -155,21 +163,26 @@ def glr_coxeter_parameter(r, q, a, n=None):
     """Parameter of the exponent-a character on the Coxeter torus of GL_r.
 
     w is the full cycle and theta_i = a * q^(i-1) / (q^r - 1) mod 1.  When the
-    cover degree n is supplied, the central exponent is pinned to 1/n.
+    cover degree n is supplied, the central exponent is pinned to 1/n; n is
+    None (no pin) or at least 1.
     """
     _check_glr_args(r, q)
     modulus = q ** r - 1
     if not 0 <= a < modulus:
         raise ValueError(f"exponent a must lie in [0, q^r - 1) = [0, {modulus})")
+    if n is not None and n < 1:
+        raise ValueError(f"the cover degree n must be None or at least 1, got n = {n}")
     # row i of the r-cycle is the unit row e_(i-1 mod r)
     units = [(0,) * j + (1,) + (0,) * (r - 1 - j) for j in range(r)]
     w = (units[-1], *units[:-1])
     nums = [a * pow(q, i, modulus) % modulus for i in range(r)]
     if any((q * nums[i] - nums[(i + 1) % r]) % modulus for i in range(r)):
         raise RuntimeError("internal consistency: theta is not fixed by q times the Coxeter twist")
-    denom = lcm(modulus, n or 1)
+    if n is None:
+        return LusztigParameter(w, modulus, tuple(nums))
+    denom = lcm(modulus, n)
     nums = tuple(x * (denom // modulus) for x in nums)
-    return LusztigParameter(w, denom, nums, denom // n if n else 0)
+    return LusztigParameter(w, denom, nums, denom // n)
 
 
 def is_general_position(param, cover):
@@ -294,13 +307,18 @@ def wh_dim_glr_closed(r, q, n, bold_p, bold_q, a):
 
 
 def wh_dim_oracle(r, q, n, bold_p, bold_q, a):
-    """Independent brute-force scan of the same minimum, in exact rationals.
+    """Independent brute-force scan of the same minimum: a literal scan of k,
+    each step an exact rational equality tested by cross-multiplication.
 
-    Tests e^(2 pi i m k / n) * theta_1 = theta_1^(q^s) literally, as equality
-    of rationals mod 1, for k = 1, 2, ... up to a hard stop at n.  A zero
-    target at some s > 0 means a is not in general position.  k = n/gcd(n, m)
-    always passes, so a scan longer than :data:`MAX_ORACLE_SCAN` is refused
-    before it starts.
+    Tests e^(2 pi i m k / n) * theta_1 = theta_1^(q^s), theta_1 = a / M with
+    M = q^r - 1, as m k / n = a (q^s - 1) / M mod 1 for k = 1, 2, ... up to
+    a hard stop at n.  With representatives x / n and u / M in [0, 1), the
+    two are equal exactly when x * M = u * n, so the targets are the
+    integers (a (q^s - 1) mod M) * n and step k tests (m k mod n) * M.  No
+    modular inverse is taken and no helper is shared with the closed form.
+    A zero target at some s > 0 means a is not in general position.
+    k = n/gcd(n, m) always passes, so a scan longer than
+    :data:`MAX_ORACLE_SCAN` is refused before it starts.
     """
     _check_glr_dim_args(r, q, n, a)
     m = m_qr(r, bold_p, bold_q)
@@ -310,14 +328,13 @@ def wh_dim_oracle(r, q, n, bold_p, bold_q, a):
             f"the oracle's scan of n/gcd(n, m) = {steps} steps exceeds the guard "
             f"{MAX_ORACLE_SCAN}")
     modulus = q ** r - 1
-    theta1 = Fraction(a, modulus)
-    targets = {(q ** s * theta1 - theta1) % 1 for s in range(1, r)}
+    targets = {a * (q ** s - 1) % modulus * n for s in range(1, r)}
     if 0 in targets:
         raise GeneralPositionError(
             f"a = {a} is not in general position mod q^r - 1 = {modulus}")
     targets.add(0)
     for k in range(1, n + 1):
-        if Fraction(m * k, n) % 1 in targets:
+        if m * k % n * modulus in targets:
             return k
     raise RuntimeError(
         "scan exhausted: no k <= n satisfied the congruence, which is impossible "

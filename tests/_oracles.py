@@ -9,7 +9,9 @@ from fractions import Fraction
 from itertools import product
 from math import gcd
 
-from whitdim.errors import MathConstraintError
+from whitdim.cover import m_qr
+from whitdim.errors import GeneralPositionError, MathConstraintError, ResourceLimitError
+from whitdim.whittaker import MAX_ORACLE_SCAN, _check_glr_dim_args
 
 
 def transpose(rows):
@@ -199,6 +201,32 @@ def glr_dimension_scan(r, q, n, bold_p, bold_q, a):
         if m * k * step % modulus in targets:
             return k
     raise RuntimeError("scan exhausted below the divisibility bound")
+
+
+def oracle_scan_fractions(r, q, n, bold_p, bold_q, a):
+    """`wh_dim_oracle` as it was written with `Fraction`s: the same checks,
+    guard and errors, then e^(2 pi i m k / n) * theta_1 = theta_1^(q^s)
+    tested as equality of `Fraction`s mod 1 for k = 1, 2, ... up to n."""
+    _check_glr_dim_args(r, q, n, a)
+    m = m_qr(r, bold_p, bold_q)
+    steps = n // gcd(n, m)
+    if steps > MAX_ORACLE_SCAN:
+        raise ResourceLimitError(
+            f"the oracle's scan of n/gcd(n, m) = {steps} steps exceeds the guard "
+            f"{MAX_ORACLE_SCAN}")
+    modulus = q ** r - 1
+    theta1 = Fraction(a, modulus)
+    targets = {(q ** s * theta1 - theta1) % 1 for s in range(1, r)}
+    if 0 in targets:
+        raise GeneralPositionError(
+            f"a = {a} is not in general position mod q^r - 1 = {modulus}")
+    targets.add(0)
+    for k in range(1, n + 1):
+        if Fraction(m * k, n) % 1 in targets:
+            return k
+    raise RuntimeError(
+        "scan exhausted: no k <= n satisfied the congruence, which is impossible "
+        "for a valid input and signals an implementation bug")
 
 
 def glr_general_position(r, q, a):

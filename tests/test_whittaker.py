@@ -3,7 +3,7 @@ import random
 import time
 from fractions import Fraction
 from itertools import cycle, permutations, product
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -46,6 +46,7 @@ from whitdim.whittaker import (
 from _oracles import (
     glr_dimension_scan,
     glr_general_position,
+    oracle_scan_fractions,
     orbit_search_reference,
     theta_solutions,
     twisted_centralizer_fixing,
@@ -120,6 +121,16 @@ def test_coxeter_parameter_central_exponent():
     assert glr_coxeter_parameter(2, 5, 1, 1).central_exponent == Fraction(0)
 
 
+def test_coxeter_parameter_refuses_a_degree_below_one():
+    # 0 once dropped the 1/n pin; -4 pinned central to 18/24 = 3/4
+    for n in (0, -4):
+        with pytest.raises(ValueError,
+                           match=f"^the cover degree n must be None or at least 1, got n = {n}$"):
+            glr_coxeter_parameter(2, 5, 7, n)
+    assert glr_coxeter_parameter(2, 5, 7, None).central == 0
+    assert glr_coxeter_parameter(2, 5, 7, None) == glr_coxeter_parameter(2, 5, 7)
+
+
 def test_coxeter_parameter_range_check():
     message = r"^exponent a must lie in \[0, q\^r - 1\) = \[0, 24\)$"
     for a in (24, -1):
@@ -152,6 +163,32 @@ def test_parameter_round_trips_through_its_rationals(d, denominator, data):
     k = data.draw(st.integers(1, 10 ** 6))
     scaled = LusztigParameter(w, k * denominator, tuple(k * x for x in nums), k * central)
     assert scaled == p and hash(scaled) == hash(p)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 10 ** 4), st.integers(1, 10 ** 4), st.data())
+def test_constructor_normalises_like_fractions(d, denominator, k, data):
+    # numerators k * x over k * denominator, with x of either sign and past
+    # the denominator: unreduced entries sharing at least the factor k
+    numbers = st.integers(-10 ** 12, 10 ** 12)
+    w = tuple(tuple(data.draw(st.integers(-3, 3)) for _ in range(d)) for _ in range(d))
+    nums = tuple(k * data.draw(numbers) for _ in range(d))
+    central = k * data.draw(numbers)
+    p = LusztigParameter(w, k * denominator, nums, central)
+    entries = [Fraction(x, k * denominator) % 1 for x in (*nums, central)]
+    lowest = lcm(*(t.denominator for t in entries))
+    *expected, expected_central = (int(t * lowest) for t in entries)
+    assert (p.w, p.denominator, p.numerators, p.central) == (
+        w, lowest, tuple(expected), expected_central)
+    assert LusztigParameter.from_theta(w, entries[:-1], entries[-1]) == p
+    # equal parameters, written with another denominator and other numerators
+    j = data.draw(st.integers(1, 100))
+    shifts = [data.draw(numbers) for _ in range(d + 1)]
+    twin = LusztigParameter(
+        [list(row) for row in w], j * k * denominator,
+        [j * x + s * j * k * denominator for x, s in zip(nums, shifts)],
+        j * central + shifts[-1] * j * k * denominator)
+    assert twin == p and hash(twin) == hash(p)
 
 
 def test_parameter_is_read_in_lowest_terms():
@@ -801,6 +838,49 @@ def test_closed_form_matches_the_oracle_up_to_q_ten_thousand(data):
     assert wh_dim_glr_closed(r, q, n, pp, qq, a) == wh_dim_oracle(r, q, n, pp, qq, a)
 
 
+def _outcome(route, *args):
+    """The route's answer, or the type and message of the error it raised."""
+    try:
+        return route(*args)
+    except ValueError as caught:
+        return type(caught), str(caught)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_oracle_equals_the_fraction_scan_up_to_q_ten_thousand(data):
+    q = data.draw(st.sampled_from(PRIME_POWERS))
+    r = data.draw(st.integers(1, 5))
+    pp, qq = data.draw(st.integers(-3, 3)), data.draw(st.integers(-3, 3))
+    modulus = q ** r - 1
+    # the multiples of M / (q^d - 1), d a proper divisor of r, are the
+    # exponents not in general position
+    d = data.draw(st.sampled_from([d for d in range(1, r) if r % d == 0] or [r]))
+    a = data.draw(st.one_of(
+        st.integers(0, modulus - 1),
+        st.integers(0, q ** d - 2).map(lambda j: j * (modulus // (q ** d - 1)))))
+    for n in _divisors(q - 1):
+        args = (r, q, n, pp, qq, a)
+        assert _outcome(wh_dim_oracle, *args) == _outcome(oracle_scan_fractions, *args), args
+
+
+def test_oracle_equals_the_fraction_scan_at_q_near_ten_to_the_twelve():
+    # q - 1 = 2 * 3 * 13 * 17 * 29 * 26005097; n = 2262 = 2 * 3 * 13 * 29
+    # scans up to 2,262 steps, n = 26005097 is past the scan guard
+    q = 1000000000039
+    forms = cycle([(0, 1), (1, -3), (2, 2)])
+    outcomes = set()
+    for r in (1, 2, 3):
+        modulus = q ** r - 1
+        for a in (5, q + 1, modulus // (q - 1) * 7, 123456789012345678901 % modulus):
+            for n in (2, 221, 2262, 26005097):
+                args = (r, q, n, *next(forms), a)
+                outcome = _outcome(wh_dim_oracle, *args)
+                assert outcome == _outcome(oracle_scan_fractions, *args), args
+                outcomes.add(outcome if isinstance(outcome, int) else outcome[0])
+    assert {GeneralPositionError, ResourceLimitError, 1, 2, 2262} <= outcomes
+
+
 def test_closed_form_checks_its_solution():
     # m = 1 on GL_3, q = 7, n = 3: a wrong inverse gives a k that misses
     # the congruence
@@ -974,6 +1054,17 @@ def test_oracle_scan_guard_at_its_bound_and_one_past_it():
         wh_dim_oracle(2, Q_PAST_BOUND, 200_002, 1, 0, 1)
     # the closed form has no scan to guard
     assert wh_dim_glr_closed(2, Q_PAST_BOUND, 100_001, 0, 1, 1) > 0
+
+
+def test_oracle_equals_the_fraction_scan_at_the_scan_guard():
+    # m = 1 and n = 100,000 on GL_2: 1 / (q + 1) is no multiple of 1 / n, so
+    # a = 1 scans all 100,000 steps; a = q + 1 and a = 0 fail general position
+    outcomes = []
+    for a in (1, Q_AT_BOUND + 1, 0):
+        args = (2, Q_AT_BOUND, 100_000, 0, 1, a)
+        outcomes.append(_outcome(wh_dim_oracle, *args))
+        assert outcomes[-1] == _outcome(oracle_scan_fractions, *args)
+    assert outcomes[0] == MAX_ORACLE_SCAN
 
 
 def test_coset_guard_at_its_bound_and_one_past_it():
