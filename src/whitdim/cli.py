@@ -10,9 +10,11 @@ Subcommands:
   GL_r parameter, optionally cross-checked by the brute-force and
   orbit-search routes.
 * ``table --r --q --n --pp --qq`` -- dimensions of all general-position
-  classes, with a histogram.  The classes are computed first; their rows
-  are then written to stdout in chunks, each through one fixed template,
-  byte for byte as ``json.dumps`` would print them.
+  classes, with a histogram.  The classes are computed first, per residue
+  mod (q^r - 1)/(q - 1); their rows are then rendered per residue and
+  written to stdout in chunks, byte for byte as ``json.dumps`` would print
+  them.  The class size and dimension that end a row are formatted once
+  per dimension; per row only the representative is formatted.
 
 Exit codes: 0 success, 2 malformed input, 3 mathematical-constraint
 violation, 4 parameter not in general position, 5 stdout closed before all
@@ -53,8 +55,9 @@ from .parahoric import (
 )
 from .root_datum import BasedRootDatum, FrobeniusAction
 from .whittaker import (
-    enumerate_glr_table,
+    GLrTable,
     glr_coxeter_parameter,
+    glr_table,
     squeeze_bounds,
     wh_dim_glr_closed,
     wh_dim_oracle,
@@ -122,32 +125,31 @@ def _record(command, inputs, results):
             "version": __version__}
 
 
-class TableRows(tuple):
-    """``table`` rows as (representative, class_size, dimension) int triples.
-
-    They print as JSON objects with those keys, but each through one fixed
-    ``%d`` template rather than ``json.dumps``: with three int values the
-    layout never changes, and the indented encoder is pure Python.
-    """
-
-
 #: A row as ``json.dumps(record, indent=2)`` lays it out three levels deep,
-#: in ``results.rows``.
-_ROW_JSON = ('      {\n'
-             '        "representative": %d,\n'
-             '        "class_size": %d,\n'
-             '        "dimension": %d\n'
-             '      }')
+#: in ``results.rows``: the text before the representative, and the text
+#: after it, with the class size and dimension to fill in.
+_ROW_JSON = ('      {\n        "representative": ',
+             ',\n        "class_size": %d,\n        "dimension": %d\n      }')
 #: A row as ``json.dumps`` prints it on one line.
-_ROW_LINE = '{"representative": %d, "class_size": %d, "dimension": %d}'
+_ROW_LINE = ('{"representative": ', ', "class_size": %d, "dimension": %d}')
 #: Rows rendered per write to stdout.
 _CHUNK_ROWS = 4096
 
 
-def _write_rows(rows, template, sep):
-    for start in range(0, len(rows), _CHUNK_ROWS):
-        chunk = sep.join(template % row for row in rows[start:start + _CHUNK_ROWS])
-        sys.stdout.write(sep + chunk if start else chunk)
+def _write_rows(table, head, tail, sep):
+    """Write the rows of a :class:`GLrTable` to stdout, joined by sep, in
+    chunks of about :data:`_CHUNK_ROWS` rows: head, the representative,
+    then the tail of its dimension, formatted once per dimension."""
+    tails = {dim: tail % (table.r, dim) for dim in {dim for _, _, dim in table.emitting}}
+    chunk, size, start = [], 0, ""
+    for base, residues in table.blocks():
+        chunk.append(sep.join([f"{head}{base + c}{tails[dim]}" for c, _, dim in residues]))
+        size += len(residues)
+        if size >= _CHUNK_ROWS:
+            sys.stdout.write(start + sep.join(chunk))
+            chunk, size, start = [], 0, sep
+    if chunk:
+        sys.stdout.write(start + sep.join(chunk))
 
 
 def _print_value(key, value, indent=""):
@@ -155,9 +157,10 @@ def _print_value(key, value, indent=""):
         print(f"{indent}{key}:")
         for k, v in value.items():
             _print_value(k, v, indent + "  ")
-    elif isinstance(value, TableRows) and value:
+    elif isinstance(value, GLrTable):
         print(f"{indent}{key}:")
-        _write_rows(value, f"{indent}  {_ROW_LINE}", "\n")
+        head, tail = _ROW_LINE
+        _write_rows(value, f"{indent}  {head}", tail, "\n")
         sys.stdout.write("\n")
     elif isinstance(value, (list, tuple)) and value and isinstance(value[0], (list, tuple, dict)):
         print(f"{indent}{key}:")
@@ -169,8 +172,8 @@ def _print_value(key, value, indent=""):
 
 def _print_json(record):
     results = record["results"]
-    rows = results.get("rows")
-    if not isinstance(rows, TableRows) or not rows:
+    table = results.get("rows")
+    if not isinstance(table, GLrTable):
         print(json.dumps(record, indent=2))
         return
     # everything but the rows goes through json.dumps, with an empty list in
@@ -178,7 +181,7 @@ def _print_json(record):
     text = json.dumps({**record, "results": {**results, "rows": []}}, indent=2)
     head, tail = text.split('"rows": []', 1)
     sys.stdout.write(f'{head}"rows": [\n')
-    _write_rows(rows, _ROW_JSON, ",\n")
+    _write_rows(table, *_ROW_JSON, ",\n")
     sys.stdout.write(f"\n    ]{tail}\n")
 
 
@@ -254,10 +257,10 @@ def cmd_whittaker(args):
 
 
 def cmd_table(args):
-    rows, histogram = enumerate_glr_table(args.r, args.q, args.n, args.pp, args.qq)
+    table = glr_table(args.r, args.q, args.n, args.pp, args.qq)
     results = {
-        "rows": TableRows(rows),
-        "histogram": {str(dim): count for dim, count in histogram.items()},
+        "rows": table,
+        "histogram": {str(dim): count for dim, count in table.histogram().items()},
     }
     inputs = {"r": args.r, "q": args.q, "n": args.n, "pp": args.pp, "qq": args.qq}
     return _record("table", inputs, results)

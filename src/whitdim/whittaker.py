@@ -376,6 +376,75 @@ def _table_bound_error(q, r):
         f"q^r - 1 with r = {r} exceeds the enumeration bound {MAX_TABLE_ORDER}")
 
 
+@dataclass(frozen=True)
+class GLrTable:
+    """The classes of a GL_r cover's table, held per residue mod P.
+
+    With M = q^r - 1 (``modulus``) and P = M/(q - 1) (``period``),
+    ``emitting`` lists (c, limit, dimension) in increasing c for each
+    residue c = a mod P whose exponents are in general position and reach
+    below limit(c), the bound under which an exponent is the least member
+    of its orbit; every orbit has r members.  The rows are the exponents
+    a = base + c < limit(c), base = 0, P, 2P, ..., read off by
+    :meth:`blocks`.
+    """
+
+    r: int
+    modulus: int
+    period: int
+    emitting: tuple
+
+    def blocks(self):
+        """Yield (base, residues) for base = 0, P, 2P, ...: the entries of
+        ``emitting`` whose exponent base + c is a row, in increasing c, so
+        the rows come out in increasing order.  No block is empty: at
+        r = 1 every exponent is a row, and at r >= 2 every base has
+        base + 1 < limit(1) = M - (q^(r-1) - 1)."""
+        residues = self.emitting
+        for base in range(0, self.modulus, self.period):
+            # base only grows, so a residue past its limit stays past it
+            residues = [entry for entry in residues if base + entry[0] < entry[1]]
+            yield base, residues
+
+    def histogram(self):
+        """The number of classes of each dimension, in increasing dimension."""
+        histogram = {}
+        for c, limit, dim in self.emitting:
+            # ceil((limit - c) / P) rows, one per block
+            histogram[dim] = histogram.get(dim, 0) - (c - limit) // self.period
+        return dict(sorted(histogram.items()))
+
+
+def glr_table(r, q, n, bold_p, bold_q):
+    """The :class:`GLrTable` of a GL_r cover; see :func:`enumerate_glr_table`."""
+    if r < 1 or q < 2:
+        raise ValueError("need r >= 1 and q >= 2")
+    # q >= 2, so an r beyond the bound's bit length puts q^r - 1 past it
+    # without forming the power
+    if r > MAX_TABLE_ORDER.bit_length() or q ** r - 1 > MAX_TABLE_ORDER:
+        raise _table_bound_error(q, r)
+    modulus = q ** r - 1
+    _check_q_and_degree(q, n)
+    solver = _GLrSolver(r, q, n, m_qr(r, bold_p, bold_q))
+    period = modulus // (q - 1)
+    shifts = [(q ** s - 1) // (q - 1) for s in range(1, r)]
+    emitting = []
+    for c in range(period):
+        # t = 0 breaks general position; t >= cap means c >= M - (q - 1) * t,
+        # past its limit, so no exponent of the residue is an orbit minimum
+        cap = (modulus - c + q - 2) // (q - 1)
+        top = 0
+        for g in shifts:
+            t = c * g % period
+            if not 0 < t < cap:
+                break
+            if t > top:
+                top = t
+        else:
+            emitting.append((c, modulus - (q - 1) * top, solver.dimension(c)))
+    return GLrTable(r, modulus, period, tuple(emitting))
+
+
 def enumerate_glr_table(r, q, n, bold_p, bold_q):
     """Dimensions across all general-position classes of a GL_r cover.
 
@@ -398,42 +467,16 @@ def enumerate_glr_table(r, q, n, bold_p, bold_q):
 
     So each residue is solved once, and the solver's consistency check, run
     once per residue, still covers every row, because the rows of one
-    residue share its right sides.  The rows are then read off block by
+    residue share its right sides.  :func:`glr_table` holds the result per
+    residue as a :class:`GLrTable`; the rows are then read off block by
     block, a = base + c for base = 0, P, 2P, ..., at one comparison with
-    limit(c) per exponent.
+    limit(c) per exponent.  ``whitdim table`` renders the same object per
+    residue without building these triples: the class size and dimension
+    that end a row are formatted once per dimension, and per row only the
+    representative.
     """
-    if r < 1 or q < 2:
-        raise ValueError("need r >= 1 and q >= 2")
-    # q >= 2, so an r beyond the bound's bit length puts q^r - 1 past it
-    # without forming the power
-    if r > MAX_TABLE_ORDER.bit_length() or q ** r - 1 > MAX_TABLE_ORDER:
-        raise _table_bound_error(q, r)
-    modulus = q ** r - 1
-    _check_q_and_degree(q, n)
-    solver = _GLrSolver(r, q, n, m_qr(r, bold_p, bold_q))
-    period = modulus // (q - 1)
-    shifts = [(q ** s - 1) // (q - 1) for s in range(1, r)]
-    # (residue, limit, dimension) for each residue that emits a row
-    emitting = []
-    histogram = {}
-    for c in range(period):
-        # t = 0 breaks general position; t >= cap means c >= M - (q - 1) * t,
-        # past its limit, so no exponent of the residue is an orbit minimum
-        cap = (modulus - c + q - 2) // (q - 1)
-        top = 0
-        for g in shifts:
-            t = c * g % period
-            if not 0 < t < cap:
-                break
-            if t > top:
-                top = t
-        else:
-            limit = modulus - (q - 1) * top
-            dim = solver.dimension(c)
-            emitting.append((c, limit, dim))
-            # ceil((limit - c) / P) rows, one per block
-            histogram[dim] = histogram.get(dim, 0) - (c - limit) // period
+    table = glr_table(r, q, n, bold_p, bold_q)
     rows = []
-    for base in range(0, modulus, period):
-        rows.extend([(base + c, r, dim) for c, limit, dim in emitting if base + c < limit])
-    return tuple(rows), dict(sorted(histogram.items()))
+    for base, residues in table.blocks():
+        rows.extend([(base + c, r, dim) for c, _, dim in residues])
+    return tuple(rows), table.histogram()

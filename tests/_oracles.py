@@ -13,6 +13,15 @@ from whitdim.cover import m_qr
 from whitdim.errors import GeneralPositionError, MathConstraintError, ResourceLimitError
 from whitdim.whittaker import MAX_ORACLE_SCAN, _check_glr_dim_args
 
+#: (r, q) of the table checks.  q = 2 (P = M) and r = 1 (P = 1) are the
+#: extremes of the residue period P = (q^r - 1)/(q - 1); the last five have
+#: P much smaller than M, and q = 49 is a prime power that is not a prime.
+TABLE_CASES = ((1, 2), (2, 2), (3, 2), (4, 2), (1, 5), (2, 5), (3, 3), (4, 3),
+               (2, 4), (3, 4), (2, 7), (3, 5), (2, 9), (2, 13),
+               (3, 7), (3, 13), (4, 5), (2, 31), (2, 49))
+#: (bold_p, bold_q) of the table checks.
+TABLE_FORMS = ((0, 1), (1, 0), (-2, 3), (0, 0))
+
 
 def transpose(rows):
     rows = [tuple(r) for r in rows]

@@ -9,11 +9,13 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
 
 import whitdim
 from whitdim import cli
 from whitdim.cli import EXIT_BROKEN_PIPE, EXIT_CONSTRAINT, EXIT_RESOURCE_LIMIT, main
+from whitdim.whittaker import enumerate_glr_table
+
+from _oracles import TABLE_CASES, TABLE_FORMS
 
 KP_GL2 = {
     "rank": 2,
@@ -308,58 +310,71 @@ def test_table_q_not_a_prime_power_exits_3_like_whittaker(capsys):
 ROW_KEYS = ("representative", "class_size", "dimension")
 
 
-def _emitted(record, fmt):
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
-        cli._emit(record, fmt)
-    return buf.getvalue()
+def _table_reference(r, q, n, pp, qq):
+    """The table record built from the library's triples, as ``json.dumps``
+    prints it indented and, in text mode, one ``json.dumps`` line per row."""
+    rows, histogram = enumerate_glr_table(r, q, n, pp, qq)
+    record = {"command": "table",
+              "inputs": {"r": r, "q": q, "n": n, "pp": pp, "qq": qq},
+              "results": {"rows": [dict(zip(ROW_KEYS, row)) for row in rows],
+                          "histogram": {str(dim): count for dim, count in histogram.items()}},
+              "version": whitdim.__version__}
+    lines = ["command: table", "rows:"]
+    lines += [f"  {json.dumps(row)}" for row in record["results"]["rows"]]
+    lines.append("histogram:")
+    lines += [f"  {dim} = {count}" for dim, count in record["results"]["histogram"].items()]
+    return json.dumps(record, indent=2) + "\n", "\n".join(lines) + "\n"
 
 
-def _table_records(rows):
-    """The table record with its rows as triples, and as the dicts they print as."""
-    inputs = {"r": 2, "q": 5, "n": 4, "pp": 0, "qq": 1}
-    histogram = {"2": 1}
-    triples = cli._record("table", inputs, {"rows": cli.TableRows(rows), "histogram": histogram})
-    dicts = cli._record("table", inputs, {"rows": [dict(zip(ROW_KEYS, row)) for row in rows],
-                                          "histogram": histogram})
-    return triples, dicts
+def _assert_table_prints_as_json_dumps(r, q, n, pp, qq):
+    json_text, text = _table_reference(r, q, n, pp, qq)
+    for fmt, expected in (("json", json_text), ("text", text)):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = main(["table", "--r", str(r), "--q", str(q), "--n", str(n),
+                         "--pp", str(pp), "--qq", str(qq), "--format", fmt])
+        assert code == 0
+        assert buf.getvalue() == expected, (r, q, n, pp, qq, fmt)
 
 
-big_ints = st.integers(min_value=-2 ** 80, max_value=2 ** 80)
+def test_table_prints_as_json_dumps_of_the_library_rows():
+    for r, q in TABLE_CASES:
+        for n in (d for d in range(1, q) if (q - 1) % d == 0):
+            for pp, qq in TABLE_FORMS:
+                _assert_table_prints_as_json_dumps(r, q, n, pp, qq)
 
 
-@given(st.lists(st.tuples(big_ints, big_ints, big_ints), max_size=6))
-def test_table_row_template_prints_as_json_dumps(rows):
-    for row in rows:
-        assert cli._ROW_LINE % row == json.dumps(dict(zip(ROW_KEYS, row)))
-    triples, dicts = _table_records(rows)
-    for fmt in ("json", "text"):
-        assert _emitted(triples, fmt) == _emitted(dicts, fmt)
+@pytest.mark.parametrize("r,q", [(2, 199), (1, 8209)])
+def test_table_rows_across_chunk_boundaries_print_as_json_dumps(r, q):
+    # 19,701 rows in blocks of up to P = 200, and 8,208 rows in blocks of one
+    assert len(enumerate_glr_table(r, q, 2, 0, 1)[0]) > 2 * cli._CHUNK_ROWS
+    _assert_table_prints_as_json_dumps(r, q, 2, 0, 1)
+    _assert_table_prints_as_json_dumps(r, q, q - 1, -3, -1)
 
 
-def test_table_rows_across_chunk_boundaries_print_as_json_dumps():
-    rows = [(a, 2, a % 7) for a in range(2 * cli._CHUNK_ROWS + 1)]
-    triples, dicts = _table_records(rows)
-    assert _emitted(triples, "json") == json.dumps(dicts, indent=2) + "\n"
-    assert _emitted(triples, "text") == _emitted(dicts, "text")
+WORST_TABLE = ["table", "--r", "2", "--q", "499", "--n", "498", "--pp", "-3", "--qq", "-1"]
 
 
-WORST_TABLE = ["table", "--r", "2", "--q", "499", "--n", "498", "--pp", "-3", "--qq", "-1",
-               "--format", "json"]
-
-
-def test_worst_case_table_json_peak_memory():
+def _worst_case_table_peak(fmt):
     # 124,251 rows and 12.5 MB of JSON; the output goes to the null device,
     # so the peak is what the command itself holds
     with open(os.devnull, "w") as null, contextlib.redirect_stdout(null):
         tracemalloc.start()
         try:
-            code = main(WORST_TABLE)
+            code = main([*WORST_TABLE, "--format", fmt])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
     assert code == 0
-    assert peak < 48 * 2 ** 20
+    return peak
+
+
+def test_worst_case_table_json_peak_memory():
+    assert _worst_case_table_peak("json") < 8 * 2 ** 20
+
+
+def test_worst_case_table_text_peak_memory():
+    assert _worst_case_table_peak("text") < 8 * 2 ** 20
 
 
 # ---------------------------------------------------------------------------
@@ -406,4 +421,4 @@ def test_closed_stdout_exits_without_traceback():
 def test_closed_stdout_mid_stream_exits_without_traceback():
     # the rows of the worst case are written in many chunks; the pipe closes
     # after the first of them
-    _close_stdout_after_first_line(WORST_TABLE)
+    _close_stdout_after_first_line([*WORST_TABLE, "--format", "json"])

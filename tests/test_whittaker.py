@@ -44,6 +44,8 @@ from whitdim.whittaker import (
 )
 
 from _oracles import (
+    TABLE_CASES,
+    TABLE_FORMS,
     glr_dimension_scan,
     glr_general_position,
     oracle_scan_fractions,
@@ -981,14 +983,9 @@ def _reference_table(r, q, n, pp, qq):
 
 
 def test_table_matches_the_literal_reference():
-    # q = 2 (P = M) and r = 1 (P = 1) are the extremes of the residue period
-    # P = (q^r - 1)/(q - 1); the last five have P much smaller than M, and
-    # q = 49 is a prime power that is not a prime
-    for r, q in [(1, 2), (2, 2), (3, 2), (4, 2), (1, 5), (2, 5), (3, 3), (4, 3),
-                 (2, 4), (3, 4), (2, 7), (3, 5), (2, 9), (2, 13),
-                 (3, 7), (3, 13), (4, 5), (2, 31), (2, 49)]:
+    for r, q in TABLE_CASES:
         for n in _divisors(q - 1):
-            for pp, qq in [(0, 1), (1, 0), (-2, 3), (0, 0)]:
+            for pp, qq in TABLE_FORMS:
                 assert enumerate_glr_table(r, q, n, pp, qq) == _reference_table(r, q, n, pp, qq)
 
 
