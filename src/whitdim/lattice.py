@@ -129,12 +129,10 @@ def _reduce_above(body):
 
 def _right_kernel(rows, d):
     """Basis of {x in Z^d : row . x = 0 for every row}."""
-    rows = [tuple(r) for r in rows]
     if not rows:
         return list(identity_matrix(d))
     cols = [tuple(r[i] for r in rows) for i in range(d)]
-    _, kernel = _echelon(cols, len(rows), track=True)
-    return list(kernel)
+    return _echelon(cols, len(rows), track=True)[1]
 
 
 def _smith_diagonal(rows, ncols):
@@ -334,11 +332,15 @@ def intersect(a, b):
     return hermite_normal_form(gens, d)
 
 
+def orthogonal_lattice(rows, d):
+    """The sublattice {y in Z^d : row . y = 0 for every row}."""
+    return hermite_normal_form(_right_kernel(rows, d), d)
+
+
 def saturation(lat):
     """Largest sublattice with the same rational span: {y : k*y in lat, k > 0}."""
     d = lat.ambient_rank
-    orthogonal = _right_kernel(lat.basis, d)
-    return hermite_normal_form(_right_kernel(orthogonal, d), d)
+    return orthogonal_lattice(_right_kernel(lat.basis, d), d)
 
 
 def is_saturated(lat):
@@ -368,7 +370,7 @@ def fixed_sublattice(endomorphisms, ambient_rank=None):
             raise ValueError("endomorphisms must be square matrices of matching size")
         for i in range(d):
             conditions.append(tuple(m[i][j] - (i == j) for j in range(d)))
-    return hermite_normal_form(_right_kernel(conditions, d), d)
+    return orthogonal_lattice(conditions, d)
 
 
 def congruence_kernel(rows, modulus, ambient_rank):

@@ -6,21 +6,21 @@ X-coordinates and coroots in Y-coordinates, index-paired.  Every automorphism
 (simple reflection, Frobenius, Weyl element) is stored as its action on Y; the
 action on X is the inverse-transpose and is derived on demand, never stored.
 
-A datum computes on first use and then holds its simple reflections, its
-semisimple rank and the fixed lattices Y^W, Y^Fr and Y^{W x Fr}; with the
-identity Frobenius the last two are Z^d and Y^W, with no kernel computed.
-Only the closure of W and the fixed-lattice kernels read the matrices
-I - alpha_i^vee alpha_i^T of the s_i; the rest reads roots and coroots.
-Validation pairs each simple root and coroot with every coroot and root
-once, and checks only that each reflected vector lies in the set: a
-reflection is injective, so mapping a finite set into itself permutes it.
-That a root is W-conjugate to a simple one is not checked.
+A datum computes on first use and then holds its semisimple rank, its Weyl
+group and Y^W, Y^Fr and Y^{W x Fr}, all freed with it; with the identity
+Frobenius the last two are Z^d and Y^W, with no kernel computed.  No
+reflection matrix is built: W, |W| and Y^W (orthogonal to the simple roots)
+are read off the roots and coroots.  Validation checks that the simple
+roots are linearly independent, pairs each simple root and coroot with
+every coroot and root once, and checks only that each reflected vector lies
+in the set: a reflection is injective, so mapping a finite set into itself
+permutes it.  That a root is W-conjugate to a simple one is not checked.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 from .errors import MathConstraintError, ResourceLimitError
 from .lattice import (
@@ -33,6 +33,7 @@ from .lattice import (
     is_saturated,
     mat_mul,
     mat_vec,
+    orthogonal_lattice,
     rank,
     transpose,
 )
@@ -132,8 +133,8 @@ class BasedRootDatum:
 
     ``roots[i]`` (an X-vector) is paired with ``coroots[i]`` (a Y-vector) and
     their dot pairing is 2.  ``simple_indices`` points at the simple system.
-    Its simple reflections, semisimple rank and fixed lattices are computed
-    on first use and kept on the datum.
+    Its semisimple rank, Weyl group and fixed lattices are computed on first
+    use and kept on the datum.
     """
 
     rank: int
@@ -191,6 +192,9 @@ class BasedRootDatum:
                 if c not in (0, -1, -2, -3):
                     raise MathConstraintError(
                         f"Cartan entry <root {i}, coroot {j}> = {c} is out of range")
+        if rank([roots[i] for i in simple], d) != len(simple):
+            raise MathConstraintError(
+                "the simple roots are not a base: they are linearly dependent")
 
         if fr.order == 1:  # the identity permutes everything
             return
@@ -205,21 +209,24 @@ class BasedRootDatum:
             raise MathConstraintError("the dual Frobenius does not permute the roots")
 
     @cached_property
-    def _simple_reflections(self):
-        """Matrices I - coroot_i root_i^T of s_i on Y, for the simple i."""
-        d = self.rank
-        return tuple(tuple(tuple(int(j == k) - av[j] * a[k] for k in range(d)) for j in range(d))
-                     for a, av in ((self.roots[i], self.coroots[i]) for i in self.simple_indices))
-
-    @cached_property
     def semisimple_rank(self):
         """Rank of the span of all roots."""
         return rank(self.roots, self.rank)
 
     @cached_property
     def _weyl_fixed(self):
-        """Y^W: the vectors fixed by every simple reflection."""
-        return fixed_sublattice(self._simple_reflections, self.rank)
+        """Y^W: the vectors orthogonal to every simple root."""
+        return orthogonal_lattice([self.roots[i] for i in self.simple_indices], self.rank)
+
+    @cached_property
+    def _weyl_group(self):
+        """W, refused above MAX_WEYL_ORDER before any closure."""
+        order = weyl_order(self)
+        if order > MAX_WEYL_ORDER:
+            raise ResourceLimitError(
+                f"the Weyl group of order {order} exceeds the guard {MAX_WEYL_ORDER}")
+        return WeylGroup(self.rank, tuple((self.roots[i], self.coroots[i])
+                                          for i in self.simple_indices), order)
 
     @cached_property
     def _frobenius_fixed(self):
@@ -236,20 +243,27 @@ class BasedRootDatum:
 
 @dataclass(frozen=True)
 class WeylGroup:
-    """The Weyl group of a datum, with its order |W| known from the root
-    heights; its elements are closed from the simple reflections on first
-    use."""
+    """The Weyl group of a rank-``rank`` datum, generated by the reflections
+    of its simple (root, coroot) pairs, with |W| known from the root heights;
+    its elements are closed on first use."""
 
-    datum: BasedRootDatum
+    rank: int
+    simple_pairs: tuple
     order: int
 
     @cached_property
     def elements(self):
         """Every Weyl element as an integer matrix acting on Y, the identity
-        first and the rest sorted."""
-        gens = simple_reflections(self.datum)
-        ident, *rest = _closure([identity_matrix(self.datum.rank)],
-                                lambda m: (mat_mul(g, m) for g in gens))
+        first and the rest sorted; s_i m = m - alpha_i^vee (alpha_i^T m)
+        changes only the rows where alpha_i^vee is nonzero."""
+        def reflect(m):
+            cols = list(zip(*m))
+            for root, coroot in self.simple_pairs:
+                row = [dot(root, col) for col in cols]
+                yield tuple(r if not c else tuple(x - c * y for x, y in zip(r, row))
+                            for r, c in zip(m, coroot))
+
+        ident, *rest = _closure([identity_matrix(self.rank)], reflect)
         if len(rest) + 1 != self.order:
             raise RuntimeError(
                 f"internal consistency: closure found {len(rest) + 1} Weyl elements, "
@@ -353,46 +367,32 @@ def _closure(start, step):
     return found
 
 
-def simple_reflections(rd):
-    """Matrices of the simple reflections acting on Y, computed once per datum."""
-    return rd._simple_reflections
-
-
-@lru_cache(maxsize=None)
 def weyl_group(rd):
-    """The Weyl group of a datum, its elements closed on first use.
-
-    Cached by the value of the datum, so equal data built separately share
-    one group and its derived data.  |W| is computed from the Cartan matrix
-    first, and a group above :data:`MAX_WEYL_ORDER` is refused.
-    """
-    order = weyl_order(rd)
-    if order > MAX_WEYL_ORDER:
-        raise ResourceLimitError(
-            f"the Weyl group of order {order} exceeds the guard {MAX_WEYL_ORDER}")
-    return WeylGroup(rd, order)
+    """The Weyl group of a datum, held by it: |W| is found first, and a
+    group above :data:`MAX_WEYL_ORDER` is refused before any closure."""
+    return rd._weyl_group
 
 
 def weyl_order(rd):
     """|W| without enumerating W: the product of the degrees m_i + 1.
 
-    The exponents m_i are read off the heights of the positive roots, which
-    a closure over the roots from the simple ones finds: as many exponents
-    are at least h as there are positive roots of height h (Kostant).  Simple
-    roots that are linearly dependent are not a base and raise
-    :class:`MathConstraintError`.
+    The exponents m_i are read off the heights of the positive roots: as
+    many exponents are at least h as there are positive roots of height h
+    (Kostant).  Each positive root is reached from a simple one by the s_i
+    that raise the height, s_i beta = beta - c alpha_i with
+    c = <beta, alpha_i^vee> < 0 (Humphreys, Lie Algebras, 10.2); the simple
+    roots are a base, as validation checks, so the walk ends.
     """
-    simple = rd.simple_indices
-    if rank([rd.roots[i] for i in simple], rd.rank) != len(simple):
-        raise MathConstraintError("the simple roots are not a base: they are linearly dependent")
+    pairs = [(rd.roots[i], rd.coroots[i]) for i in rd.simple_indices]
 
-    def reflect(item):
+    def raise_height(item):
         root, height = item
-        for i in simple:
-            c = dot(root, rd.coroots[i])
-            yield tuple(a - c * b for a, b in zip(root, rd.roots[i])), height - c
+        for sroot, scoroot in pairs:
+            c = dot(root, scoroot)
+            if c < 0:
+                yield tuple(a - c * b for a, b in zip(root, sroot)), height - c
 
-    heights = [h for _, h in _closure([(rd.roots[i], 1) for i in simple], reflect) if h > 0]
+    heights = [h for _, h in _closure([(root, 1) for root, _ in pairs], raise_height)]
     order = 1
     for h in range(1, max(heights, default=0) + 1):
         order *= (h + 1) ** (heights.count(h) - heights.count(h + 1))

@@ -159,27 +159,25 @@ def xi_of(cover, y):
     return tuple(Fraction(c, cover.n) % 1 for c in mat_vec(cover.form.gram, vec))
 
 
-def glr_coxeter_parameter(r, q, a, n=None):
+def glr_coxeter_parameter(r, q, a, n=1):
     """Parameter of the exponent-a character on the Coxeter torus of GL_r.
 
-    w is the full cycle and theta_i = a * q^(i-1) / (q^r - 1) mod 1.  When the
-    cover degree n is supplied, the central exponent is pinned to 1/n; n is
-    None (no pin) or at least 1.
+    w is the full cycle and theta_i = a * q^(i-1) / (q^r - 1) mod 1.  The
+    central exponent is pinned to 1/n for the cover degree n >= 1; n = 1
+    pins it to 0.
     """
     _check_glr_args(r, q)
     modulus = q ** r - 1
     if not 0 <= a < modulus:
         raise ValueError(f"exponent a must lie in [0, q^r - 1) = [0, {modulus})")
-    if n is not None and n < 1:
-        raise ValueError(f"the cover degree n must be None or at least 1, got n = {n}")
+    if n < 1:
+        raise ValueError(f"the cover degree n must be at least 1, got n = {n}")
     # row i of the r-cycle is the unit row e_(i-1 mod r)
     units = [(0,) * j + (1,) + (0,) * (r - 1 - j) for j in range(r)]
     w = (units[-1], *units[:-1])
     nums = [a * pow(q, i, modulus) % modulus for i in range(r)]
     if any((q * nums[i] - nums[(i + 1) % r]) % modulus for i in range(r)):
         raise RuntimeError("internal consistency: theta is not fixed by q times the Coxeter twist")
-    if n is None:
-        return LusztigParameter(w, modulus, tuple(nums))
     denom = lcm(modulus, n)
     nums = tuple(x * (denom // modulus) for x in nums)
     return LusztigParameter(w, denom, nums, denom // n)

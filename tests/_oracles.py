@@ -382,6 +382,13 @@ def _reflection_matrix(root, coroot):
     return [[int(j == k) - coroot[j] * root[k] for k in range(d)] for j in range(d)]
 
 
+def simple_reflection_matrices(rd):
+    """The matrices I - coroot_i root_i^T of the simple reflections on Y, as
+    tuples of rows."""
+    return [tuple(map(tuple, _reflection_matrix(rd.roots[i], rd.coroots[i])))
+            for i in rd.simple_indices]
+
+
 def form_invariance_failure(datum, gram):
     """The message of the first invariance check that the gram matrix fails,
     or None: G is conjugated by the matrix of each simple reflection, then by

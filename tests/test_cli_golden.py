@@ -75,9 +75,15 @@ COVER_FILES = {
     "string_rank.json": dict(KP_GL2, rank="2"),
     "boolean_root.json": dict(KP_GL2, roots=[[True, -1], [-1, 1]]),
     "simple_not_a_list.json": dict(KP_GL2, simple=0),
+    # simple roots that are not a base: one root named twice, and a root with
+    # its negative
+    "simple_repeated.json": dict(KP_GL2, simple=[0, 0]),
+    "simple_opposite.json": dict(KP_GL2, simple=[0, 1]),
 }
 
 EMPTY = hashlib.sha256(b"").hexdigest()
+#: stderr of a datum whose simple roots are not a base
+NOT_A_BASE = "64a7b1ecad9ca0c83bad9f6ed7499bfbb09c7749cfc919224b829048af1d7cf9"
 
 #: (command, format) -> (exit code, sha256 of stdout, sha256 of stderr)
 GOLDEN = {
@@ -175,6 +181,11 @@ GOLDEN = {
     ("info simple_not_a_list.json", "json"):
         (2, EMPTY,
          "d21ffcc9af3d97fb346c485821b3bcf59a562af4b0edcef49e78778f4bedc790"),
+    # error: the simple roots are not a base: they are linearly dependent
+    ("info simple_repeated.json", "text"): (3, EMPTY, NOT_A_BASE),
+    ("info simple_repeated.json", "json"): (3, EMPTY, NOT_A_BASE),
+    ("info simple_opposite.json", "text"): (3, EMPTY, NOT_A_BASE),
+    ("info simple_opposite.json", "json"): (3, EMPTY, NOT_A_BASE),
     ("residual gl2.json --point 0,0", "text"):
         (0, "05b74f533376d7d824a031adf4b3d4378efd83c0688db52d7bfcd2b36025639f",
          EMPTY),

@@ -24,12 +24,11 @@ from whitdim.root_datum import (
     build_slr,
     build_sp2r,
     build_torus,
-    simple_reflections,
     weyl_group,
 )
 from whitdim.whittaker import squeeze_bounds
 
-from _oracles import prime_power_base_trial
+from _oracles import prime_power_base_trial, simple_reflection_matrices
 
 
 # ---------------------------------------------------------------------------
@@ -223,15 +222,13 @@ def test_coroot_q_is_q_on_every_coroot_in_root_order():
         assert cover.coroot_q is table
 
 
-def test_held_simple_reflections_and_semisimple_rank_match_fresh_computation():
+def test_held_weyl_group_and_semisimple_rank_match_fresh_computation():
     for cover, semisimple_rank in held_state_covers():
         rd, d = cover.datum, cover.rank
+        group = weyl_group(rd)
+        assert weyl_group(rd) is group
         # s_i y = y - <root_i, y> coroot_i, entry by entry
-        fresh = tuple(tuple(tuple(int(j == k) - rd.coroots[i][j] * rd.roots[i][k]
-                                  for k in range(d)) for j in range(d))
-                      for i in rd.simple_indices)
-        assert simple_reflections(rd) == fresh
-        assert simple_reflections(rd) is simple_reflections(rd)
+        assert all(s in group for s in simple_reflection_matrices(rd))
         assert rd.semisimple_rank == semisimple_rank
         if rd.roots:
             assert hermite_normal_form(rd.roots, d).rank == semisimple_rank

@@ -1,4 +1,6 @@
+import gc
 import time
+import weakref
 from math import factorial
 
 import pytest
@@ -22,12 +24,13 @@ from whitdim.root_datum import (
     identity_frobenius,
     is_derived_simply_connected,
     permutation_blocks,
-    simple_reflections,
     weyl_fixed_lattice,
     weyl_frobenius_fixed_lattice,
     weyl_group,
     weyl_order,
 )
+
+from _oracles import simple_reflection_matrices
 
 
 def adjoint_sl2_pattern():
@@ -184,10 +187,13 @@ def test_weyl_order_of_every_dynkin_type(name):
 
 
 def test_simple_roots_that_are_not_a_base_are_rejected():
-    # a root and its negative: the Cartan matrix ((2, -2), (-2, 2)) is affine
+    # a root and its negative (the Cartan matrix ((2, -2), (-2, 2)) is
+    # affine), and one root named twice: refused when the datum is built
     rd = build_glr(2)
-    with pytest.raises(MathConstraintError, match="not a base: they are linearly dependent"):
-        weyl_order(BasedRootDatum(2, rd.roots, rd.coroots, (0, 1)))
+    for simple in ((0, 1), (0, 0)):
+        with pytest.raises(MathConstraintError,
+                           match="^the simple roots are not a base: they are linearly dependent$"):
+            BasedRootDatum(2, rd.roots, rd.coroots, simple)
 
 
 def test_weyl_guard_refuses_large_groups_before_any_closure():
@@ -224,27 +230,42 @@ def test_permutation_blocks():
 
 
 def test_weyl_order_leaves_the_elements_unbuilt():
-    # the function under the cache, so that no closure another test made is read
-    group = weyl_group.__wrapped__(build_glr(7))
+    # a fresh datum, whose group no other test has closed
+    group = weyl_group(build_glr(7))
     assert group.order == 5040
     assert "elements" not in vars(group)
-    assert weyl_group(build_glr(7)).order == 5040
 
 
 def test_a_closure_that_disagrees_with_the_heights_is_an_internal_error(monkeypatch):
     monkeypatch.setattr(root_datum, "weyl_order", lambda rd: 5)
-    group = weyl_group.__wrapped__(build_glr(3))
+    group = weyl_group(build_glr(3))
     assert group.order == 5
     with pytest.raises(RuntimeError, match="^internal consistency: closure found 6 Weyl "
                                            "elements, the root heights give 5$"):
         group.elements
 
 
-def test_weyl_data_shared_across_equal_data():
+def test_weyl_group_held_by_its_datum():
+    rd = build_glr(4)
+    assert weyl_group(rd) is weyl_group(rd)
+    assert weyl_group(rd).x_action is weyl_group(rd).x_action
+
+
+def test_equal_data_built_separately_hold_their_own_groups():
     first, second = build_glr(4), build_glr(4)
-    assert first is not second
-    assert weyl_group(first) is weyl_group(second)
-    assert weyl_group(first).x_action is weyl_group(second).x_action
+    assert first == second and first is not second
+    assert weyl_group(first) is not weyl_group(second)
+    assert weyl_group(first).elements == weyl_group(second).elements
+
+
+def test_weyl_group_freed_with_its_datum():
+    rd = build_sp2r(3)
+    group = weyl_group(rd)
+    assert len(group.elements) == 48 and len(group.x_action) == 48 and group.elements[0] in group
+    ref = weakref.ref(rd)
+    del rd, group
+    gc.collect()
+    assert ref() is None
 
 
 def test_weyl_membership_and_x_action():
@@ -471,8 +492,9 @@ def test_restriction_of_scalars_frobenius_accepted():
 def test_simple_reflections_square_to_identity():
     from whitdim.lattice import identity_matrix, mat_mul
     for rd in (build_glr(3), build_slr(3), build_sp2r(2)):
-        for s in simple_reflections(rd):
+        for s in simple_reflection_matrices(rd):
             assert mat_mul(s, s) == identity_matrix(rd.rank)
+            assert s in weyl_group(rd)
 
 
 # ---------------------------------------------------------------------------
@@ -492,7 +514,7 @@ def test_held_fixed_lattices_match_fresh_kernels():
             + [BasedRootDatum(4, block_roots, block_roots, (0, 2),
                               FrobeniusAction(swap_blocks))])
     for rd in data:
-        reflections = list(simple_reflections(rd))
+        reflections = simple_reflection_matrices(rd)
         fr = rd.fr.matrix
         expected = (fixed_sublattice(reflections, rd.rank),
                     fixed_sublattice([fr], rd.rank),

@@ -8,6 +8,7 @@ from math import gcd, lcm
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from whitdim import root_datum
 from whitdim.cover import CoverSpec, WeylInvariantForm, central_index, glr_cover, m_qr
 from whitdim.errors import GeneralPositionError, MathConstraintError, ResourceLimitError
 from whitdim.lattice import (
@@ -26,7 +27,6 @@ from whitdim.root_datum import (
     build_slr,
     build_sp2r,
     build_torus,
-    simple_reflections,
     weyl_group,
 )
 from whitdim.whittaker import (
@@ -50,6 +50,7 @@ from _oracles import (
     glr_general_position,
     oracle_scan_fractions,
     orbit_search_reference,
+    simple_reflection_matrices,
     theta_solutions,
     twisted_centralizer_fixing,
 )
@@ -127,10 +128,11 @@ def test_coxeter_parameter_refuses_a_degree_below_one():
     # 0 once dropped the 1/n pin; -4 pinned central to 18/24 = 3/4
     for n in (0, -4):
         with pytest.raises(ValueError,
-                           match=f"^the cover degree n must be None or at least 1, got n = {n}$"):
+                           match=f"^the cover degree n must be at least 1, got n = {n}$"):
             glr_coxeter_parameter(2, 5, 7, n)
-    assert glr_coxeter_parameter(2, 5, 7, None).central == 0
-    assert glr_coxeter_parameter(2, 5, 7, None) == glr_coxeter_parameter(2, 5, 7)
+    # the default degree 1 pins the central exponent to 0
+    assert glr_coxeter_parameter(2, 5, 7).central == 0
+    assert glr_coxeter_parameter(2, 5, 7) == glr_coxeter_parameter(2, 5, 7, 1)
 
 
 def test_coxeter_parameter_range_check():
@@ -217,8 +219,8 @@ def test_coxeter_parameter_matches_its_rational_definition():
             r_cycle = tuple(tuple(int(i == (j + 1) % r) for j in range(r)) for i in range(r))
             assert glr_coxeter_parameter(r, q, 0).w == r_cycle
             modulus = q ** r - 1
-            for n in [None] + _divisors(q - 1):
-                central = Fraction(1, n) if n else 0
+            for n in _divisors(q - 1):
+                central = Fraction(1, n)
                 for a in range(modulus):
                     theta = [Fraction(a * q ** i, modulus) for i in range(r)]
                     expected = LusztigParameter.from_theta(
@@ -375,26 +377,33 @@ def test_y_x_rho_rejects_degenerate_parameters():
         y_x_rho(KP, glr_coxeter_parameter(2, 5, 0, 4))
 
 
-def test_y_x_rho_looks_up_the_weyl_group_once_per_cover():
+def _count_weyl_orders(monkeypatch):
+    """Count the calls of root_datum.weyl_order from here on."""
+    calls = []
+    order = root_datum.weyl_order
+    monkeypatch.setattr(root_datum, "weyl_order", lambda rd: calls.append(rd) or order(rd))
+    return calls
+
+
+def test_y_x_rho_looks_up_the_weyl_group_once_per_cover(monkeypatch):
     # SL_3 in its coroot basis is not block-permutation data: W is enumerated
     cover = CoverSpec(build_slr(3), WeylInvariantForm(((2, -1), (-1, 2))), 2, 3)
     coxeter = ((0, -1), (1, -1))
     params = [LusztigParameter.from_theta(coxeter, theta)
               for theta in theta_solutions(cover, coxeter)]
-    before = weyl_group.cache_info()
+    calls = _count_weyl_orders(monkeypatch)
     for param in params[1:4]:
         y_x_rho(cover, param)
-    after = weyl_group.cache_info()
-    assert after.hits + after.misses == before.hits + before.misses + 1
+    assert calls == [cover.datum]
     assert cover._weyl is weyl_group(cover.datum)
 
 
-def test_y_x_rho_on_gl_r_never_looks_up_the_weyl_group():
+def test_y_x_rho_on_gl_r_never_looks_up_the_weyl_group(monkeypatch):
     cover = glr_cover(3, 0, 1, 2, 3)
-    before = weyl_group.cache_info()
+    calls = _count_weyl_orders(monkeypatch)
     for a in (1, 2, 5):
         y_x_rho(cover, glr_coxeter_parameter(3, 3, a, 2))
-    assert weyl_group.cache_info() == before
+    assert calls == []
     assert isinstance(cover._weyl, PermutationBlocks)
 
 
@@ -549,7 +558,7 @@ def _invariant_cover(datum, q, n, rng):
     """A cover whose form is a random even form summed over the group that W
     and Frobenius generate."""
     d = datum.rank
-    gens = [*simple_reflections(datum), datum.fr.matrix]
+    gens = [*simple_reflection_matrices(datum), datum.fr.matrix]
     group = [identity_matrix(d)]
     for m in group:
         group.extend(x for x in (mat_mul(g, m) for g in gens) if x not in group)
