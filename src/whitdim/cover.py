@@ -34,10 +34,10 @@ from math import comb
 
 from .errors import MathConstraintError, ResourceLimitError
 from .lattice import (
+    congruence_index,
     congruence_kernel,
     coset_representatives,
     dot,
-    index,
     intersect,
     mat_mul,
     mat_vec,
@@ -312,6 +312,11 @@ def y_qn(cover):
 
 
 def central_index(cover):
-    """#(Y^Fr / Y^Fr_{Q,n}): the dimension of every genuine irrep of the covered torus."""
-    fixed = frobenius_fixed_lattice(cover.datum)
-    return index(fixed, intersect(fixed, y_qn(cover)))
+    """#(Y^Fr / Y^Fr_{Q,n}): the dimension of every genuine irrep of the covered torus.
+
+    With F a basis of Y^Fr, y = c F lies in Y_{Q,n} exactly when
+    c (F G) = 0 mod n, G the gram matrix, so the index is
+    ``congruence_index(F G, n)``: a product over the Smith diagonal of F G.
+    """
+    basis = frobenius_fixed_lattice(cover.datum).basis
+    return congruence_index(mat_mul(basis, cover.form.gram), cover.n)

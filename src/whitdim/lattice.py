@@ -16,12 +16,14 @@ Every elimination is one routine, ``_echelon``; the cheaper questions take
 no more of it than they need.  ``rank`` is one echelon pass without the
 reduction above the pivots, ``is_saturated`` reads the Smith factors of the
 basis (all 1 exactly when Z^d / lat is free, and at once when every pivot is
-1) instead of computing the saturation, and ``intersect`` returns the other
-side when one side is Z^d.
+1) instead of computing the saturation, ``intersect`` returns the other
+side when one side is Z^d, and ``congruence_index`` reads the index of
+{c : c M = 0 mod n} off the Smith diagonal of M without building it.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from itertools import product as _cartesian
 from math import gcd, prod
@@ -68,7 +70,7 @@ def dot(u, v):
 
 
 def _as_int_rows(rows):
-    return [tuple(int(x) for x in r) for r in rows]
+    return [tuple(map(operator.index, r)) for r in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +177,7 @@ class Sublattice:
         d = self.ambient_rank
         if not isinstance(d, int) or d < 1:
             raise ValueError("ambient rank must be a positive integer")
-        basis = tuple(tuple(int(x) for x in row) for row in self.basis)
+        basis = tuple(tuple(map(operator.index, row)) for row in self.basis)
         object.__setattr__(self, "basis", basis)
         if any(len(row) != d for row in basis):
             raise ValueError("basis rows must all have the ambient length")
@@ -207,7 +209,7 @@ class Sublattice:
 
     def coordinates(self, vec):
         """Coefficients of ``vec`` in this basis, or None if not a member."""
-        v = [int(x) for x in vec]
+        v = list(map(operator.index, vec))
         if len(v) != self.ambient_rank:
             raise ValueError("vector length does not match the ambient rank")
         coords = []
@@ -240,7 +242,7 @@ class FiniteAbelianStructure:
     free_rank: int
 
     def __post_init__(self):
-        factors = tuple(int(d) for d in self.invariant_factors)
+        factors = tuple(map(operator.index, self.invariant_factors))
         object.__setattr__(self, "invariant_factors", factors)
         if any(d < 2 for d in factors):
             raise ValueError("invariant factors must be >= 2")
@@ -358,7 +360,7 @@ def rank(rows, d):
 
 def fixed_sublattice(endomorphisms, ambient_rank=None):
     """Joint fixed lattice: the intersection over M of ker(M - I) in Z^d."""
-    mats = [tuple(tuple(int(x) for x in row) for row in m) for m in endomorphisms]
+    mats = [tuple(tuple(map(operator.index, row)) for row in m) for m in endomorphisms]
     if ambient_rank is None:
         if not mats:
             raise ValueError("ambient rank is required when no endomorphisms are given")
@@ -371,6 +373,22 @@ def fixed_sublattice(endomorphisms, ambient_rank=None):
         for i in range(d):
             conditions.append(tuple(m[i][j] - (i == j) for j in range(d)))
     return orthogonal_lattice(conditions, d)
+
+
+def congruence_index(rows, modulus):
+    """[Z^k : {c : c . rows = 0 mod modulus}] for k integer rows.
+
+    With rows = U D V, U and V unimodular and D the Smith form, c . rows is
+    0 mod n exactly when (c U) D is, so the index is the product of
+    n / gcd(n, s) over the nonzero diagonal entries s of D (Newman,
+    Integral Matrices, II).
+    """
+    if modulus < 1:
+        raise ValueError("modulus must be positive")
+    rows = _as_int_rows(rows)
+    if not rows:
+        return 1
+    return prod(modulus // gcd(modulus, s) for s in _smith_diagonal(rows, len(rows[0])))
 
 
 def congruence_kernel(rows, modulus, ambient_rank):

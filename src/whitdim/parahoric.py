@@ -16,9 +16,12 @@ evaluation.  A repeated point is recognised before it is coerced.  Q on the
 coroots is kept on the cover, and so is the :class:`ResidualRootData` of the
 last point, which builds the Hermite form of its extended coroots once:
 ``residual_derived_simply_connected`` reads its Smith factors and
-``residual_splits`` solves over its rows.  ``is_vertex`` takes the rank of
-the integral roots from one echelon pass.  Fractions appear only when a
-point is parsed and in ``ApartmentPoint.coords``.
+``residual_splits`` solves over its rows.  The integral roots at x are
+closed under negation: (-alpha)(x) = -alpha(x), and validation makes
+(-alpha, -alpha^vee) a pair.  So ``is_vertex`` ranks only the positive ones,
+and the rows of the positive roots span the lattice, each in one echelon
+pass.  Fractions appear only when a point is parsed and in
+``ApartmentPoint.coords``.
 """
 
 from __future__ import annotations
@@ -112,19 +115,22 @@ class ResidualRootData:
 
     ``iota[k]`` is the image of the coroot paired with root index
     ``phi_x[k]``: its first d coordinates are the coroot itself and the last
-    coordinate is root(x) * Q(coroot).
+    coordinate is root(x) * Q(coroot).  ``positive`` lists the rows of iota
+    of the positive roots: iota(-alpha) = -iota(alpha), so they span what
+    iota spans.
     """
 
     point: ApartmentPoint
     phi_x: tuple
     iota: tuple
+    positive: tuple
 
     @cached_property
     def _lambda(self):
         ambient = len(self.point.coords) + 1
-        if not self.iota:
+        if not self.positive:
             return Sublattice.zero(ambient)
-        return hermite_normal_form(self.iota, ambient)
+        return hermite_normal_form(self.positive, ambient)
 
     def lambda_lattice(self):
         """Span of the extended coroots inside Z^(d+1), built once per record."""
@@ -141,9 +147,11 @@ def residual_extension(cover, x):
     last = cover.__dict__.get("_residual")
     if last is not None and last.point == point:
         return last
-    coroots, q = cover.datum.coroots, cover.coroot_q
-    iota = tuple(coroots[i] + (value * q[i],) for i, value in integral)
-    last = ResidualRootData(point, tuple(i for i, _ in integral), iota)
+    rd, q = cover.datum, cover.coroot_q
+    coroots, heights = rd.coroots, rd.heights
+    iota = tuple([coroots[i] + (value * q[i],) for i, value in integral])
+    positive = tuple([row for row, (i, _) in zip(iota, integral) if heights[i] > 0])
+    last = ResidualRootData(point, tuple([i for i, _ in integral]), iota, positive)
     cover.__dict__["_residual"] = last
     return last
 
@@ -154,8 +162,11 @@ def is_hyperspecial(rd, x):
 
 
 def is_vertex(rd, x):
-    """True iff the roots integral at x span the full semisimple rank."""
-    return rank([rd.roots[i] for i in phi_x(rd, x)], rd.rank) == rd.semisimple_rank
+    """True iff the roots integral at x span the full semisimple rank.  They
+    are closed under negation, so the positive ones are ranked."""
+    heights = rd.heights
+    positive = [rd.roots[i] for i in phi_x(rd, x) if heights[i] > 0]
+    return rank(positive, rd.rank) == rd.semisimple_rank
 
 
 def residual_derived_simply_connected(cover, x):

@@ -6,19 +6,22 @@ X-coordinates and coroots in Y-coordinates, index-paired.  Every automorphism
 (simple reflection, Frobenius, Weyl element) is stored as its action on Y; the
 action on X is the inverse-transpose and is derived on demand, never stored.
 
-A datum computes on first use and then holds its semisimple rank, its Weyl
-group and Y^W, Y^Fr and Y^{W x Fr}, all freed with it; with the identity
-Frobenius the last two are Z^d and Y^W, with no kernel computed.  No
-reflection matrix is built: W, |W| and Y^W (orthogonal to the simple roots)
-are read off the roots and coroots.  Validation checks that the simple
-roots are linearly independent, pairs each simple root and coroot with
-every coroot and root once, and checks only that each reflected vector lies
-in the set: a reflection is injective, so mapping a finite set into itself
-permutes it.  That a root is W-conjugate to a simple one is not checked.
+Validation checks the pairings, the Cartan entries and that the simple roots
+are linearly independent, then closes the simple (root, coroot) pairs under
+the simple reflections: every image must be a given pair and every given
+root must be reached, so each root is W-conjugate to a simple one with its
+coroot.  The closure records the height of every root (1 on the simple
+roots, changed by -<beta, alpha_i^vee> under s_i), and the datum keeps them.
+A datum computes on first use and then holds its Weyl group and Y^W, Y^Fr
+and Y^{W x Fr}, all freed with it; with the identity Frobenius the last two
+are Z^d and Y^W, with no kernel computed.  No reflection matrix is built:
+W, |W| (from the heights), the semisimple rank (the number of simple roots)
+and Y^W (orthogonal to the simple roots) are read off the roots and coroots.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -44,12 +47,12 @@ MAX_FROBENIUS_ORDER = 24
 #: Largest Weyl group enumerated element by element: |W(A_7)| = 8!.
 MAX_WEYL_ORDER = 40_320
 
-#: Largest r accepted by :func:`build_glr`; validating the datum costs about r^4.
+#: Largest r accepted by :func:`build_glr`; validating the datum costs about r^3.
 MAX_GLR_RANK = 16
 
 
 def _as_matrix(rows):
-    return tuple(tuple(int(x) for x in row) for row in rows)
+    return tuple(tuple(map(operator.index, row)) for row in rows)
 
 
 @dataclass(frozen=True)
@@ -123,6 +126,79 @@ def _maps_into(vectors, pairings, u, targets):
     return True
 
 
+def _refusal(roots, coroots, simple, message):
+    """The error that refuses a datum for ``message``, unless some simple
+    reflection does not map the roots or the coroots into their sets: the
+    first such reflection is named instead.  A reflection is injective, so
+    it permutes a finite set once it maps the set into itself."""
+    root_set, coroot_set = frozenset(roots), frozenset(coroots)
+    for i in simple:
+        a, av = roots[i], coroots[i]
+        if not _maps_into(coroots, mat_vec(coroots, a), av, coroot_set):
+            return MathConstraintError(f"simple reflection {i} does not permute the coroots")
+        if not _maps_into(roots, mat_vec(roots, av), a, root_set):
+            return MathConstraintError(f"simple reflection {i} does not permute the roots")
+    return MathConstraintError(message)
+
+
+def _pairings(columns, u):
+    """The pairing of u with every vector whose coordinates are ``columns``,
+    over the nonzero entries of u."""
+    out = [0] * len(columns[0]) if columns else []
+    for j, y in enumerate(u):
+        if y:
+            out = [p + y * x for p, x in zip(out, columns[j])]
+    return out
+
+
+def _root_heights(roots, coroots, simple):
+    """The height of every root, or a refusal (see :func:`_refusal`).
+
+    The simple (root, coroot) pairs are closed under
+    s_i (beta, beta^vee) = (beta - <beta, alpha_i^vee> alpha_i,
+    beta^vee - <alpha_i, beta^vee> alpha_i^vee), each pairing taken over the
+    nonzero entries of alpha_i or alpha_i^vee.  Every image must be a given
+    pair and every given root must be reached.  A height is 1 on a simple
+    root and changes by -<beta, alpha_i^vee> under s_i; the simple roots are
+    linearly independent, so it does not depend on the path.
+    """
+    position = {root: k for k, root in enumerate(roots)}
+    root_columns, coroot_columns = list(zip(*roots)), list(zip(*coroots))
+    reflections = [(tuple((j, y) for j, y in enumerate(roots[i]) if y),
+                    tuple((j, y) for j, y in enumerate(coroots[i]) if y),
+                    _pairings(root_columns, coroots[i]), _pairings(coroot_columns, roots[i]))
+                   for i in simple]
+    heights = [None] * len(roots)
+    found = list(simple)
+    for i in found:
+        heights[i] = 1
+    for k in found:
+        root, coroot = roots[k], coroots[k]
+        for root_support, coroot_support, pairing, copairing in reflections:
+            c, cc = pairing[k], copairing[k]
+            if not (c or cc):
+                continue  # the pair is fixed
+            image, coimage = list(root), list(coroot)
+            for j, y in root_support:
+                image[j] -= c * y
+            for j, y in coroot_support:
+                coimage[j] -= cc * y
+            m = position.get(tuple(image))
+            if m is None or coroots[m] != tuple(coimage):
+                raise _refusal(roots, coroots, simple,
+                               f"a simple reflection sends the root {root} with coroot "
+                               f"{coroot} to {tuple(image)} with {tuple(coimage)}, which "
+                               f"is not a (root, coroot) pair")
+            if heights[m] is None:
+                heights[m] = heights[k] - c
+                found.append(m)
+    if len(found) < len(roots):
+        root = roots[heights.index(None)]
+        raise _refusal(roots, coroots, simple,
+                       f"the root {root} is not Weyl-conjugate to a simple root")
+    return tuple(heights)
+
+
 def identity_frobenius(d):
     return FrobeniusAction(identity_matrix(d))
 
@@ -132,9 +208,10 @@ class BasedRootDatum:
     """The sextuple (X, roots, simples, Y, coroots, simple coroots) plus Frobenius.
 
     ``roots[i]`` (an X-vector) is paired with ``coroots[i]`` (a Y-vector) and
-    their dot pairing is 2.  ``simple_indices`` points at the simple system.
-    Its semisimple rank, Weyl group and fixed lattices are computed on first
-    use and kept on the datum.
+    their dot pairing is 2.  ``simple_indices`` points at the simple system,
+    and ``heights[i]``, recorded by validation, is the height of ``roots[i]``.
+    The Weyl group and fixed lattices are computed on first use and kept on
+    the datum.
     """
 
     rank: int
@@ -149,7 +226,7 @@ class BasedRootDatum:
             raise ValueError("rank must be a positive integer")
         roots = _as_matrix(self.roots)
         coroots = _as_matrix(self.coroots)
-        simple = tuple(int(i) for i in self.simple_indices)
+        simple = tuple(map(operator.index, self.simple_indices))
         fr = self.fr if self.fr is not None else identity_frobenius(d)
         object.__setattr__(self, "roots", roots)
         object.__setattr__(self, "coroots", coroots)
@@ -172,33 +249,23 @@ class BasedRootDatum:
                 raise MathConstraintError(
                     f"pairing of root {a} with its coroot {av} must be 2")
 
-        # a reflection is injective, so it permutes a finite set once it maps
-        # the set into itself; a vector with pairing 0 is fixed
-        root_set, coroot_set = frozenset(roots), frozenset(coroots)
-        for i in simple:
-            a, av = roots[i], coroots[i]
-            if not _maps_into(coroots, mat_vec(coroots, a), av, coroot_set):
-                raise MathConstraintError(
-                    f"simple reflection {i} does not permute the coroots")
-            if not _maps_into(roots, mat_vec(roots, av), a, root_set):
-                raise MathConstraintError(
-                    f"simple reflection {i} does not permute the roots")
-
         for i in simple:
             for j in simple:
                 c = dot(roots[i], coroots[j])
                 if i == j:
                     continue
                 if c not in (0, -1, -2, -3):
-                    raise MathConstraintError(
-                        f"Cartan entry <root {i}, coroot {j}> = {c} is out of range")
+                    raise _refusal(roots, coroots, simple,
+                                   f"Cartan entry <root {i}, coroot {j}> = {c} is out of range")
         if rank([roots[i] for i in simple], d) != len(simple):
-            raise MathConstraintError(
-                "the simple roots are not a base: they are linearly dependent")
+            raise _refusal(roots, coroots, simple,
+                           "the simple roots are not a base: they are linearly dependent")
+        object.__setattr__(self, "heights", _root_heights(roots, coroots, simple))
 
         if fr.order == 1:  # the identity permutes everything
             return
         f = fr.matrix
+        root_set, coroot_set = frozenset(roots), frozenset(coroots)
         if coroot_set and {mat_vec(f, c) for c in coroots} != coroot_set:
             raise MathConstraintError("Frobenius does not permute the coroots")
         simple_coroots = {coroots[i] for i in simple}
@@ -208,10 +275,11 @@ class BasedRootDatum:
         if root_set and {mat_vec(fx, r) for r in roots} != root_set:
             raise MathConstraintError("the dual Frobenius does not permute the roots")
 
-    @cached_property
+    @property
     def semisimple_rank(self):
-        """Rank of the span of all roots."""
-        return rank(self.roots, self.rank)
+        """Rank of the span of all roots: every root is W-conjugate to a
+        simple one, so the span is that of the independent simple roots."""
+        return len(self.simple_indices)
 
     @cached_property
     def _weyl_fixed(self):
@@ -344,8 +412,8 @@ class PermutationBlocks:
         s phi(s) ... phi^(k-1)(s) is an element of H other than the identity
         that commutes with g.  So equal entries in one block always put v
         out of general position.  That Fr normalizes W holds on every root
-        datum; it can fail only on validated data that are not root data
-        (a root not W-conjugate to a simple one).
+        datum, and validation refuses a root that is not W-conjugate to a
+        simple one with its coroot.
         """
         key = self.key(v)
         for block in [key] if len(self.blocks) == 1 else key:
@@ -376,23 +444,11 @@ def weyl_group(rd):
 def weyl_order(rd):
     """|W| without enumerating W: the product of the degrees m_i + 1.
 
-    The exponents m_i are read off the heights of the positive roots: as
-    many exponents are at least h as there are positive roots of height h
-    (Kostant).  Each positive root is reached from a simple one by the s_i
-    that raise the height, s_i beta = beta - c alpha_i with
-    c = <beta, alpha_i^vee> < 0 (Humphreys, Lie Algebras, 10.2); the simple
-    roots are a base, as validation checks, so the walk ends.
+    The exponents m_i are read off the heights of the positive roots, which
+    validation records: as many exponents are at least h as there are
+    positive roots of height h (Kostant; Humphreys, Lie Algebras, 10.2-10.3).
     """
-    pairs = [(rd.roots[i], rd.coroots[i]) for i in rd.simple_indices]
-
-    def raise_height(item):
-        root, height = item
-        for sroot, scoroot in pairs:
-            c = dot(root, scoroot)
-            if c < 0:
-                yield tuple(a - c * b for a, b in zip(root, sroot)), height - c
-
-    heights = [h for _, h in _closure([(root, 1) for root, _ in pairs], raise_height)]
+    heights = [h for h in rd.heights if h > 0]
     order = 1
     for h in range(1, max(heights, default=0) + 1):
         order *= (h + 1) ** (heights.count(h) - heights.count(h + 1))

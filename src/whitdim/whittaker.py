@@ -46,13 +46,13 @@ from math import gcd, lcm
 from .cover import _check_q_and_degree, m_qr
 from .errors import GeneralPositionError, MathConstraintError, ResourceLimitError
 from .lattice import (
-    congruence_kernel,
+    congruence_index,
     hermite_normal_form,
     index,
-    intersect,
+    mat_mul,
     mat_vec,
 )
-from .root_datum import check_glr_rank, weyl_fixed_lattice
+from .root_datum import check_glr_rank, weyl_fixed_lattice, weyl_frobenius_fixed_lattice
 
 #: Longest scan of :func:`wh_dim_oracle`, n/gcd(n, m) steps of exact equality tests.
 MAX_ORACLE_SCAN = 100_000
@@ -344,14 +344,18 @@ def squeeze_bounds(cover):
 
     upper = [L : L meet Y_{Q,n}] and lower = [L : {y in L : B(y, y') in nZ
     for all y' in Y^W}], with L = Y^{W x Fr}; lower always divides upper.
+    With B a basis of L, B_W one of Y^W and G the gram matrix, y = c B meets
+    the first condition exactly when c (B G) = 0 mod n and the second when
+    c (B G B_W^T) = 0 mod n, so both are ``congruence_index`` of those
+    products: no lattice meet is built.
     """
-    d = cover.rank
-    lat, meet = cover._invariant_lattices
-    upper = index(lat, meet)
-    rows = [mat_vec(cover.form.gram, b) for b in weyl_fixed_lattice(cover.datum).basis]
-    mid = intersect(lat, congruence_kernel(rows, cover.n, d))
-    lower = index(lat, mid)
-    return lower, upper
+    basis = weyl_frobenius_fixed_lattice(cover.datum).basis
+    if not basis:
+        return 1, 1
+    twists = mat_mul(basis, cover.form.gram)
+    weyl_basis = weyl_fixed_lattice(cover.datum).basis
+    pairings = [mat_vec(weyl_basis, t) for t in twists]
+    return congruence_index(pairings, cover.n), congruence_index(twists, cover.n)
 
 
 #: Largest r * q.bit_length() for which the table guard's message forms q^r

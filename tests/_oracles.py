@@ -446,3 +446,112 @@ def glr_invariants_reference(datum, form):
     if len(diag) != 1 or len(off) > 1:
         return None
     return diag.pop() // 2, off.pop() if off else 0
+
+
+def invariant_indices_by_meets(cover):
+    """(central index, lower, upper) as lattice indices of explicit meets:
+    [Y^Fr : Y^Fr meet Y_{Q,n}], and with L = Y^{W x Fr},
+    [L : L meet {y : B(y, y') in nZ for all y' in Y^W}] and
+    [L : L meet Y_{Q,n}]."""
+    from whitdim.cover import y_qn
+    from whitdim.lattice import congruence_kernel, index, intersect, mat_vec
+    from whitdim.root_datum import (
+        frobenius_fixed_lattice,
+        weyl_fixed_lattice,
+        weyl_frobenius_fixed_lattice,
+    )
+
+    rd, n = cover.datum, cover.n
+    fixed = frobenius_fixed_lattice(rd)
+    central = index(fixed, intersect(fixed, y_qn(cover)))
+    lat = weyl_frobenius_fixed_lattice(rd)
+    upper = index(lat, intersect(lat, y_qn(cover)))
+    rows = [mat_vec(cover.form.gram, b) for b in weyl_fixed_lattice(rd).basis]
+    lower = index(lat, intersect(lat, congruence_kernel(rows, n, rd.rank)))
+    return central, lower, upper
+
+
+def raised_pairs(roots, coroots, simple):
+    """The positive (root, coroot) pairs, found by raising the simple pairs:
+    s_i beta = beta - c alpha_i with c = <beta, alpha_i^vee> < 0 raises the
+    height by -c, and every positive root is reached this way (Humphreys,
+    Lie Algebras, 10.2).  A map from each positive root to its coroot
+    s_i^vee beta^vee and its height, or None when a raised root is not among
+    the roots."""
+    given = set(map(tuple, roots))
+    pairs = [(tuple(roots[i]), tuple(coroots[i])) for i in simple]
+    found = {root: (coroot, 1) for root, coroot in pairs}
+    frontier = list(found)
+    while frontier:
+        root = frontier.pop()
+        coroot, height = found[root]
+        for sroot, scoroot in pairs:
+            c = sum(a * b for a, b in zip(root, scoroot))
+            if c < 0:
+                image = tuple(a - c * b for a, b in zip(root, sroot))
+                if image not in given:
+                    return None
+                if image not in found:
+                    cc = sum(a * b for a, b in zip(sroot, coroot))
+                    found[image] = (tuple(a - cc * b for a, b in zip(coroot, scoroot)),
+                                    height - c)
+                    frontier.append(image)
+    return found
+
+
+def is_root_datum_reference(roots, coroots, simple):
+    """Are the given pairs exactly the raised pairs and their negatives?"""
+    raised = raised_pairs(roots, coroots, simple)
+    if raised is None:
+        return False
+    expected = {}
+    for root, (coroot, _) in raised.items():
+        expected[root] = coroot
+        expected[tuple(-x for x in root)] = tuple(-x for x in coroot)
+    return expected == dict(zip(map(tuple, roots), map(tuple, coroots)))
+
+
+def weyl_order_by_raising(rd):
+    """|W| as the product of the degrees m_i + 1, with as many exponents at
+    least h as there are positive roots of height h, the heights found by
+    raising the simple roots."""
+    heights = [h for _, h in raised_pairs(rd.roots, rd.coroots, rd.simple_indices).values()]
+    order = 1
+    for h in range(1, max(heights, default=0) + 1):
+        order *= (h + 1) ** (heights.count(h) - heights.count(h + 1))
+    return order
+
+
+def reflection_image_failure(roots, coroots, simple):
+    """The message of the first simple reflection s_i that sends a coroot,
+    then a root, outside its set, each image y - <root_i, y> coroot_i and
+    x - <x, coroot_i> root_i written out entry by entry; None when every
+    simple reflection maps both sets into themselves."""
+    root_set, coroot_set = set(map(tuple, roots)), set(map(tuple, coroots))
+    for i in simple:
+        a, av = roots[i], coroots[i]
+        for y in coroots:
+            k = sum(p * q for p, q in zip(a, y))
+            if tuple(p - k * q for p, q in zip(y, av)) not in coroot_set:
+                return f"simple reflection {i} does not permute the coroots"
+        for x in roots:
+            k = sum(p * q for p, q in zip(x, av))
+            if tuple(p - k * q for p, q in zip(x, a)) not in root_set:
+                return f"simple reflection {i} does not permute the roots"
+    return None
+
+
+def rational_rank(rows):
+    """Rank over Q of integer rows, by Gaussian elimination on Fractions."""
+    mat = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for c in range(len(mat[0]) if mat else 0):
+        pivot = next((i for i in range(rank, len(mat)) if mat[i][c]), None)
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        for i in range(rank + 1, len(mat)):
+            f = mat[i][c] / mat[rank][c]
+            mat[i] = [a - f * b for a, b in zip(mat[i], mat[rank])]
+        rank += 1
+    return rank

@@ -62,13 +62,17 @@ COVER_FILES = {
                   "simple": [k for k, (i, j) in enumerate(GL17_PAIRS) if j == i + 1],
                   "bq": [[int(i != j) for j in range(17)] for i in range(17)],
                   "n": 2, "q": 5},
-    # accepted by validation, though not a root datum: the roots +-(1, 1, 0)
-    # are not Weyl-conjugate to the simple root, and B(coroot, y) differs
-    # from Q(coroot) <root, y> for them
+    # not root data, refused by validation: the roots +-(1, 1, 0) are not
+    # Weyl-conjugate to the simple root (and B(coroot, y) differs from
+    # Q(coroot) <root, y> for them), and the GL_3 roots with one simple root,
+    # whose reflection alone generates a group of order 2 while the roots
+    # span rank 2
     "not_root_datum.json": {"rank": 3, "roots": [[1, -1, 0], [-1, 1, 0], [1, 1, 0], [-1, -1, 0]],
                             "coroots": [[1, -1, 0], [-1, 1, 0], [1, 1, 1], [-1, -1, -1]],
                             "simple": [0], "bq": [[2, 0, 1], [0, 2, 1], [1, 1, 0]],
                             "n": 2, "q": 5},
+    "gl3_one_simple.json": {"rank": 3, "roots": GL3_ROOTS, "coroots": GL3_ROOTS, "simple": [0],
+                            "bq": [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]], "n": 2, "q": 3},
     # malformed documents: not an object, a string rank, a boolean among the
     # roots, and simple indices that are not a list
     "not_an_object.json": [KP_GL2],
@@ -84,6 +88,9 @@ COVER_FILES = {
 EMPTY = hashlib.sha256(b"").hexdigest()
 #: stderr of a datum whose simple roots are not a base
 NOT_A_BASE = "64a7b1ecad9ca0c83bad9f6ed7499bfbb09c7749cfc919224b829048af1d7cf9"
+#: stderr of ``not_root_datum.json``, whose root (1, 1, 0) is not
+#: Weyl-conjugate to a simple root
+NOT_CONJUGATE = "bd3137f28a9b861dfa80cf0c5d16f93b7297587534ecf54b787654b20e79c9a9"
 
 #: (command, format) -> (exit code, sha256 of stdout, sha256 of stderr)
 GOLDEN = {
@@ -135,18 +142,18 @@ GOLDEN = {
     ("info gl17.json", "json"):
         (0, "bee1199d52d135bb1bb24e70b3e6722e82fdc9f0e2d5ead3b7848246089cc2e3",
          EMPTY),
-    ("info not_root_datum.json", "text"):
-        (0, "58063af36bfc53208e78c3aa3e92bba5b829a15ef4d3d05e88161e9384ea5760",
-         EMPTY),
-    ("info not_root_datum.json", "json"):
-        (0, "e96ad8c0d1b6d5447a57ff7bdb373472c13621a655e71bb171f16a8e3cacb730",
-         EMPTY),
-    ("residual not_root_datum.json --point 1/2,1/2,1/2", "text"):
-        (0, "8598543d5c1ec949ababd088b9306f3f65188725375193b7dab172b8014e0328",
-         EMPTY),
-    ("residual not_root_datum.json --point 1/2,1/2,1/2", "json"):
-        (0, "651843a9f5c20666d04196b4fcf59cddc3d4eb108403f3655ec6ce37b848c003",
-         EMPTY),
+    # error: the root (1, 1, 0) is not Weyl-conjugate to a simple root
+    ("info not_root_datum.json", "text"): (3, EMPTY, NOT_CONJUGATE),
+    ("info not_root_datum.json", "json"): (3, EMPTY, NOT_CONJUGATE),
+    ("residual not_root_datum.json --point 1/2,1/2,1/2", "text"): (3, EMPTY, NOT_CONJUGATE),
+    ("residual not_root_datum.json --point 1/2,1/2,1/2", "json"): (3, EMPTY, NOT_CONJUGATE),
+    # error: the root (1, 0, -1) is not Weyl-conjugate to a simple root
+    ("info gl3_one_simple.json", "text"):
+        (3, EMPTY,
+         "039cd840a7a9f066a9222bf0d62540af99f726003a52b78a09c33677a16357e4"),
+    ("info gl3_one_simple.json", "json"):
+        (3, EMPTY,
+         "039cd840a7a9f066a9222bf0d62540af99f726003a52b78a09c33677a16357e4"),
     ("info broken.json", "text"):
         (2, EMPTY,
          "0ff55156d89f76264f3f7cf2b3d93e17831268327d1592eebfcef8011eb5a818"),

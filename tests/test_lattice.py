@@ -10,6 +10,7 @@ from whitdim.lattice import (
     MAX_COSETS,
     FiniteAbelianStructure,
     Sublattice,
+    congruence_index,
     congruence_kernel,
     coset_representatives,
     dot,
@@ -412,6 +413,34 @@ def test_congruence_kernel_examples():
     assert congruence_kernel([(3, 5)], 1, 2) == Sublattice.full(2)
 
 
+def test_congruence_index_examples():
+    # c . ((2,), (3,)) = 0 mod 6: the Smith diagonal is (1,), index 6
+    assert congruence_index([(2,), (3,)], 6) == 6
+    assert congruence_index([(2, 0), (0, 4)], 8) == 4 * 2
+    assert congruence_index([(0, 0)], 5) == 1
+    assert congruence_index([], 7) == 1
+    with pytest.raises(ValueError):
+        congruence_index([(1,)], 0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_matrix(), st.integers(1, 60), st.data())
+def test_congruence_index_is_the_index_of_a_congruence_kernel_meet(lat_rows, n, data):
+    # [L : L meet {y : y G = 0 mod n}] for L spanned by the rows and a d x m
+    # matrix G
+    d, rows = lat_rows
+    m = data.draw(st.integers(1, 4))
+    gram = data.draw(st.lists(st.tuples(*[st.integers(-9, 9)] * m), min_size=d, max_size=d))
+    lat = hermite_normal_form(rows, d)
+    kernel = congruence_kernel(transpose(gram), n, d)
+    expected = index(lat, intersect(lat, kernel)) if lat.rank else 1
+    assert congruence_index(mat_mul(lat.basis, gram), n) == expected
+    # on Z^k itself: the conditions are the columns
+    full = Sublattice.full(len(rows))
+    assert congruence_index(rows, n) == index(full, congruence_kernel(transpose(rows), n,
+                                                                      len(rows)))
+
+
 def test_coset_representatives_cover_the_quotient():
     sup = Sublattice.full(2)
     sub = hermite_normal_form([(2, 1), (0, 3)])
@@ -466,6 +495,20 @@ def test_is_saturated_against_brute_force_membership():
             k_max = index(sat, lat)
             assert any(brute_force_saturation_member(row, basis, k_max)
                        for row in sat.basis if not lat.contains_vector(row)), lat
+
+
+def test_integer_inputs_refuse_non_integers():
+    # each was truncated by int(): (1.5, 0) read as (1, 0), 0.5 as 0
+    with pytest.raises(TypeError):
+        hermite_normal_form([(1.5, 0), (0, 2.9)])
+    with pytest.raises(TypeError):
+        Sublattice(2, ((1.0, 0), (0, 1)))
+    with pytest.raises(TypeError):
+        Sublattice.full(2).contains_vector((0.5, 0))
+    with pytest.raises(TypeError):
+        fixed_sublattice([((1.5, 0), (0, 1))])
+    with pytest.raises(TypeError):
+        FiniteAbelianStructure((2.5,), 0)
 
 
 def test_rank_matches_the_hnf_rank():

@@ -375,7 +375,11 @@ def test_residual_calls_build_one_lambda_lattice_per_point(hnf_rows):
                 ext = residual_extension(cover, x)
                 answers = (ext, residual_splits(cover, x),
                            residual_derived_simply_connected(cover, x))
-                assert hnf_rows.count(ext.iota) == (visit == 1 and len(ext.iota) > 0), x
+                # the lattice is spanned by the rows of the positive roots
+                positive = tuple(row for row, i in zip(ext.iota, ext.phi_x)
+                                 if cover.datum.heights[i] > 0)
+                assert ext.positive == positive and 2 * len(positive) == len(ext.iota), x
+                assert hnf_rows.count(positive) == (visit == 1 and len(positive) > 0), x
                 hnf_rows.clear()
                 assert is_vertex(cover.datum, x) == is_vertex(fresh.datum, x)
                 assert hnf_rows == []

@@ -1,40 +1,77 @@
-"""The checks read off roots and coroots against the matrix code they replace.
+"""The checks read off roots and coroots against the code they replace.
 
 Three tests compare, on every datum the suite builds and on a few more, the
 Weyl-invariance check of a cover, the detection of block-permutation data and
 the recognition of GL_r-shaped data with references in ``_oracles`` that
 build reflection matrices or a GL_r datum.  Four more show that the
-comparisons catch a plausible slip in each check.
+comparisons catch a plausible slip in each check.  Four more compare what
+is read off the root system with the references in ``_oracles`` for the
+code it replaced: validation with the per-reflection image check and the
+height walk, |W| with the raising walk, ``is_vertex`` with the rank of every
+integral root, and the central index and squeeze bounds with the indices of
+explicit lattice meets.  Data that validation
+refuses, because a root is not Weyl-conjugate to a simple one, are checked
+to be refused and then fed to the checks as namespaces with the attributes
+they read.
 """
 
 import random
+from fractions import Fraction
 from itertools import product
+from types import SimpleNamespace
 
 import pytest
 
-from whitdim.cover import CoverSpec, WeylInvariantForm, form_from_glr_invariants, glr_invariants_of
+from whitdim.cover import (
+    CoverSpec,
+    WeylInvariantForm,
+    central_index,
+    form_from_glr_invariants,
+    glr_invariants_of,
+)
 from whitdim.errors import MathConstraintError
 from whitdim.lattice import dot
+from whitdim.parahoric import is_vertex
 from whitdim.root_datum import (
     BasedRootDatum,
     FrobeniusAction,
+    _close_root_system,
     build_glr,
     build_slr,
     build_sp2r,
     build_torus,
+    identity_frobenius,
     permutation_blocks,
+    weyl_order,
 )
+from whitdim.whittaker import squeeze_bounds
 
 from _oracles import (
     form_invariance_failure,
     glr_invariants_reference,
+    integral_roots_reference,
+    invariant_indices_by_meets,
+    is_root_datum_reference,
     permutation_blocks_reference,
+    raised_pairs,
+    rational_rank,
+    reflection_image_failure,
+    weyl_order_by_raising,
 )
 
-#: accepted by validation though it is not a root datum: the simple
-#: reflection fixes the roots +-(1, 1, 0), whose coroots are +-(1, 1, 1)
-NOT_A_ROOT_DATUM = BasedRootDatum(3, ((1, -1, 0), (-1, 1, 0), (1, 1, 0), (-1, -1, 0)),
-                                  ((1, -1, 0), (-1, 1, 0), (1, 1, 1), (-1, -1, -1)), (0,))
+def _refused(rank, roots, coroots, simple):
+    """Data that validation refuses because a root is not Weyl-conjugate to
+    a simple one, as a namespace with the attributes of a datum."""
+    with pytest.raises(MathConstraintError, match="is not Weyl-conjugate to a simple root$"):
+        BasedRootDatum(rank, roots, coroots, simple)
+    return SimpleNamespace(rank=rank, roots=tuple(roots), coroots=tuple(coroots),
+                           simple_indices=tuple(simple), fr=identity_frobenius(rank))
+
+
+#: not a root datum: the simple reflection fixes the roots +-(1, 1, 0),
+#: whose coroots are +-(1, 1, 1)
+NOT_A_ROOT_DATUM = _refused(3, ((1, -1, 0), (-1, 1, 0), (1, 1, 0), (-1, -1, 0)),
+                            ((1, -1, 0), (-1, 1, 0), (1, 1, 1), (-1, -1, -1)), (0,))
 NOT_A_ROOT_DATUM_GRAM = ((2, 0, 1), (0, 2, 1), (1, 1, 0))
 
 
@@ -53,7 +90,8 @@ def _shuffled_glr(r, seed):
 
 def _glr_with_one_coroot_changed():
     """GL_r (r = 3..5) with one coroot moved by a unit vector orthogonal to its
-    root, and no simple roots: with the GL_r simple system none validates."""
+    root, and no simple roots, so validation refuses them; with the GL_r
+    simple system none validates either."""
     for r in range(3, 6):
         base = build_glr(r)
         for j, k, sign in product(range(len(base.roots)), range(r), (1, -1)):
@@ -61,7 +99,7 @@ def _glr_with_one_coroot_changed():
             if not dot(base.roots[j], u):
                 coroots = list(base.coroots)
                 coroots[j] = tuple(x + y for x, y in zip(coroots[j], u))
-                yield BasedRootDatum(r, base.roots, coroots, ())
+                yield _refused(r, base.roots, coroots, ())
 
 
 def suite_data():
@@ -249,8 +287,123 @@ def test_glr_recognition_without_the_coroot_comparison_is_caught():
 
 @pytest.mark.parametrize("r", [17, 24])
 def test_glr_recognition_beyond_the_builder_rank_guard(r):
-    roots = [tuple((k == i) - (k == j) for k in range(r))
-             for i in range(r) for j in range(r) if i != j]
-    datum = BasedRootDatum(r, roots, roots, ())
+    pairs = [(i, j) for i in range(r) for j in range(r) if i != j]
+    roots = [tuple((k == i) - (k == j) for k in range(r)) for i, j in pairs]
+    simple = [k for k, (i, j) in enumerate(pairs) if j == i + 1]
+    datum = BasedRootDatum(r, roots, roots, simple)
     assert glr_invariants_of(datum, form_from_glr_invariants(r, 1, -2)) == (1, -2)
+    # without a simple system the roots are refused, and still read as GL_r
+    unvalidated = _refused(r, roots, roots, ())
+    assert glr_invariants_of(unvalidated, form_from_glr_invariants(r, 1, -2)) == (1, -2)
     assert glr_invariants_of(build_torus(r), form_from_glr_invariants(r, 1, -2)) is None
+
+
+# ---------------------------------------------------------------------------
+# invariants read off the root system, against the code they replaced
+
+def _validated_data():
+    data = [rd for rd in suite_data() if isinstance(rd, BasedRootDatum)]
+    # G2 and F4 from their simple (root, coroot) pairs, on the coroot basis
+    for cartan in (((2, -3), (-1, 2)),
+                   ((2, -1, 0, 0), (-1, 2, -2, 0), (0, -1, 2, -1), (0, 0, -1, 2))):
+        k = len(cartan)
+        pairs = [(cartan[i], tuple(int(j == i) for j in range(k))) for i in range(k)]
+        data.append(BasedRootDatum(k, *_close_root_system(pairs)))
+    return data
+
+
+def _outcome(rank, roots, coroots, simple):
+    """None when the data validate, else the message that refuses them."""
+    try:
+        BasedRootDatum(rank, roots, coroots, simple)
+    except MathConstraintError as exc:
+        return str(exc)
+    return None
+
+
+def _perturbed_data():
+    """Every validated datum, as it is and with one simple root left out, and
+    those of rank at most 4 with one root or one coroot moved by a unit
+    vector orthogonal to its partner."""
+    for rd in _validated_data():
+        d, simple = rd.rank, rd.simple_indices
+        yield d, rd.roots, rd.coroots, simple
+        for k in range(len(simple)):
+            yield d, rd.roots, rd.coroots, simple[:k] + simple[k + 1:]
+        if d > 4:
+            continue
+        shifts = [tuple(sign * (m == k) for m in range(d)) for k in range(d) for sign in (1, -1)]
+        for j, u, which in product(range(len(rd.roots)), shifts, (0, 1)):
+            vectors = [list(rd.roots), list(rd.coroots)]
+            if dot(vectors[1 - which][j], u) == 0:
+                vectors[which][j] = tuple(x + y for x, y in zip(vectors[which][j], u))
+                if len(set(vectors[0])) == len(vectors[0]):
+                    yield d, *vectors, simple
+
+
+def test_validation_matches_the_image_check_and_the_raising_walk():
+    outcomes = set()
+    for d, roots, coroots, simple in _perturbed_data():
+        outcome = _outcome(d, roots, coroots, simple)
+        failure = reflection_image_failure(roots, coroots, simple)
+        if failure is not None:
+            # a simple reflection that does not permute is named first
+            assert outcome == failure, (roots, coroots, simple)
+            outcomes.add("image")
+        elif outcome is None or "Cartan" not in outcome and "base" not in outcome:
+            assert (outcome is None) == is_root_datum_reference(roots, coroots, simple), (
+                roots, coroots, simple, outcome)
+            outcomes.add(outcome and "closure")
+    assert outcomes == {"image", "closure", None}
+
+
+def test_weyl_order_and_heights_match_the_raising_walk():
+    for rd in _validated_data():
+        raised = raised_pairs(rd.roots, rd.coroots, rd.simple_indices)
+        assert weyl_order(rd) == weyl_order_by_raising(rd), rd.roots
+        assert {root: height for root, height in zip(rd.roots, rd.heights) if height > 0} == {
+            root: height for root, (_, height) in raised.items()}
+        assert sorted(rd.heights) == sorted(-h for h in rd.heights)
+
+
+def _points(rd, seed):
+    """The origin and seeded rational points fixed by Frobenius."""
+    rng = random.Random(seed)
+    yield (0,) * rd.rank
+    for _ in range(12):
+        den = rng.choice((1, 2, 3, 4, 6))
+        x = tuple(Fraction(rng.randint(-2 * den, 2 * den), den) for _ in range(rd.rank))
+        if integral_roots_reference(rd, x) is not None:
+            yield x
+
+
+def test_is_vertex_matches_the_rank_of_every_integral_root():
+    verdicts = set()
+    for seed, rd in enumerate(_validated_data()):
+        full = rational_rank(rd.roots)
+        for x in _points(rd, seed):
+            integral = [rd.roots[i] for i, _ in integral_roots_reference(rd, x)]
+            verdict = rational_rank(integral) == full
+            assert is_vertex(rd, x) == verdict, (rd.roots, x)
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+def _divisors(m):
+    return [k for k in range(1, m + 1) if m % k == 0]
+
+
+def test_central_index_and_squeeze_bounds_match_the_indices_of_meets():
+    # every validated suite datum with each seeded gram invariant under it,
+    # and every n | q - 1 for q = 25
+    shapes = set()
+    for rd, gram in CASES:
+        if not isinstance(rd, BasedRootDatum) or _cover_failure(rd, gram) is not None:
+            continue
+        for n in _divisors(24):
+            cover = CoverSpec(rd, WeylInvariantForm(gram), n, 25)
+            central, lower, upper = invariant_indices_by_meets(cover)
+            assert (central_index(cover), *squeeze_bounds(cover)) == (central, lower, upper), (
+                rd.roots, gram, n)
+            shapes.add((central > 1, lower > 1, lower < upper))
+    assert {(True, True, True), (True, False, True), (False, False, False)} <= shapes

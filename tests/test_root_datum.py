@@ -30,7 +30,7 @@ from whitdim.root_datum import (
     weyl_order,
 )
 
-from _oracles import simple_reflection_matrices
+from _oracles import rational_rank, rational_solve, simple_reflection_matrices
 
 
 def adjoint_sl2_pattern():
@@ -444,6 +444,55 @@ def test_simple_reflections_must_permute_roots_and_coroots():
                        match="^simple reflection 0 does not permute the roots$"):
         BasedRootDatum(2, ((1, -1), (-1, 1), (2, 0), (-2, 0)),
                        ((1, -1), (-1, 1), (1, 1), (-1, -1)), (0,))
+
+
+def test_roots_not_conjugate_to_a_simple_root_are_refused():
+    # GL_3 with one simple root: its reflection alone gives |W| = 2, while
+    # the roots span rank 2
+    rd = build_glr(3)
+    with pytest.raises(MathConstraintError,
+                       match=r"^the root \(1, 0, -1\) is not Weyl-conjugate to a simple root$"):
+        BasedRootDatum(3, rd.roots, rd.coroots, rd.simple_indices[:1])
+    # roots without simple roots: none is reached
+    with pytest.raises(MathConstraintError, match="is not Weyl-conjugate to a simple root$"):
+        BasedRootDatum(2, ((1, -1), (-1, 1)), ((1, -1), (-1, 1)), ())
+
+
+def test_the_closure_refuses_an_image_that_is_not_a_pair(monkeypatch):
+    # GL_2 with the coroot of -alpha moved to (0, 2): s_0 sends the simple
+    # pair to (-alpha, -alpha^vee), which is not a given pair.  The datum is
+    # refused with the message of the reflection check, which s_0 fails too
+    roots, coroots = ((1, -1), (-1, 1)), ((1, -1), (0, 2))
+    with pytest.raises(MathConstraintError,
+                       match="^simple reflection 0 does not permute the coroots$"):
+        BasedRootDatum(2, roots, coroots, (0,))
+    # the closure's own message, without the reflection check
+    monkeypatch.setattr(root_datum, "_refusal",
+                        lambda roots, coroots, simple, message: MathConstraintError(message))
+    with pytest.raises(MathConstraintError) as refused:
+        BasedRootDatum(2, roots, coroots, (0,))
+    assert str(refused.value) == (
+        "a simple reflection sends the root (1, -1) with coroot (1, -1) to (-1, 1) "
+        "with (-1, 1), which is not a (root, coroot) pair")
+
+
+def test_heights_are_the_sums_of_simple_root_coefficients():
+    for rd in (build_glr(5), build_slr(4), build_sp2r(3), build_torus(2)):
+        simple = [rd.roots[i] for i in rd.simple_indices]
+        for root, height in zip(rd.roots, rd.heights):
+            # root = sum of c_i alpha_i, solved on the rational span
+            coeffs = rational_solve(transpose(simple), root)
+            assert coeffs is not None and sum(coeffs) == height
+            assert all(c >= 0 for c in coeffs) or all(c <= 0 for c in coeffs)
+        assert rd.semisimple_rank == rational_rank(rd.roots) == len(rd.simple_indices)
+
+
+def test_non_integer_entries_are_refused():
+    # (1.9, -1) was read as the root (1, -1), and 0.0 as the index 0
+    with pytest.raises(TypeError):
+        BasedRootDatum(2, ((1.9, -1), (-1, 1)), ((1, -1), (-1, 1)), (0,))
+    with pytest.raises(TypeError):
+        BasedRootDatum(2, ((1, -1), (-1, 1)), ((1, -1), (-1, 1)), (0.0,))
 
 
 def test_frobenius_must_permute_coroots():
