@@ -6,12 +6,13 @@ X-coordinates and coroots in Y-coordinates, index-paired.  Every automorphism
 (simple reflection, Frobenius, Weyl element) is stored as its action on Y; the
 action on X is the inverse-transpose and is derived on demand, never stored.
 
-Validation checks the pairings, the Cartan entries and that the simple roots
-are linearly independent, then closes the simple (root, coroot) pairs under
-the simple reflections: every image must be a given pair and every given
-root must be reached, so each root is W-conjugate to a simple one with its
-coroot.  The closure records the height of every root (1 on the simple
-roots, changed by -<beta, alpha_i^vee> under s_i), and the datum keeps them.
+Validation checks the pairings, the Cartan entries, that the simple roots
+are linearly independent and that Frobenius is a based automorphism, then
+closes the simple (root, coroot) pairs under the simple reflections: every
+image must be a given pair and every given root must be reached, so each
+root is W-conjugate to a simple one with its coroot.  The closure records
+the height of every root (1 on the simple roots, changed by
+-<beta, alpha_i^vee> under s_i), and the datum keeps them.
 A datum computes on first use and then holds its Weyl group and Y^W, Y^Fr
 and Y^{W x Fr}, all freed with it; with the identity Frobenius the last two
 are Z^d and Y^W, with no kernel computed.  No reflection matrix is built:
@@ -260,20 +261,23 @@ class BasedRootDatum:
         if rank([roots[i] for i in simple], d) != len(simple):
             raise _refusal(roots, coroots, simple,
                            "the simple roots are not a base: they are linearly dependent")
-        object.__setattr__(self, "heights", _root_heights(roots, coroots, simple))
 
-        if fr.order == 1:  # the identity permutes everything
-            return
-        f = fr.matrix
-        root_set, coroot_set = frozenset(roots), frozenset(coroots)
-        if coroot_set and {mat_vec(f, c) for c in coroots} != coroot_set:
-            raise MathConstraintError("Frobenius does not permute the coroots")
-        simple_coroots = {coroots[i] for i in simple}
-        if simple_coroots and {mat_vec(f, coroots[i]) for i in simple} != simple_coroots:
-            raise MathConstraintError("Frobenius does not preserve the simple coroots")
-        fx = transpose(fr.inverse)
-        if root_set and {mat_vec(fx, r) for r in roots} != root_set:
-            raise MathConstraintError("the dual Frobenius does not permute the roots")
+        if fr.order != 1:  # the identity permutes everything
+            f = fr.matrix
+            root_set, coroot_set = frozenset(roots), frozenset(coroots)
+            if coroot_set and {mat_vec(f, c) for c in coroots} != coroot_set:
+                raise _refusal(roots, coroots, simple, "Frobenius does not permute the coroots")
+            simple_coroots = {coroots[i] for i in simple}
+            if simple_coroots and {mat_vec(f, coroots[i]) for i in simple} != simple_coroots:
+                raise _refusal(roots, coroots, simple,
+                               "Frobenius does not preserve the simple coroots")
+            fx = transpose(fr.inverse)
+            if root_set and {mat_vec(fx, r) for r in roots} != root_set:
+                raise _refusal(roots, coroots, simple,
+                               "the dual Frobenius does not permute the roots")
+
+        # last, so that data the checks above refuse keep their message
+        object.__setattr__(self, "heights", _root_heights(roots, coroots, simple))
 
     @property
     def semisimple_rank(self):

@@ -458,6 +458,20 @@ def test_roots_not_conjugate_to_a_simple_root_are_refused():
         BasedRootDatum(2, ((1, -1), (-1, 1)), ((1, -1), (-1, 1)), ())
 
 
+def test_frobenius_refusals_come_before_the_closure():
+    # the roots +-(1, 1, 0) are not Weyl-conjugate to the simple root, but a
+    # Frobenius that is not a based automorphism is named first
+    roots = ((1, -1, 0), (-1, 1, 0), (1, 1, 0), (-1, -1, 0))
+    coroots = ((1, -1, 0), (-1, 1, 0), (1, 1, 1), (-1, -1, -1))
+    refusals = {
+        ((1, 0, 0), (0, 1, 0), (0, 0, -1)): "Frobenius does not permute the coroots",
+        ((0, 1, 0), (1, 0, 0), (0, 0, 1)): "Frobenius does not preserve the simple coroots",
+    }
+    for fr, message in refusals.items():
+        with pytest.raises(MathConstraintError, match=f"^{message}$"):
+            BasedRootDatum(3, roots, coroots, (0,), FrobeniusAction(fr))
+
+
 def test_the_closure_refuses_an_image_that_is_not_a_pair(monkeypatch):
     # GL_2 with the coroot of -alpha moved to (0, 2): s_0 sends the simple
     # pair to (-alpha, -alpha^vee), which is not a given pair.  The datum is
