@@ -153,7 +153,8 @@ def _pairings(columns, u):
 
 
 def _root_heights(roots, coroots, simple):
-    """The height of every root, or a refusal (see :func:`_refusal`).
+    """The height of every root; data whose closure fails are refused (see
+    :func:`_refusal`).
 
     The simple (root, coroot) pairs are closed under
     s_i (beta, beta^vee) = (beta - <beta, alpha_i^vee> alpha_i,
