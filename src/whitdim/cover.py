@@ -16,12 +16,14 @@ Weyl invariance is read off the simple roots: as <alpha, alpha^vee> = 2,
 s_alpha preserves B exactly when gram . alpha^vee = Q(alpha^vee) alpha.  A
 datum is GL_r-shaped when its r(r - 1) roots are e_i - e_j = their coroots.
 
-Data derived from a cover (Q on the coroots, read first by validation,
-Y_{Q,n}, the meet of the invariant lattice Y^{W x Fr} with it, the coset
-representatives of the quotient, the residual record of the last apartment
-point, and the map from each passing set of the orbit search to its checked
-subgroup and index) are computed on first use and kept on the cover, so they
-live exactly as long as it does.  The invariant lattice itself is held on
+Data derived from a cover (Q on the coroots, each summed over the support
+of its coroot and read first by validation, Y_{Q,n}, the meet of the
+invariant lattice Y^{W x Fr} with it, the coset representatives of the
+quotient, the residual record of the last apartment point, and the map from
+each passing set of the orbit search to its checked subgroup and index) are
+computed on first use and kept on the cover, so they live exactly as long
+as it does.  With the identity Frobenius the central index is read off the
+Hermite form of the kept Y_{Q,n}.  The invariant lattice itself is held on
 the datum.  More than 100,000 cosets are refused before any is built.
 """
 
@@ -30,7 +32,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from math import comb
+from math import comb, prod
 
 from .errors import MathConstraintError, ResourceLimitError
 from .lattice import (
@@ -220,8 +222,13 @@ class CoverSpec:
 
     @cached_property
     def coroot_q(self):
-        """Q of every coroot, in root order."""
-        return tuple(self.form.q_value(c) for c in self.datum.coroots)
+        """Q of every coroot, in root order: half the sum of g_ab v_a v_b over
+        the support of the coroot v."""
+        g, out = self.form.gram, []
+        for v in self.datum.coroots:
+            support = [(a, x) for a, x in enumerate(v) if x]
+            out.append(sum(g[a][b] * x * y for a, x in support for b, y in support) // 2)
+        return tuple(out)
 
     @cached_property
     def _weyl(self):
@@ -314,9 +321,16 @@ def y_qn(cover):
 def central_index(cover):
     """#(Y^Fr / Y^Fr_{Q,n}): the dimension of every genuine irrep of the covered torus.
 
-    With F a basis of Y^Fr, y = c F lies in Y_{Q,n} exactly when
-    c (F G) = 0 mod n, G the gram matrix, so the index is
+    With the identity Frobenius Y^Fr = Y, and Y_{Q,n}, kept on the cover,
+    contains nY, so the index is the product of the pivots of its Hermite
+    form.  Otherwise, with F a basis of Y^Fr, y = c F lies in Y_{Q,n}
+    exactly when c (F G) = 0 mod n, G the gram matrix, so the index is
     ``congruence_index(F G, n)``: a product over the Smith diagonal of F G.
+
+    >>> central_index(glr_cover(2, 0, 1, 4, 5))
+    16
     """
+    if cover.fr.order == 1:
+        return prod(row[i] for i, row in enumerate(cover._y_qn.basis))
     basis = frobenius_fixed_lattice(cover.datum).basis
     return congruence_index(mat_mul(basis, cover.form.gram), cover.n)

@@ -1,31 +1,36 @@
 """Apartment points and the residual extensions attached to parahoric data.
 
 A point x of the apartment lives in Y tensor R (with the hyperspecial base
-point at zero) and is represented by exact rationals.  The roots with
-integral value at x cut out the root datum of the reductive quotient at x;
-the cover contributes one extra coordinate, sending each such coroot to
-(coroot, root(x) * Q(coroot)) inside Y + Z.  Saturation of the span of these
-extended coroots detects a simply-connected derived subgroup, and an exact
-integer linear solve decides whether the extended pairing is split.
+point at zero) and is represented by exact rationals: its coordinates are
+ints or Fractions, and any other entry, a float included, raises
+TypeError.  The roots with integral value at x cut out the root datum of the
+reductive quotient at x; the cover contributes one extra coordinate, sending
+each such coroot to (coroot, root(x) * Q(coroot)) inside Y + Z.  Saturation
+of the span of these extended coroots detects a simply-connected derived
+subgroup, and an exact integer linear solve decides whether the extended
+pairing is split.
 
 Each root is evaluated at x once per point, in integers: x is read as integer
 numerators over the least common denominator of its coordinates, and the
-datum keeps the roots integral at the last point it was asked about, so
-``phi_x``, the flags and the residual functions at one point share one
-evaluation.  A repeated point is recognised before it is coerced.  Q on the
-coroots is kept on the cover, and so is the :class:`ResidualRootData` of the
-last point, which builds the Hermite form of its extended coroots once:
+roots are paired with them by the datum's root columns.  The datum keeps a
+record of the last point it was asked about: the roots integral there and
+Lambda_x, the Hermite form of their coroots, built once and shared by every
+cover on the datum.  A repeated point is recognised as the same object, or
+by its numerators.  The integral roots at x are closed under negation, and
+on validated data their coroots span a space of the same dimension, so
+``is_vertex`` reads the rank of Lambda_x.  The cover keeps Q on the coroots
+and the :class:`ResidualRootData` of the last point, whose lattice of
+extended coroots is Lambda_x with B(h, x) appended to each basis row h: as
+G alpha^vee = Q(alpha^vee) alpha on every root, B(alpha^vee, x) =
+alpha(x) Q(alpha^vee), so no second echelon is needed.
 ``residual_derived_simply_connected`` reads its Smith factors and
-``residual_splits`` solves over its rows.  The integral roots at x are
-closed under negation: (-alpha)(x) = -alpha(x), and validation makes
-(-alpha, -alpha^vee) a pair.  So ``is_vertex`` ranks only the positive ones,
-and the rows of the positive roots span the lattice, each in one echelon
-pass.  Fractions appear only when a point is parsed and in
-``ApartmentPoint.coords``.
+``residual_splits`` solves over its rows.  Fractions appear only when a
+point is parsed and in ``ApartmentPoint.coords``.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -39,9 +44,9 @@ from .lattice import (
     hermite_normal_form,
     is_saturated,
     mat_vec,
-    rank,
     transpose,
 )
+from .root_datum import _pairings
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/(\d+))?$")
 
@@ -57,12 +62,17 @@ def parse_rational(text):
 
 @dataclass(frozen=True)
 class ApartmentPoint:
-    """A point of the apartment, as a vector of exact rationals in Y tensor R."""
+    """A point of the apartment, as a vector of exact rationals in Y tensor R.
+
+    Coordinates are ints or Fractions; any other entry, a float included,
+    raises :class:`TypeError`.
+    """
 
     coords: tuple
 
     def __post_init__(self):
-        coords = tuple(Fraction(c) for c in self.coords)
+        coords = tuple(c if isinstance(c, Fraction) else Fraction(operator.index(c))
+                       for c in self.coords)
         object.__setattr__(self, "coords", coords)
         if not coords:
             raise ValueError("an apartment point needs at least one coordinate")
@@ -73,40 +83,67 @@ class ApartmentPoint:
         return cls(tuple(parse_rational(part) for part in text.split(",")))
 
 
-def _integral_roots(rd, x):
-    """The point x and, for each root integral at x, the pair (index, root(x)).
+@dataclass
+class _PointRoots:
+    """The roots of a datum at a point x: ``x`` as the caller gave it, the
+    coordinates as integer ``numerators`` over their least common
+    ``denominator`` D, (index, root(x)) for each root integral at x, and
+    Lambda_x, the Hermite form of the span of their coroots."""
 
-    With the coordinates of x written as integer numerators over their least
-    common denominator D > 0, a root is integral at x iff D divides its
-    pairing with the numerators, and Frobenius fixes x iff it fixes the
-    numerators.  The answer for the last point that passed both checks is
-    kept in the datum's instance dict, as ``cached_property`` keeps values.
-    x is compared with that point before it is coerced: equal coordinates
-    coerce to that point, and a point that fails a check never equals it, so
-    such a point raises on every call.
+    x: object
+    point: ApartmentPoint
+    denominator: int
+    numerators: tuple
+    integral: tuple
+    coroot_span: Sublattice
+
+
+def _integral_roots(rd, x):
+    """The :class:`_PointRoots` of x.
+
+    A root is integral at x iff D divides its pairing with the numerators,
+    taken by the datum's root columns over the nonzero numerators, and
+    Frobenius fixes x iff it fixes the numerators (the identity is not
+    checked).  The record of the last point that passed both checks is kept
+    in the datum's instance dict, as ``cached_property`` keeps values.  A
+    repeated point is recognised as the same :class:`ApartmentPoint` or the
+    same coordinate tuple, or else by its numerators once x is coerced, so
+    an entry that coercion refuses raises on every call.
     """
-    coords = x.coords if isinstance(x, ApartmentPoint) else tuple(x)
     last = rd.__dict__.get("_integral_roots")
-    if last is not None and last[0].coords == coords:
+    if last is not None and (x is last.point or x is last.x):
         return last
-    point = x if isinstance(x, ApartmentPoint) else ApartmentPoint(coords)
+    point = x if isinstance(x, ApartmentPoint) else ApartmentPoint(tuple(x))
     if len(point.coords) != rd.rank:
         raise ValueError(
             f"point has {len(point.coords)} coordinates but the rank is {rd.rank}")
     den = lcm(*(c.denominator for c in point.coords))
     nums = tuple(c.numerator * (den // c.denominator) for c in point.coords)
-    if mat_vec(rd.fr.matrix, nums) != nums:
+    if last is not None and last.denominator == den and last.numerators == nums:
+        return last
+    if rd.fr.order != 1 and mat_vec(rd.fr.matrix, nums) != nums:
         raise MathConstraintError(
             "point is not fixed by Frobenius, so it does not lie in the rational apartment")
-    pairings = ((i, dot(root, nums)) for i, root in enumerate(rd.roots))
-    last = point, tuple((i, v // den) for i, v in pairings if v % den == 0)
+    pairings = enumerate(_pairings(rd._root_columns, nums) if rd.roots else ())
+    integral = tuple((i, v // den) for i, v in pairings if v % den == 0)
+    # (-alpha)^vee = -alpha^vee, so the positive integral coroots span them
+    # all; when every root is integral, so do the simple coroots, of which
+    # every coroot is an integer combination
+    coroots, heights = rd.coroots, rd.heights
+    if len(integral) == len(coroots):
+        generators = [coroots[i] for i in rd.simple_indices]
+    else:
+        generators = [coroots[i] for i, _ in integral if heights[i] > 0]
+    # a tuple is kept as the caller gave it; other containers could change
+    span = hermite_normal_form(generators, rd.rank) if generators else Sublattice.zero(rd.rank)
+    last = _PointRoots(x if type(x) is tuple else None, point, den, nums, integral, span)
     rd.__dict__["_integral_roots"] = last
     return last
 
 
 def phi_x(rd, x):
     """Indices of the roots taking an integral value at x."""
-    return tuple(i for i, _ in _integral_roots(rd, x)[1])
+    return tuple(i for i, _ in _integral_roots(rd, x).integral)
 
 
 @dataclass(frozen=True)
@@ -115,22 +152,35 @@ class ResidualRootData:
 
     ``iota[k]`` is the image of the coroot paired with root index
     ``phi_x[k]``: its first d coordinates are the coroot itself and the last
-    coordinate is root(x) * Q(coroot).  ``positive`` lists the rows of iota
-    of the positive roots: iota(-alpha) = -iota(alpha), so they span what
-    iota spans.
+    coordinate is root(x) * Q(coroot).  ``coroot_span`` is Lambda_x, the
+    Hermite form of the integral coroots, which the datum keeps for every
+    cover on it, and ``form_at_x`` is G (D x) for the gram G and the common
+    denominator D = ``denominator`` of x.
     """
 
     point: ApartmentPoint
     phi_x: tuple
     iota: tuple
-    positive: tuple
+    coroot_span: Sublattice
+    form_at_x: tuple
+    denominator: int
 
     @cached_property
     def _lambda(self):
-        ambient = len(self.point.coords) + 1
-        if not self.positive:
-            return Sublattice.zero(ambient)
-        return hermite_normal_form(self.positive, ambient)
+        """{(h, B(h, x)) : h a basis row of Lambda_x}.  y -> (y, B(y, x)) is
+        linear, and B(alpha^vee, x) = alpha(x) Q(alpha^vee) because
+        G alpha^vee = Q(alpha^vee) alpha on every root of a validated cover,
+        so these rows span what the rows of iota span.  Their pivots lie in
+        the first d coordinates, so they are in Hermite normal form as they
+        stand."""
+        rows = []
+        for h in self.coroot_span.basis:
+            value, rest = divmod(dot(h, self.form_at_x), self.denominator)
+            if rest:
+                raise RuntimeError(
+                    f"internal consistency: B({h}, x) is not an integer at {self.point}")
+            rows.append(h + (value,))
+        return Sublattice(len(self.form_at_x) + 1, tuple(rows))
 
     def lambda_lattice(self):
         """Span of the extended coroots inside Z^(d+1), built once per record."""
@@ -143,15 +193,18 @@ def residual_extension(cover, x):
     The record of the last point asked about is kept in the cover's instance
     dict, so the residual functions at one point share it and its lattice.
     """
-    point, integral = _integral_roots(cover.datum, x)
+    rd = cover.datum
+    roots_at_x = _integral_roots(rd, x)
     last = cover.__dict__.get("_residual")
-    if last is not None and last.point == point:
+    if last is not None and last.point is roots_at_x.point:
         return last
-    rd, q = cover.datum, cover.coroot_q
-    coroots, heights = rd.coroots, rd.heights
+    coroots, q = rd.coroots, cover.coroot_q
+    integral = roots_at_x.integral
     iota = tuple([coroots[i] + (value * q[i],) for i, value in integral])
-    positive = tuple([row for row, (i, _) in zip(iota, integral) if heights[i] > 0])
-    last = ResidualRootData(point, tuple([i for i, _ in integral]), iota, positive)
+    last = ResidualRootData(roots_at_x.point, tuple([i for i, _ in integral]), iota,
+                            roots_at_x.coroot_span,
+                            mat_vec(cover.form.gram, roots_at_x.numerators),
+                            roots_at_x.denominator)
     cover.__dict__["_residual"] = last
     return last
 
@@ -162,11 +215,10 @@ def is_hyperspecial(rd, x):
 
 
 def is_vertex(rd, x):
-    """True iff the roots integral at x span the full semisimple rank.  They
-    are closed under negation, so the positive ones are ranked."""
-    heights = rd.heights
-    positive = [rd.roots[i] for i in phi_x(rd, x) if heights[i] > 0]
-    return rank(positive, rd.rank) == rd.semisimple_rank
+    """True iff the roots integral at x span the full semisimple rank.  On
+    validated data their coroots span a space of the same dimension, so this
+    is the rank of Lambda_x, kept with the point."""
+    return _integral_roots(rd, x).coroot_span.rank == rd.semisimple_rank
 
 
 def residual_derived_simply_connected(cover, x):

@@ -12,7 +12,9 @@ closes the simple (root, coroot) pairs under the simple reflections: every
 image must be a given pair and every given root must be reached, so each
 root is W-conjugate to a simple one with its coroot.  The closure records
 the height of every root (1 on the simple roots, changed by
--<beta, alpha_i^vee> under s_i), and the datum keeps them.
+-<beta, alpha_i^vee> under s_i), and the datum keeps them.  The SL_r and
+Sp_2r builders give only their simple pairs, and the same walk grows the
+rest, so a build walks the roots once.
 A datum computes on first use and then holds its Weyl group and Y^W, Y^Fr
 and Y^{W x Fr}, all freed with it; with the identity Frobenius the last two
 are Z^d and Y^W, with no kernel computed.  No reflection matrix is built:
@@ -23,7 +25,7 @@ and Y^W (orthogonal to the simple roots) are read off the roots and coroots.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from functools import cached_property
 
 from .errors import MathConstraintError, ResourceLimitError
@@ -152,18 +154,23 @@ def _pairings(columns, u):
     return out
 
 
-def _root_heights(roots, coroots, simple):
-    """The height of every root; data whose closure fails are refused (see
-    :func:`_refusal`).
+def _root_heights(roots, coroots, simple, grow=False):
+    """The roots, the coroots and the height of every root; data whose
+    closure fails are refused (see :func:`_refusal`).
 
     The simple (root, coroot) pairs are closed under
     s_i (beta, beta^vee) = (beta - <beta, alpha_i^vee> alpha_i,
-    beta^vee - <alpha_i, beta^vee> alpha_i^vee), each pairing taken over the
-    nonzero entries of alpha_i or alpha_i^vee.  Every image must be a given
-    pair and every given root must be reached.  A height is 1 on a simple
-    root and changes by -<beta, alpha_i^vee> under s_i; the simple roots are
-    linearly independent, so it does not depend on the path.
+    beta^vee - <alpha_i, beta^vee> alpha_i^vee), breadth-first in simple
+    order, each pairing taken over the nonzero entries of alpha_i or
+    alpha_i^vee.  On given data every image must be a given pair and every
+    given root must be reached.  With ``grow`` the given pairs are the
+    simple ones, and each new image is appended in the order it is found.
+    A height is 1 on a simple root and changes by -<beta, alpha_i^vee> under
+    s_i; the simple roots are linearly independent, so it does not depend
+    on the path.
     """
+    if grow:
+        roots, coroots = list(roots), list(coroots)
     position = {root: k for k, root in enumerate(roots)}
     root_columns, coroot_columns = list(zip(*roots)), list(zip(*coroots))
     reflections = [(tuple((j, y) for j, y in enumerate(roots[i]) if y),
@@ -185,11 +192,20 @@ def _root_heights(roots, coroots, simple):
                 image[j] -= c * y
             for j, y in coroot_support:
                 coimage[j] -= cc * y
-            m = position.get(tuple(image))
-            if m is None or coroots[m] != tuple(coimage):
+            image, coimage = tuple(image), tuple(coimage)
+            m = position.get(image)
+            if m is None and grow:
+                m = position[image] = len(roots)
+                roots.append(image)
+                coroots.append(coimage)
+                heights.append(None)
+                for rs, cs, p, cp in reflections:
+                    p.append(sum(image[j] * y for j, y in cs))
+                    cp.append(sum(coimage[j] * y for j, y in rs))
+            if m is None or coroots[m] != coimage:
                 raise _refusal(roots, coroots, simple,
                                f"a simple reflection sends the root {root} with coroot "
-                               f"{coroot} to {tuple(image)} with {tuple(coimage)}, which "
+                               f"{coroot} to {image} with {coimage}, which "
                                f"is not a (root, coroot) pair")
             if heights[m] is None:
                 heights[m] = heights[k] - c
@@ -198,7 +214,7 @@ def _root_heights(roots, coroots, simple):
         root = roots[heights.index(None)]
         raise _refusal(roots, coroots, simple,
                        f"the root {root} is not Weyl-conjugate to a simple root")
-    return tuple(heights)
+    return tuple(roots), tuple(coroots), tuple(heights)
 
 
 def identity_frobenius(d):
@@ -213,7 +229,9 @@ class BasedRootDatum:
     their dot pairing is 2.  ``simple_indices`` points at the simple system,
     and ``heights[i]``, recorded by validation, is the height of ``roots[i]``.
     The Weyl group and fixed lattices are computed on first use and kept on
-    the datum.
+    the datum.  With ``_grow`` (the builders' path) the given pairs are the
+    simple ones, and validation's walk adds the rest in the order it finds
+    them.
     """
 
     rank: int
@@ -221,8 +239,9 @@ class BasedRootDatum:
     coroots: tuple
     simple_indices: tuple
     fr: FrobeniusAction | None = None
+    _grow: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, _grow):
         d = self.rank
         if not isinstance(d, int) or d < 1:
             raise ValueError("rank must be a positive integer")
@@ -230,8 +249,6 @@ class BasedRootDatum:
         coroots = _as_matrix(self.coroots)
         simple = tuple(map(operator.index, self.simple_indices))
         fr = self.fr if self.fr is not None else identity_frobenius(d)
-        object.__setattr__(self, "roots", roots)
-        object.__setattr__(self, "coroots", coroots)
         object.__setattr__(self, "simple_indices", simple)
         object.__setattr__(self, "fr", fr)
 
@@ -278,13 +295,21 @@ class BasedRootDatum:
                                "the dual Frobenius does not permute the roots")
 
         # last, so that data the checks above refuse keep their message
-        object.__setattr__(self, "heights", _root_heights(roots, coroots, simple))
+        roots, coroots, heights = _root_heights(roots, coroots, simple, _grow)
+        object.__setattr__(self, "roots", roots)
+        object.__setattr__(self, "coroots", coroots)
+        object.__setattr__(self, "heights", heights)
 
     @property
     def semisimple_rank(self):
         """Rank of the span of all roots: every root is W-conjugate to a
         simple one, so the span is that of the independent simple roots."""
         return len(self.simple_indices)
+
+    @cached_property
+    def _root_columns(self):
+        """Entry j of every root, for each coordinate j."""
+        return list(zip(*self.roots))
 
     @cached_property
     def _weyl_fixed(self):
@@ -522,47 +547,24 @@ def build_glr(r):
     return BasedRootDatum(r, tuple(roots), tuple(coroots), tuple(simple))
 
 
-def _close_root_system(simple_pairs):
-    """Orbit closure of simple (root, coroot) pairs under the simple reflections."""
-    def reflect(pair):
-        root, coroot = pair
-        for sroot, scoroot in simple_pairs:
-            c, cc = dot(root, scoroot), dot(sroot, coroot)
-            if c or cc:  # else the pair is fixed, and already found
-                yield (tuple(a - c * b for a, b in zip(root, sroot)),
-                       tuple(a - cc * b for a, b in zip(coroot, scoroot)))
-
-    roots, coroots = zip(*_closure(simple_pairs, reflect))
-    return roots, coroots, tuple(range(len(simple_pairs)))
-
-
 def build_slr(r):
     """Root datum of SL_r on Y = Z^{r-1}: simple coroots are the unit vectors."""
     if r < 2:
         raise ValueError("SL_r needs r >= 2")
     d = r - 1
-    simple_pairs = []
-    for i in range(d):
-        coroot = tuple(int(k == i) for k in range(d))
-        root = tuple(2 if k == i else (-1 if abs(k - i) == 1 else 0) for k in range(d))
-        simple_pairs.append((root, coroot))
-    roots, coroots, simple = _close_root_system(simple_pairs)
-    return BasedRootDatum(d, roots, coroots, simple)
+    roots = [tuple(2 if k == i else (-1 if abs(k - i) == 1 else 0) for k in range(d))
+             for i in range(d)]
+    return BasedRootDatum(d, roots, identity_matrix(d), range(d), _grow=True)
 
 
 def build_sp2r(r):
     """Root datum of Sp_2r (type C_r) on Y = Z^r; the last simple root is long."""
     if r < 2:
         raise ValueError("Sp_2r needs r >= 2")
-    simple_pairs = []
-    for i in range(r - 1):
-        vec = tuple((k == i) - (k == i + 1) for k in range(r))
-        simple_pairs.append((vec, vec))
-    long_root = tuple(2 * (k == r - 1) for k in range(r))
-    short_coroot = tuple(int(k == r - 1) for k in range(r))
-    simple_pairs.append((long_root, short_coroot))
-    roots, coroots, simple = _close_root_system(simple_pairs)
-    return BasedRootDatum(r, roots, coroots, simple)
+    short = [tuple((k == i) - (k == i + 1) for k in range(r)) for i in range(r - 1)]
+    last = tuple(int(k == r - 1) for k in range(r))
+    return BasedRootDatum(r, short + [tuple(2 * x for x in last)], short + [last], range(r),
+                          _grow=True)
 
 
 def build_torus(d, fr=None):

@@ -98,8 +98,11 @@ class LusztigParameter:
 
     @classmethod
     def from_theta(cls, w, theta, central_exponent=0):
-        """The parameter with exact rational exponents, taken mod 1."""
-        entries = [Fraction(t) for t in (*theta, central_exponent)]
+        """The parameter with exact rational exponents, taken mod 1.  Each
+        entry is an int or a Fraction; any other, a float included, raises
+        :class:`TypeError`."""
+        entries = [t if isinstance(t, Fraction) else Fraction(operator.index(t))
+                   for t in (*theta, central_exponent)]
         denom = lcm(*(t.denominator for t in entries))
         *nums, central = (int(t * denom) for t in entries)
         return cls(w, denom, tuple(nums), central)

@@ -555,3 +555,49 @@ def rational_rank(rows):
             mat[i] = [a - f * b for a, b in zip(mat[i], mat[rank])]
         rank += 1
     return rank
+
+
+def close_root_system_dense(simple_pairs):
+    """(roots, coroots, simple indices) of the root system generated by the
+    simple (root, coroot) pairs: the breadth-first orbit closure under the
+    simple reflections, each pairing a dense dot product, the pairs found
+    deduplicated as pairs.  The builders of SL_r and Sp_2r closed their
+    simple pairs this way before validation's walk grew them."""
+    pairs = [(tuple(root), tuple(coroot)) for root, coroot in simple_pairs]
+    found, seen = list(pairs), set(pairs)
+    for root, coroot in found:
+        for sroot, scoroot in pairs:
+            c = sum(a * b for a, b in zip(root, scoroot))
+            cc = sum(a * b for a, b in zip(sroot, coroot))
+            if c or cc:
+                image = (tuple(a - c * b for a, b in zip(root, sroot)),
+                         tuple(a - cc * b for a, b in zip(coroot, scoroot)))
+                if image not in seen:
+                    seen.add(image)
+                    found.append(image)
+    roots, coroots = zip(*found)
+    return roots, coroots, tuple(range(len(pairs)))
+
+
+def lambda_lattice_reference(cover, x):
+    """The basis of the span of the extended coroots at x, as it was built
+    before Lambda_x was kept: the Hermite form, by elementary operations, of
+    the rows of iota of the positive integral roots, with iota from
+    :func:`residual_extension_reference`.  None when x is not fixed by
+    Frobenius."""
+    reference = residual_extension_reference(cover, x)
+    if reference is None:
+        return None
+    heights = cover.datum.heights
+    return tuple(elementary_row_hnf([row for i, row in zip(*reference) if heights[i] > 0]))
+
+
+def is_vertex_reference(rd, x):
+    """Do the positive roots integral at x span the semisimple rank, that is
+    the number of simple roots?  The vertex test as it was, by the rational
+    rank of those roots; None when x is not fixed by Frobenius."""
+    integral = integral_roots_reference(rd, x)
+    if integral is None:
+        return None
+    positive = [rd.roots[i] for i, _ in integral if rd.heights[i] > 0]
+    return rational_rank(positive) == len(rd.simple_indices)

@@ -9,9 +9,10 @@ from whitdim import lattice, parahoric
 from whitdim.cli import main
 from whitdim.cover import CoverSpec, WeylInvariantForm, glr_cover
 from whitdim.errors import MathConstraintError
-from whitdim.lattice import dot, hermite_normal_form
+from whitdim.lattice import Sublattice, hermite_normal_form
 from whitdim.parahoric import (
     ApartmentPoint,
+    _integral_roots,
     is_hyperspecial,
     is_vertex,
     parse_rational,
@@ -23,6 +24,7 @@ from whitdim.parahoric import (
 from whitdim.root_datum import (
     BasedRootDatum,
     FrobeniusAction,
+    _pairings,
     build_glr,
     build_slr,
     build_sp2r,
@@ -53,6 +55,16 @@ def test_parse_rational_forms():
     for bad in ("1.5", "x", "1/0", "1/00", "-3/000", ""):
         with pytest.raises(ValueError):
             parse_rational(bad)
+
+
+def test_point_refuses_float_coordinates():
+    # 0.1 was read as the binary fraction 3602879701896397/2^55
+    for bad in ((0.1, 0), (0, 0.5), ("1/2", 0)):
+        with pytest.raises(TypeError):
+            ApartmentPoint(bad)
+    assert ApartmentPoint((1, Fraction(1, 10))).coords == (1, Fraction(1, 10))
+    with pytest.raises(TypeError):
+        phi_x(build_glr(2), (0.1, 0))
 
 
 def test_point_parse():
@@ -264,15 +276,16 @@ def sp4_cover():
 
 
 @pytest.fixture
-def pairings(monkeypatch):
-    """One entry per root pairing that parahoric computes."""
+def evaluations(monkeypatch):
+    """One entry per evaluation of the roots at a point: parahoric pairs
+    every root with the point's numerators in one call."""
     calls = []
 
-    def counting_dot(u, v):
-        calls.append(1)
-        return dot(u, v)
+    def counting_pairings(columns, u):
+        calls.append(tuple(u))
+        return _pairings(columns, u)
 
-    monkeypatch.setattr(parahoric, "dot", counting_dot)
+    monkeypatch.setattr(parahoric, "_pairings", counting_pairings)
     return calls
 
 
@@ -301,11 +314,11 @@ def test_ints_fractions_and_points_give_the_same_answers():
                 assert route(cover, x) == expected, x
 
 
-def test_bad_points_always_raise_and_leave_the_memo_usable(pairings):
+def test_bad_points_always_raise_and_leave_the_memo_usable(evaluations):
     cover = block_swap_cover()
     good = (Fraction(1, 6), Fraction(-5, 6), Fraction(1, 6), Fraction(-5, 6))
     expected = [route(block_swap_cover(), good) for route in ROUTES]
-    pairings.clear()
+    evaluations.clear()
     for _ in range(2):
         for route, answer in zip(ROUTES, expected):
             assert route(cover, good) == answer
@@ -313,37 +326,58 @@ def test_bad_points_always_raise_and_leave_the_memo_usable(pairings):
                 route(cover, (H, 0, H))
             with pytest.raises(MathConstraintError):
                 route(cover, (H, 0, 0, 0))
+            with pytest.raises(TypeError):
+                route(cover, (1 / 6, -5 / 6, 1 / 6, -5 / 6))
             assert route(cover, good) == answer
-    # neither bad point replaced the good one, which was evaluated once
-    assert len(pairings) == len(cover.datum.roots)
+    # no bad point replaced the good one, which was evaluated once
+    assert evaluations == [(1, -5, 1, -5)]
 
 
-def test_cli_residual_evaluates_the_roots_once_per_point(pairings, tmp_path, capsys):
+def test_the_point_memo_lets_no_float_through():
+    # each float equals the Fraction of the point before it, so a memo that
+    # compared coordinates would answer for it
+    cover = gl3_cover()
+    for route in ROUTES:
+        assert route(cover, (H, 0, -H)) == route(gl3_cover(), (H, 0, -H))
+        with pytest.raises(TypeError):
+            route(cover, (0.5, 0, -0.5))
+        point = ApartmentPoint((H, 0, -H))
+        assert route(cover, point) == route(gl3_cover(), point)
+        with pytest.raises(TypeError):
+            route(cover, (0.5, 0.0, -0.5))
+
+
+def test_cli_residual_evaluates_the_roots_once_per_point(evaluations, tmp_path, capsys):
     path = tmp_path / "gl2.json"
     path.write_text(json.dumps({"rank": 2, "roots": [[1, -1], [-1, 1]],
                                 "coroots": [[1, -1], [-1, 1]], "simple": [0],
                                 "bq": [[0, 1], [1, 0]], "n": 4, "q": 5}))
-    for point in ("0,0", "1/2,-1/2", "1/3,0"):
-        pairings.clear()
+    for point, numerators in (("0,0", (0, 0)), ("1/2,-1/2", (1, -1)), ("1/3,0", (1, 0))):
+        evaluations.clear()
         assert main(["residual", str(path), "--point", point]) == 0
-        assert len(pairings) == 2, point
+        assert evaluations == [numerators], point
     capsys.readouterr()
 
 
-def test_residual_functions_share_one_evaluation_per_point(pairings):
+def test_residual_functions_share_one_evaluation_per_point(evaluations):
     cover = gl3_cover()
-    # the memo holds one point, so the origin is evaluated again after the other
-    for x in ((0, 0, 0), (Fraction(1, 3), 0, Fraction(2, 3)), (0, 0, 0)):
-        pairings.clear()
+    # the memo holds one point, so the origin is evaluated again after the
+    # other; an equal point given anew is recognised by its numerators
+    for x, again in (((0, 0, 0), (0, 0, 0)),
+                     ((Fraction(1, 3), 0, Fraction(2, 3)), ApartmentPoint.parse("1/3,0,2/3")),
+                     ((0, 0, 0), (Fraction(0), 0, 0))):
+        evaluations.clear()
         residual_extension(cover, x)
         residual_splits(cover, x)
         residual_derived_simply_connected(cover, x)
         is_vertex(cover.datum, x)
-        assert len(pairings) == len(cover.datum.roots), x
+        is_vertex(cover.datum, again)
+        residual_splits(cover, again)
+        assert len(evaluations) == 1, x
 
 
 # ---------------------------------------------------------------------------
-# one residual record and one lattice per point
+# one coroot lattice per datum and point, one residual record per cover
 
 @pytest.fixture
 def hnf_rows(monkeypatch):
@@ -367,21 +401,25 @@ def test_residual_calls_build_one_lambda_lattice_per_point(hnf_rows):
     covers = [CoverSpec(datum, WeylInvariantForm(gram), 2, 5) for gram in forms]
     points = ((1, 0, -1), (H, 0, -H), (Fraction(1, 3), 0, Fraction(2, 3)), (1, 0, -1))
     for x in points:
-        # each cover builds its lattice at its first visit to x, then keeps it
+        # the first cover at its first visit to x builds Lambda_x; the datum
+        # keeps it, and every cover reads its own lattice off it
         for visit in (1, 2):
-            for cover, gram in zip(covers, forms):
+            for k, (cover, gram) in enumerate(zip(covers, forms)):
                 fresh = CoverSpec(build_glr(3), WeylInvariantForm(gram), 2, 5)
                 hnf_rows.clear()
                 ext = residual_extension(cover, x)
                 answers = (ext, residual_splits(cover, x),
-                           residual_derived_simply_connected(cover, x))
-                # the lattice is spanned by the rows of the positive roots
-                positive = tuple(row for row, i in zip(ext.iota, ext.phi_x)
-                                 if cover.datum.heights[i] > 0)
-                assert ext.positive == positive and 2 * len(positive) == len(ext.iota), x
-                assert hnf_rows.count(positive) == (visit == 1 and len(positive) > 0), x
-                hnf_rows.clear()
-                assert is_vertex(cover.datum, x) == is_vertex(fresh.datum, x)
-                assert hnf_rows == []
+                           residual_derived_simply_connected(cover, x), is_vertex(datum, x))
+                positive = tuple(datum.coroots[i] for i in ext.phi_x if datum.heights[i] > 0)
+                assert 2 * len(positive) == len(ext.iota), x
+                # where every root is integral the simple coroots span Lambda_x
+                generators = (tuple(datum.coroots[i] for i in datum.simple_indices)
+                              if len(ext.phi_x) == len(datum.roots) else positive)
+                assert hnf_rows.count(generators) == (visit == k + 1 == 1 and len(positive) > 0), x
+                assert ext.coroot_span is _integral_roots(datum, x).coroot_span
+                rows = [row for row, i in zip(ext.iota, ext.phi_x) if datum.heights[i] > 0]
+                assert ext.lambda_lattice() == (hermite_normal_form(rows, 4) if rows
+                                                else Sublattice.zero(4)), x
                 assert answers == (residual_extension(fresh, x), residual_splits(fresh, x),
-                                   residual_derived_simply_connected(fresh, x)), x
+                                   residual_derived_simply_connected(fresh, x),
+                                   is_vertex(fresh.datum, x)), x

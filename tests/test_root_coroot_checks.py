@@ -9,10 +9,12 @@ is read off the root system with the references in ``_oracles`` for the
 code it replaced: validation with the per-reflection image check and the
 height walk, |W| with the raising walk, ``is_vertex`` with the rank of every
 integral root, and the central index and squeeze bounds with the indices of
-explicit lattice meets.  Data that validation
-refuses, because a root is not Weyl-conjugate to a simple one, are checked
-to be refused and then fed to the checks as namespaces with the attributes
-they read.
+explicit lattice meets.  Two more compare, at seeded points, the lattice of
+extended coroots and ``is_vertex`` with the way they were computed before
+the datum kept Lambda_x, and Q of the coroots with the form.  Data that
+validation refuses, because a root is not Weyl-conjugate to a simple one,
+are checked to be refused and then fed to the checks as namespaces with the
+attributes they read.
 """
 
 import random
@@ -30,16 +32,16 @@ from whitdim.cover import (
     glr_invariants_of,
 )
 from whitdim.errors import MathConstraintError
-from whitdim.lattice import dot
-from whitdim.parahoric import is_vertex
+from whitdim.lattice import congruence_index, dot, mat_mul
+from whitdim.parahoric import is_vertex, residual_extension
 from whitdim.root_datum import (
     BasedRootDatum,
     FrobeniusAction,
-    _close_root_system,
     build_glr,
     build_slr,
     build_sp2r,
     build_torus,
+    frobenius_fixed_lattice,
     identity_frobenius,
     permutation_blocks,
     weyl_order,
@@ -47,11 +49,14 @@ from whitdim.root_datum import (
 from whitdim.whittaker import squeeze_bounds
 
 from _oracles import (
+    close_root_system_dense,
     form_invariance_failure,
     glr_invariants_reference,
     integral_roots_reference,
     invariant_indices_by_meets,
     is_root_datum_reference,
+    is_vertex_reference,
+    lambda_lattice_reference,
     permutation_blocks_reference,
     raised_pairs,
     rational_rank,
@@ -308,7 +313,7 @@ def _validated_data():
                    ((2, -1, 0, 0), (-1, 2, -2, 0), (0, -1, 2, -1), (0, 0, -1, 2))):
         k = len(cartan)
         pairs = [(cartan[i], tuple(int(j == i) for j in range(k))) for i in range(k)]
-        data.append(BasedRootDatum(k, *_close_root_system(pairs)))
+        data.append(BasedRootDatum(k, *close_root_system_dense(pairs)))
     return data
 
 
@@ -367,14 +372,20 @@ def test_weyl_order_and_heights_match_the_raising_walk():
 
 
 def _points(rd, seed):
-    """The origin and seeded rational points fixed by Frobenius."""
+    """The origin and seeded rational points fixed by Frobenius: each seeded
+    point when Frobenius fixes it, and else the mean of its Frobenius orbit."""
     rng = random.Random(seed)
+    f, order = rd.fr.matrix, rd.fr.order
     yield (0,) * rd.rank
     for _ in range(12):
         den = rng.choice((1, 2, 3, 4, 6))
         x = tuple(Fraction(rng.randint(-2 * den, 2 * den), den) for _ in range(rd.rank))
-        if integral_roots_reference(rd, x) is not None:
-            yield x
+        if integral_roots_reference(rd, x) is None:
+            orbit = [x]
+            for _ in range(order - 1):
+                orbit.append(tuple(sum(a * b for a, b in zip(row, orbit[-1])) for row in f))
+            x = tuple(sum(column) / order for column in zip(*orbit))
+        yield x
 
 
 def test_is_vertex_matches_the_rank_of_every_integral_root():
@@ -396,7 +407,7 @@ def _divisors(m):
 def test_central_index_and_squeeze_bounds_match_the_indices_of_meets():
     # every validated suite datum with each seeded gram invariant under it,
     # and every n | q - 1 for q = 25
-    shapes = set()
+    shapes, paths = set(), set()
     for rd, gram in CASES:
         if not isinstance(rd, BasedRootDatum) or _cover_failure(rd, gram) is not None:
             continue
@@ -405,5 +416,40 @@ def test_central_index_and_squeeze_bounds_match_the_indices_of_meets():
             central, lower, upper = invariant_indices_by_meets(cover)
             assert (central_index(cover), *squeeze_bounds(cover)) == (central, lower, upper), (
                 rd.roots, gram, n)
+            # central_index reads the pivots of Y_{Q,n} when Frobenius is
+            # the identity, and takes a congruence index over Y^Fr otherwise
+            basis = frobenius_fixed_lattice(rd).basis
+            assert central == congruence_index(mat_mul(basis, gram), n)
             shapes.add((central > 1, lower > 1, lower < upper))
+            paths.add((rd.fr.order > 1, central > 1))
     assert {(True, True, True), (True, False, True), (False, False, False)} <= shapes
+    assert paths == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def _covers():
+    """Every validated suite datum with each seeded gram invariant under it,
+    as a cover of degree 2 over F_5; covers of one datum share it."""
+    return [CoverSpec(rd, WeylInvariantForm(gram), 2, 5) for rd, gram in CASES
+            if isinstance(rd, BasedRootDatum) and _cover_failure(rd, gram) is None]
+
+
+def test_lambda_and_is_vertex_match_the_references_at_seeded_points():
+    # the lattice of each cover is read off the datum's Lambda_x; the
+    # references rebuild it from the rows of iota and rank the integral roots
+    seen = set()
+    for seed, cover in enumerate(_covers()):
+        rd = cover.datum
+        for x in _points(rd, seed):
+            lam = residual_extension(cover, x).lambda_lattice()
+            assert lam.basis == lambda_lattice_reference(cover, x), (rd.roots, cover.form, x)
+            vertex = is_vertex(rd, x)
+            assert vertex == is_vertex_reference(rd, x), (rd.roots, x)
+            seen.add((rd.fr.order > 1, vertex, any(row[-1] for row in lam.basis)))
+    assert {(True, True, False), (False, True, True), (False, False, True),
+            (False, False, False)} <= seen
+
+
+def test_coroot_q_is_q_of_every_coroot():
+    for cover in _covers():
+        assert cover.coroot_q == tuple(map(cover.form.q_value, cover.datum.coroots))
+

@@ -14,7 +14,6 @@ from whitdim.root_datum import (
     MAX_GLR_RANK,
     BasedRootDatum,
     FrobeniusAction,
-    _close_root_system,
     build_glr,
     build_slr,
     build_sp2r,
@@ -30,7 +29,12 @@ from whitdim.root_datum import (
     weyl_order,
 )
 
-from _oracles import rational_rank, rational_solve, simple_reflection_matrices
+from _oracles import (
+    close_root_system_dense,
+    rational_rank,
+    rational_solve,
+    simple_reflection_matrices,
+)
 
 
 def adjoint_sl2_pattern():
@@ -95,6 +99,27 @@ def test_closed_root_systems_keep_their_order():
     assert sp4.simple_indices == (0, 1)
 
 
+def test_builders_match_the_dense_closure_field_by_field():
+    # the builders grow their simple pairs by validation's walk; the dense
+    # closure they ran before, validated as given data, is the reference
+    for r in range(2, 10):
+        pairs = [(tuple(2 if k == i else -(abs(k - i) == 1) for k in range(r - 1)),
+                  tuple(int(k == i) for k in range(r - 1))) for i in range(r - 1)]
+        assert_same_datum(build_slr(r), BasedRootDatum(r - 1, *close_root_system_dense(pairs)))
+    for r in range(2, 7):
+        pairs = [(v, v) for v in (tuple((k == i) - (k == i + 1) for k in range(r))
+                                  for i in range(r - 1))]
+        pairs.append((tuple(2 * (k == r - 1) for k in range(r)),
+                      tuple(int(k == r - 1) for k in range(r))))
+        assert_same_datum(build_sp2r(r), BasedRootDatum(r, *close_root_system_dense(pairs)))
+
+
+def assert_same_datum(built, reference):
+    for field in ("rank", "roots", "coroots", "simple_indices", "heights"):
+        assert getattr(built, field) == getattr(reference, field), (reference.rank, field)
+    assert built.fr.matrix == reference.fr.matrix and built == reference
+
+
 def test_invalid_ranks_rejected():
     for builder in (build_slr, build_sp2r):
         with pytest.raises(ValueError):
@@ -152,7 +177,7 @@ def datum_of_cartan(bonds, k):
     for i, j, m in bonds:
         cartan[i][j], cartan[j][i] = -m, -1
     pairs = [(tuple(cartan[i]), tuple(int(j == i) for j in range(k))) for i in range(k)]
-    return BasedRootDatum(k, *_close_root_system(pairs))
+    return BasedRootDatum(k, *close_root_system_dense(pairs))
 
 
 def chain(k, last=1):

@@ -207,6 +207,16 @@ def test_parameter_is_read_in_lowest_terms():
         LusztigParameter(w, 0, (0,))
 
 
+def test_parameter_refuses_float_exponents():
+    # 0.1 was read as the binary fraction 3602879701896397/2^55
+    w = ((1, 0), (0, 1))
+    with pytest.raises(TypeError):
+        LusztigParameter.from_theta(w, (0.1, 0.3))
+    with pytest.raises(TypeError):
+        LusztigParameter.from_theta(w, (0, 0), 0.5)
+    assert LusztigParameter.from_theta(w, (1, Fraction(3, 10))).denominator == 10
+
+
 def test_parameter_refuses_a_non_integer_twist():
     # the entries were truncated to the swap ((0, 1), (1, 0))
     with pytest.raises(TypeError):
