@@ -91,7 +91,10 @@ def _int_field(doc, name):
 def load_cover_document(path):
     """Parse and fully re-validate a cover specification file."""
     with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except RecursionError:
+            raise ValueError("cover document is nested too deeply") from None
     if not isinstance(doc, dict):
         raise ValueError("cover document must be a JSON object")
     for key in ("rank", "roots", "coroots", "simple", "bq", "n", "q"):

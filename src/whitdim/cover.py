@@ -23,8 +23,10 @@ quotient, the residual record of the last apartment point, and the map from
 each passing set of the orbit search to its checked subgroup and index) are
 computed on first use and kept on the cover, so they live exactly as long
 as it does.  With the identity Frobenius the central index is read off the
-Hermite form of the kept Y_{Q,n}.  The invariant lattice itself is held on
-the datum.  More than 100,000 cosets are refused before any is built.
+Hermite form of the kept Y_{Q,n}.  The invariant lattice itself and the
+Weyl group, with its blocks on block-permutation data, are held on the
+datum and shared by every cover on it.  More than 100,000 cosets are
+refused before any is built.
 """
 
 from __future__ import annotations
@@ -50,9 +52,7 @@ from .root_datum import (
     _swaps_coordinates,
     build_glr,
     frobenius_fixed_lattice,
-    permutation_blocks,
     weyl_frobenius_fixed_lattice,
-    weyl_group,
 )
 
 #: the first 13 primes: trial divisors and Miller-Rabin bases
@@ -229,11 +229,6 @@ class CoverSpec:
             support = [(a, x) for a, x in enumerate(v) if x]
             out.append(sum(g[a][b] * x * y for a, x in support for b, y in support) // 2)
         return tuple(out)
-
-    @cached_property
-    def _weyl(self):
-        """W as its blocks on block-permutation data, else enumerated."""
-        return permutation_blocks(self.datum) or weyl_group(self.datum)
 
     @cached_property
     def _y_qn(self):

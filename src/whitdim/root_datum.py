@@ -18,8 +18,10 @@ rest, so a build walks the roots once.
 A datum computes on first use and then holds its Weyl group and Y^W, Y^Fr
 and Y^{W x Fr}, all freed with it; with the identity Frobenius the last two
 are Z^d and Y^W, with no kernel computed.  No reflection matrix is built:
-W, |W| (from the heights), the semisimple rank (the number of simple roots)
-and Y^W (orthogonal to the simple roots) are read off the roots and coroots.
+W (with |W| from the heights and the blocks of block-permutation data), the
+semisimple rank (the number of simple roots) and Y^W (orthogonal to the
+simple roots) are read off the roots and coroots.  Only the elements of W
+are enumerated, and they are refused above :data:`MAX_WEYL_ORDER`.
 """
 
 from __future__ import annotations
@@ -318,13 +320,10 @@ class BasedRootDatum:
 
     @cached_property
     def _weyl_group(self):
-        """W, refused above MAX_WEYL_ORDER before any closure."""
-        order = weyl_order(self)
-        if order > MAX_WEYL_ORDER:
-            raise ResourceLimitError(
-                f"the Weyl group of order {order} exceeds the guard {MAX_WEYL_ORDER}")
+        """W with |W| and its blocks; nothing is enumerated."""
         return WeylGroup(self.rank, tuple((self.roots[i], self.coroots[i])
-                                          for i in self.simple_indices), order)
+                                          for i in self.simple_indices),
+                         weyl_order(self), permutation_blocks(self))
 
     @cached_property
     def _frobenius_fixed(self):
@@ -342,18 +341,28 @@ class BasedRootDatum:
 @dataclass(frozen=True)
 class WeylGroup:
     """The Weyl group of a rank-``rank`` datum, generated by the reflections
-    of its simple (root, coroot) pairs, with |W| known from the root heights;
-    its elements are closed on first use."""
+    of its simple (root, coroot) pairs, with |W| known from the root heights.
+    On block-permutation data ``blocks`` partitions the coordinates (see
+    :func:`permutation_blocks`): W is every permutation that maps each block
+    to itself, acting on X as on Y, and membership and orbits are read off
+    the blocks.  Otherwise ``blocks`` is None, and they are answered from the
+    elements, closed on first use."""
 
     rank: int
     simple_pairs: tuple
     order: int
+    blocks: tuple | None
 
     @cached_property
     def elements(self):
         """Every Weyl element as an integer matrix acting on Y, the identity
         first and the rest sorted; s_i m = m - alpha_i^vee (alpha_i^T m)
-        changes only the rows where alpha_i^vee is nonzero."""
+        changes only the rows where alpha_i^vee is nonzero.  A group above
+        :data:`MAX_WEYL_ORDER` is refused before the closure starts."""
+        if self.order > MAX_WEYL_ORDER:
+            raise ResourceLimitError(
+                f"the Weyl group of order {self.order} exceeds the guard {MAX_WEYL_ORDER}")
+
         def reflect(m):
             cols = list(zip(*m))
             for root, coroot in self.simple_pairs:
@@ -372,8 +381,19 @@ class WeylGroup:
     def _members(self):
         return frozenset(self.elements)
 
+    @cached_property
+    def _unit_rows(self):
+        return sorted(tuple(int(i == j) for j in range(self.rank)) for i in range(self.rank))
+
     def __contains__(self, m):
-        return m in self._members
+        """Is the integer matrix m in W?  On block data: is it a permutation
+        matrix that maps every block to itself?"""
+        if self.blocks is None:
+            return m in self._members
+        # a permutation matrix is one whose rows are the unit vectors
+        return sorted(m) == self._unit_rows and (
+            len(self.blocks) == 1
+            or all({m[i].index(1) for i in block} == set(block) for block in self.blocks))
 
     @cached_property
     def x_action(self):
@@ -381,55 +401,23 @@ class WeylGroup:
         on X as ``elements[i]`` inverted, so the tuple runs over the group."""
         return tuple(transpose(m) for m in self.elements)
 
-    def orbit(self, v, denom, w, f):
-        """A test for the W-orbit of the exponents v mod denom, or None when
-        v is not in general position for the twist w Fr: some element other
-        than the identity fixes v and commutes with w Fr."""
-        images = [tuple(sum(a * t for a, t in zip(row, v)) % denom for row in mt)
-                  for mt in self.x_action]
-        stabilizer = [m for m, image in zip(self.elements[1:], images[1:]) if image == v]
-        if stabilizer:
-            wf = mat_mul(w, f)
-            if any(mat_mul(wf, m) == mat_mul(m, wf) for m in stabilizer):
-                return None
-        orbit = set(images)
-        return lambda u: tuple(u) in orbit
-
-
-@dataclass(frozen=True)
-class PermutationBlocks:
-    """The Weyl group of block-permutation data (see
-    :func:`permutation_blocks`), held as its blocks: W is every permutation
-    of the coordinates that maps each block to itself, and it acts on X by
-    the same permutations as on Y.  ``blocks`` partitions the coordinates,
-    each block in increasing order.
-    """
-
-    blocks: tuple
-
-    @cached_property
-    def _unit_rows(self):
-        d = sum(map(len, self.blocks))
-        return sorted(tuple(int(i == j) for j in range(d)) for i in range(d))
-
-    def __contains__(self, m):
-        """Is the integer matrix m a permutation matrix that maps every block
-        to itself?"""
-        # a permutation matrix is one whose rows are the unit vectors
-        return sorted(m) == self._unit_rows and (
-            len(self.blocks) == 1
-            or all({m[i].index(1) for i in block} == set(block) for block in self.blocks))
-
     def key(self, v):
-        """Canonical form of v under W: its entries sorted within each block.
-        Two vectors lie in one W-orbit exactly when their keys are equal."""
+        """Canonical form of v under W on block data: its entries sorted
+        within each block.  Two vectors lie in one W-orbit exactly when their
+        keys are equal."""
         if len(self.blocks) == 1:
             return sorted(v)
         return [sorted([v[i] for i in block]) for block in self.blocks]
 
     def orbit(self, v, denom, w, f):
-        """As :meth:`WeylGroup.orbit`, by keys: None exactly when two entries
-        of v in one block are equal, whatever the twist.
+        """A test for the W-orbit of the exponents v mod denom, or None when
+        v is not in general position for the twist w Fr: some element other
+        than the identity fixes v and commutes with w Fr.
+
+        Other data than block data map v by every element and search its
+        stabilizer for an element commuting with w Fr.  On block data the
+        test compares keys, and it is None exactly when two entries of v in
+        one block are equal, whatever the twist.
 
         The stabilizer of v is the Young subgroup H of equal entries.  Let
         g = w Fr.  Fr permutes the simple coroots, so g normalizes W; and
@@ -445,11 +433,21 @@ class PermutationBlocks:
         datum, and validation refuses a root that is not W-conjugate to a
         simple one with its coroot.
         """
-        key = self.key(v)
-        for block in [key] if len(self.blocks) == 1 else key:
-            if any(a == b for a, b in zip(block, block[1:])):
+        if self.blocks is not None:
+            key = self.key(v)
+            for block in [key] if len(self.blocks) == 1 else key:
+                if any(a == b for a, b in zip(block, block[1:])):
+                    return None
+            return lambda u: self.key(u) == key
+        images = [tuple(sum(a * t for a, t in zip(row, v)) % denom for row in mt)
+                  for mt in self.x_action]
+        stabilizer = [m for m, image in zip(self.elements[1:], images[1:]) if image == v]
+        if stabilizer:
+            wf = mat_mul(w, f)
+            if any(mat_mul(wf, m) == mat_mul(m, wf) for m in stabilizer):
                 return None
-        return lambda u: self.key(u) == key
+        orbit = set(images)
+        return lambda u: tuple(u) in orbit
 
 
 def _closure(start, step):
@@ -466,8 +464,8 @@ def _closure(start, step):
 
 
 def weyl_group(rd):
-    """The Weyl group of a datum, held by it: |W| is found first, and a
-    group above :data:`MAX_WEYL_ORDER` is refused before any closure."""
+    """The :class:`WeylGroup` of a datum, held by it.  Building it enumerates
+    nothing; only its elements are refused above :data:`MAX_WEYL_ORDER`."""
     return rd._weyl_group
 
 
@@ -486,12 +484,13 @@ def weyl_order(rd):
 
 
 def permutation_blocks(rd):
-    """The Weyl group of block-permutation data, or None for other data.
+    """The blocks of block-permutation data, or None for other data.
 
     Block-permutation data have simple reflections that each swap two
     coordinates of Y (GL_r, tori, any datum with roots +-(e_i - e_j)).  Their
     W is the product of the symmetric groups on the blocks: the connected
-    components of the graph whose edges are those swaps.
+    components of the graph whose edges are those swaps, each in increasing
+    order, in the order of their least coordinates.
     """
     d = rd.rank
     neighbours = [[] for _ in range(d)]
@@ -507,7 +506,7 @@ def permutation_blocks(rd):
             block = _closure([i], neighbours.__getitem__)
             seen.update(block)
             blocks.append(tuple(sorted(block)))
-    return PermutationBlocks(tuple(blocks))
+    return tuple(blocks)
 
 
 def coroot_lattice(rd):

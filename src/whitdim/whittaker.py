@@ -20,17 +20,17 @@ Three independent routes compute the same dimension for covers of GL_r:
   (`y_x_rho`), which also works for arbitrary root data.
 
 Each route decides general position on its own, as it computes.  Only the
-orbit search touches W, through one method of the cover's Weyl group,
-``orbit(v, D, w, Fr)``: a test for the W-orbit of the numerators v mod D,
-or None when theta is not in general position, that is when an element
-other than the identity fixes v and commutes with w Fr.  On
+orbit search touches W, through the datum's one Weyl group: a membership
+test for w, and ``orbit(v, D, w, Fr)``, a test for the W-orbit of the
+numerators v mod D, or None when theta is not in general position, that is
+when an element other than the identity fixes v and commutes with w Fr.  On
 block-permutation data (each simple reflection swaps two coordinates: GL_r,
-tori, roots +-(e_i - e_j)) W is held as its blocks: vectors share an orbit
-exactly when they agree after sorting within each block, and theta is in
-general position exactly when its entries are distinct within each block.
-Other data map theta by every element of W, enumerated once, and search
-the stabilizer for an element commuting with w Fr.  Resource guards raise
-:class:`ResourceLimitError` before any enumeration: |W| above 40,320
+tori, roots +-(e_i - e_j)) the group answers from its blocks: vectors share
+an orbit exactly when they agree after sorting within each block, and theta
+is in general position exactly when its entries are distinct within each
+block.  Other data map theta by every element of W, enumerated once, and
+search the stabilizer for an element commuting with w Fr.  Resource guards
+raise :class:`ResourceLimitError` before any enumeration: |W| above 40,320
 (computed from the root heights), GL_r with r above 16, more than 100,000
 cosets for the orbit search, an oracle scan of more than 100,000 steps, and
 a table with q^r - 1 above 10^6.
@@ -128,7 +128,8 @@ def _orbit_pass(cover, param):
     d = datum.rank
     if len(param.numerators) != d:
         raise ValueError("parameter dimension does not match the cover")
-    if param.w not in cover._weyl:
+    group = datum._weyl_group  # read directly: a traced weyl_group opens a span per call
+    if param.w not in group:
         raise MathConstraintError("w is not an element of the Weyl group")
     # the reduced denominator is the lcm of the denominators of the entries
     if gcd(param.denominator, cover.p) != 1:
@@ -148,7 +149,7 @@ def _orbit_pass(cover, param):
     if any((q * t - s) % denom for t, s in zip(tnum, image)):
         raise MathConstraintError(
             "q * theta = (w Fr)^T theta mod 1 fails: not a character of the twisted torus")
-    return denom, tnum, cover._weyl.orbit(tnum, denom, w, f)
+    return denom, tnum, group.orbit(tnum, denom, w, f)
 
 
 # ---------------------------------------------------------------------------

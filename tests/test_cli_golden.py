@@ -53,6 +53,8 @@ COVER_FILES = {
                         "bq": [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
                         "n": 2, "q": 5},
     "broken.json": "{not json",
+    # nested deeper than the JSON parser recurses
+    "nested.json": "[" * 200_000,
     # above the rank guard of build_glr: a torus, and the Kazhdan-Patterson
     # cover of GL_17
     "torus17.json": {"rank": 17, "roots": [], "coroots": [], "simple": [],
@@ -91,6 +93,8 @@ NOT_A_BASE = "64a7b1ecad9ca0c83bad9f6ed7499bfbb09c7749cfc919224b829048af1d7cf9"
 #: stderr of ``not_root_datum.json``, whose root (1, 1, 0) is not
 #: Weyl-conjugate to a simple root
 NOT_CONJUGATE = "bd3137f28a9b861dfa80cf0c5d16f93b7297587534ecf54b787654b20e79c9a9"
+#: stderr of ``nested.json``, nested too deeply to parse
+NESTED = "0c580905872b69303f0d1a779845c719b3a5f67a3eb88a7adcc85b8c0def24e0"
 
 #: (command, format) -> (exit code, sha256 of stdout, sha256 of stderr)
 GOLDEN = {
@@ -160,6 +164,11 @@ GOLDEN = {
     ("info broken.json", "json"):
         (2, EMPTY,
          "0ff55156d89f76264f3f7cf2b3d93e17831268327d1592eebfcef8011eb5a818"),
+    # error: cover document is nested too deeply
+    ("info nested.json", "text"): (2, EMPTY, NESTED),
+    ("info nested.json", "json"): (2, EMPTY, NESTED),
+    ("residual nested.json --point 0", "text"): (2, EMPTY, NESTED),
+    ("residual nested.json --point 0", "json"): (2, EMPTY, NESTED),
     # error: cover document must be a JSON object
     ("info not_an_object.json", "text"):
         (2, EMPTY,

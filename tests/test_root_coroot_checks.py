@@ -232,9 +232,7 @@ def _swap_shape(root):
 
 def _blocks_mismatches(detect):
     for rd in suite_data():
-        blocks = detect(rd)
-        blocks = getattr(blocks, "blocks", blocks)
-        if blocks != permutation_blocks_reference(rd):
+        if detect(rd) != permutation_blocks_reference(rd):
             yield rd
 
 

@@ -7,8 +7,16 @@ import pytest
 from hypothesis import given, strategies as st
 
 from whitdim import root_datum
+from whitdim.cover import CoverSpec, WeylInvariantForm
 from whitdim.errors import MathConstraintError, ResourceLimitError
-from whitdim.lattice import Sublattice, dot, fixed_sublattice, mat_vec, transpose
+from whitdim.lattice import (
+    Sublattice,
+    dot,
+    fixed_sublattice,
+    identity_matrix,
+    mat_vec,
+    transpose,
+)
 from whitdim.root_datum import (
     MAX_FROBENIUS_ORDER,
     MAX_GLR_RANK,
@@ -28,6 +36,7 @@ from whitdim.root_datum import (
     weyl_group,
     weyl_order,
 )
+from whitdim.whittaker import LusztigParameter, is_general_position, y_x_rho
 
 from _oracles import (
     close_root_system_dense,
@@ -158,8 +167,13 @@ def test_weyl_elements_permute_roots_and_coroots():
 
 
 def test_weyl_rank_guard():
-    with pytest.raises(ValueError):
-        weyl_group(build_glr(10))
+    # the group is built from the heights; only its elements are refused
+    for r in (10, MAX_GLR_RANK):
+        group = weyl_group(build_glr(r))
+        assert group.order == factorial(r) and group.blocks == (tuple(range(r)),)
+        with pytest.raises(ResourceLimitError,
+                           match=f"^the Weyl group of order {factorial(r)} exceeds the guard"):
+            group.elements
 
 
 def test_weyl_order_from_the_cartan_type_matches_the_closure():
@@ -204,11 +218,13 @@ def test_weyl_order_of_every_dynkin_type(name):
     bonds, k, order = DYNKIN[name]
     rd = datum_of_cartan(bonds, k)
     assert weyl_order(rd) == order
+    group = weyl_group(rd)
+    assert group.order == order and group.blocks is None
     if order <= 40320:
-        assert len(weyl_group(rd).elements) == order
+        assert len(group.elements) == order
     else:
         with pytest.raises(ResourceLimitError, match=f"order {order} exceeds the guard 40320"):
-            weyl_group(rd)
+            group.elements
 
 
 def test_simple_roots_that_are_not_a_base_are_rejected():
@@ -222,11 +238,31 @@ def test_simple_roots_that_are_not_a_base_are_rejected():
 
 
 def test_weyl_guard_refuses_large_groups_before_any_closure():
-    for rd in (build_glr(9), build_sp2r(7), build_sp2r(8), build_glr(10)):
+    # simply laced data with unit simple coroots take the gram of their
+    # simple roots as an invariant form, and Sp_2r takes 2I
+    covers = [CoverSpec(rd, WeylInvariantForm([rd.roots[i] for i in rd.simple_indices]), 2, 3)
+              for rd in (build_slr(9), datum_of_cartan(*DYNKIN["E7"][:2]),
+                         datum_of_cartan(*DYNKIN["E8"][:2]))]
+    covers.append(CoverSpec(build_sp2r(6), WeylInvariantForm(
+        [[2 * (i == j) for j in range(6)] for i in range(6)]), 2, 3))
+    for cover in covers:
+        d = cover.rank
+        identity = identity_matrix(d)
+        param = LusztigParameter(identity, 1, (0,) * d)
         start = time.perf_counter()
-        with pytest.raises(ResourceLimitError, match="exceeds the guard 40320"):
-            weyl_group(rd)
-        assert time.perf_counter() - start < 1
+        group = weyl_group(cover.datum)
+        assert group.order == weyl_order(cover.datum) > 40320 and group.blocks is None
+        refusals = [lambda: group.elements, lambda: group.x_action,
+                    lambda: identity in group,
+                    lambda: group.orbit((0,) * d, 1, identity, identity),
+                    lambda: y_x_rho(cover, param),
+                    lambda: is_general_position(param, cover)]
+        for refused in refusals:
+            with pytest.raises(ResourceLimitError,
+                               match=f"^the Weyl group of order {group.order} exceeds "
+                                     f"the guard 40320$"):
+                refused()
+        assert time.perf_counter() - start < 1, group.order
 
 
 def test_glr_rank_guard():
@@ -249,9 +285,9 @@ def test_permutation_blocks():
         ((0, 2), (1,)): BasedRootDatum(3, outer, outer, (0,)),
     }
     for expected, rd in blocks.items():
-        assert permutation_blocks(rd).blocks == expected
+        assert permutation_blocks(rd) == weyl_group(rd).blocks == expected
     for rd in (build_slr(3), build_sp2r(2), BasedRootDatum(2, so4, so4, (0, 2))):
-        assert permutation_blocks(rd) is None
+        assert permutation_blocks(rd) is weyl_group(rd).blocks is None
 
 
 def test_weyl_order_leaves_the_elements_unbuilt():

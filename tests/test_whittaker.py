@@ -3,7 +3,7 @@ import random
 import time
 from fractions import Fraction
 from itertools import cycle, permutations, product
-from math import gcd, lcm
+from math import factorial, gcd, lcm
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -22,7 +22,6 @@ from whitdim.lattice import (
 from whitdim.root_datum import (
     BasedRootDatum,
     FrobeniusAction,
-    PermutationBlocks,
     build_glr,
     build_slr,
     build_sp2r,
@@ -405,16 +404,37 @@ def test_y_x_rho_looks_up_the_weyl_group_once_per_cover(monkeypatch):
     for param in params[1:4]:
         y_x_rho(cover, param)
     assert calls == [cover.datum]
-    assert cover._weyl is weyl_group(cover.datum)
+    assert weyl_group(cover.datum).blocks is None
+    assert "elements" in vars(weyl_group(cover.datum))
 
 
-def test_y_x_rho_on_gl_r_never_looks_up_the_weyl_group(monkeypatch):
+def test_y_x_rho_on_gl_r_never_enumerates_the_weyl_group(monkeypatch):
     cover = glr_cover(3, 0, 1, 2, 3)
     calls = _count_weyl_orders(monkeypatch)
     for a in (1, 2, 5):
         y_x_rho(cover, glr_coxeter_parameter(3, 3, a, 2))
-    assert calls == []
-    assert isinstance(cover._weyl, PermutationBlocks)
+    assert calls == [cover.datum]
+    group = weyl_group(cover.datum)
+    assert group.blocks == ((0, 1, 2),)
+    assert "elements" not in vars(group)
+
+
+@pytest.mark.parametrize("r", range(9, 17))
+def test_gl_r_beyond_the_weyl_guard_answers_from_the_blocks(r):
+    # |W| = r! is above the guard: every answer comes from the blocks
+    cover = glr_cover(r, 0, 1, 2, 3)
+    param = glr_coxeter_parameter(r, 3, 1, 2)
+    group = weyl_group(cover.datum)
+    start = time.perf_counter()
+    assert group.order == factorial(r) and group.blocks == (tuple(range(r)),)
+    assert param.w in group and transpose(param.w) in group
+    assert is_general_position(param, cover)
+    assert y_x_rho(cover, param)[1] == wh_dim_glr_closed(r, 3, 2, 0, 1, 1)
+    assert "elements" not in vars(group)
+    with pytest.raises(ResourceLimitError,
+                       match=f"^the Weyl group of order {factorial(r)} exceeds the guard 40320$"):
+        group.elements
+    assert time.perf_counter() - start < 1
 
 
 def test_y_x_rho_lattice_contains_the_meet():
@@ -457,11 +477,11 @@ BLOCK_COVERS = (glr_cover(1, 1, 0, 4, 5), glr_cover(2, 0, 1, 4, 5),
                 unitary_cover())
 
 
-def check_against_orbit_reference(cover, params):
+def check_against_orbit_reference(cover, params, elements=None):
     """Compare general position and the y_x_rho lattice and index with the
-    literal orbit search; returns (in general position, not) counts."""
-    assert isinstance(cover._weyl, PermutationBlocks)
-    elements = weyl_group(cover.datum).elements
+    literal orbit search over ``elements`` (by default the library's);
+    returns (in general position, not) counts."""
+    elements = elements or weyl_group(cover.datum).elements
     counts = [0, 0]
     for param in params:
         passes = orbit_search_reference(cover, param.w, param.theta, elements)
@@ -480,9 +500,10 @@ def check_against_orbit_reference(cover, params):
 
 def test_block_membership_matches_the_weyl_group():
     for cover in BLOCK_COVERS:
-        assert isinstance(cover._weyl, PermutationBlocks)
+        group = weyl_group(cover.datum)
+        assert group.blocks is not None
         d = cover.rank
-        members = set(weyl_group(cover.datum).elements)
+        members = set(group.elements)
         if d <= 3:
             candidates = product((-1, 0, 1), repeat=d * d)
         else:
@@ -492,7 +513,7 @@ def test_block_membership_matches_the_weyl_group():
                           for signs in product((1, -1), repeat=d))
         for flat in candidates:
             m = tuple(tuple(flat[i * d:(i + 1) * d]) for i in range(d))
-            assert (m in cover._weyl) == (m in members), m
+            assert (m in group) == (m in members), m
 
 
 def test_block_orbit_search_matches_the_reference_for_every_twist():
@@ -564,14 +585,19 @@ TWISTED_BLOCK_DATA = {
 }
 
 
+def _generated_group(gens, d):
+    """The group the integer d x d matrices ``gens`` generate, by closure."""
+    group = [identity_matrix(d)]
+    for m in group:
+        group.extend(x for x in (mat_mul(g, m) for g in gens) if x not in group)
+    return group
+
+
 def _invariant_cover(datum, q, n, rng):
     """A cover whose form is a random even form summed over the group that W
     and Frobenius generate."""
     d = datum.rank
-    gens = [*simple_reflection_matrices(datum), datum.fr.matrix]
-    group = [identity_matrix(d)]
-    for m in group:
-        group.extend(x for x in (mat_mul(g, m) for g in gens) if x not in group)
+    group = _generated_group([*simple_reflection_matrices(datum), datum.fr.matrix], d)
     seed = [[0] * d for _ in range(d)]
     for i in range(d):
         for j in range(i, d):
@@ -590,15 +616,56 @@ def test_distinct_entries_decide_general_position_on_twisted_block_data(name):
     # theta_solutions enumerates about q^d characters per twist
     q, n = rng.choice([(q, n) for q, n in ((3, 2), (5, 4), (7, 3)) if q ** datum.rank < 400])
     cover = _invariant_cover(datum, q, n, rng)
+    assert weyl_group(datum).blocks is not None
     elements = weyl_group(datum).elements
-    params = []
-    for w in elements:
-        thetas = theta_solutions(cover, w)
-        params += [LusztigParameter.from_theta(w, theta, Fraction(1, n))
-                   for theta in rng.sample(thetas, min(len(thetas), 20))]
-    gp, not_gp = check_against_orbit_reference(cover, params)
+    gp, not_gp = check_against_orbit_reference(cover, _sampled_parameters(cover, elements, rng))
     # with W trivial every character is in general position
     assert gp and (not_gp or len(elements) == 1)
+
+
+def _sampled_parameters(cover, twists, rng):
+    """For every twist w, a seeded sample of at most 20 of the characters of
+    T_w, with the central exponent 1/n."""
+    params = []
+    for w in twists:
+        thetas = theta_solutions(cover, w)
+        params += [LusztigParameter.from_theta(w, theta, Fraction(1, cover.n))
+                   for theta in rng.sample(thetas, min(len(thetas), 20))]
+    return params
+
+
+_SL3 = build_slr(3)
+#: data that are not block-permutation data, each with an invariant form,
+#: q and n, and the (in, not in) general position counts of the sample; the
+#: last two have a centre, so that Y^{W x Fr} is not zero.  The last is GL_2
+#: in the basis e_1, e_1 + e_2 with the Kazhdan-Patterson form, where some
+#: twists by the centre land on the other point of the orbit
+NON_BLOCK_COVERS = {
+    "SL_3": (_SL3, ((2, -1), (-1, 2)), 5, 4, (93, 23)),
+    "SU_3": (BasedRootDatum(2, _SL3.roots, _SL3.coroots, _SL3.simple_indices,
+                            FrobeniusAction(((0, 1), (1, 0)))),
+             ((2, -1), (-1, 2)), 5, 4, (87, 33)),
+    "SL_4": (build_slr(4), ((2, -1, 0), (-1, 2, -1), (0, -1, 2)), 3, 2, (281, 163)),
+    "Sp_4": (build_sp2r(2), ((2, 0), (0, 2)), 5, 4, (82, 74)),
+    "SL_2 x GL_1": (BasedRootDatum(2, ((2, 0), (-2, 0)), ((1, 0), (-1, 0)), (0,)),
+                    ((2, 0), (0, 2)), 5, 4, (20, 16)),
+    "GL_2, non-block basis": (BasedRootDatum(2, ((1, 0), (-1, 0)), ((2, -1), (-2, 1)), (0,)),
+                              ((0, 1), (1, 2)), 5, 4, (28, 8)),
+}
+
+
+@pytest.mark.parametrize("name", NON_BLOCK_COVERS)
+def test_enumerated_orbits_match_the_reference_on_every_twist(name):
+    """General position and y_x_rho on data whose W is enumerated, against the
+    literal orbit search over the group the simple reflections generate, on
+    every twist and a seeded sample of its characters."""
+    datum, gram, q, n, counts = NON_BLOCK_COVERS[name]
+    cover = CoverSpec(datum, WeylInvariantForm(gram), n, q)
+    assert weyl_group(datum).blocks is None
+    elements = _generated_group(simple_reflection_matrices(datum), datum.rank)
+    assert sorted(elements) == sorted(weyl_group(datum).elements)
+    params = _sampled_parameters(cover, elements, random.Random(name))
+    assert check_against_orbit_reference(cover, params, elements) == counts
 
 
 def test_a_large_young_stabilizer_is_not_in_general_position_at_once():
@@ -719,7 +786,7 @@ def test_passing_cosets_that_are_no_subgroup_are_refused_every_time(monkeypatch)
             calls = iter(range(len(cover._cosets)))
             return lambda u: next(calls) < 2
 
-    monkeypatch.setitem(cover.__dict__, "_weyl", FirstTwoCosetsPass())
+    monkeypatch.setitem(cover.datum.__dict__, "_weyl_group", FirstTwoCosetsPass())
     param = _sweep_cover_parameters()[0]
     for _ in range(2):
         with pytest.raises(RuntimeError, match="do not form a subgroup"):
