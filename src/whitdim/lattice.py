@@ -12,8 +12,12 @@ pivots are positive, strictly ordered left to right, and every entry above a
 pivot lies in ``[0, pivot)``.  Equality of lattices is therefore structural
 equality of the stored data.
 
-Every elimination is one routine, ``_echelon``; the cheaper questions take
-no more of it than they need.  ``rank`` is one echelon pass without the
+Every elimination is one routine, ``_echelon``, and it has no modes.
+Kernels, meets and congruence lattices are tails of one Hermite form: a block
+matrix is echelonned over all of its columns, and its echelon rows that are
+zero on the leading block, reduced above their pivots, are already the
+Hermite form of the answer.  The cheaper questions take no more of the
+routine than they need.  ``rank`` is one echelon pass without the
 reduction above the pivots, ``is_saturated`` reads the Smith factors of the
 basis (all 1 exactly when Z^d / lat is free, and at once when every pivot is
 1) instead of computing the saturation, ``intersect`` returns the other
@@ -76,16 +80,13 @@ def _as_int_rows(rows):
 # ---------------------------------------------------------------------------
 # row reduction over Z
 
-def _echelon(rows, width, track=False):
+def _echelon(rows, width):
     """Unimodular row reduction to echelon form with positive pivots.
 
-    Returns ``(body, kernel)`` where ``body`` lists the nonzero echelon rows
-    and ``kernel`` (only when ``track``) lists integer combinations ``u`` of
-    the input rows with ``u . rows = 0``; together they span the left kernel.
+    Returns the nonzero echelon rows; their pivots increase strictly.
     """
     mat = [list(r) for r in rows]
     n = len(mat)
-    aug = [[1 if i == j else 0 for j in range(n)] for i in range(n)] if track else None
     pivot_row = 0
     for col in range(width):
         live = [i for i in range(pivot_row, n) if mat[i][col]]
@@ -98,23 +99,15 @@ def _echelon(rows, width, track=False):
                 if i != base:
                     f = mat[i][col] // piv
                     mat[i] = [a - f * b for a, b in zip(mat[i], brow)]
-                    if track:
-                        aug[i] = [a - f * b for a, b in zip(aug[i], aug[base])]
             live = [i for i in live if mat[i][col]]
         if not live:
             continue
         i0 = live[0]
         mat[pivot_row], mat[i0] = mat[i0], mat[pivot_row]
-        if track:
-            aug[pivot_row], aug[i0] = aug[i0], aug[pivot_row]
         if mat[pivot_row][col] < 0:
             mat[pivot_row] = [-a for a in mat[pivot_row]]
-            if track:
-                aug[pivot_row] = [-a for a in aug[pivot_row]]
         pivot_row += 1
-    body = mat[:pivot_row]
-    kernel = [tuple(aug[i]) for i in range(pivot_row, n)] if track else None
-    return body, kernel
+    return mat[:pivot_row]
 
 
 def _reduce_above(body):
@@ -129,12 +122,26 @@ def _reduce_above(body):
     return body
 
 
-def _right_kernel(rows, d):
-    """Basis of {x in Z^d : row . x = 0 for every row}."""
-    if not rows:
-        return list(identity_matrix(d))
-    cols = [tuple(r[i] for r in rows) for i in range(d)]
-    return _echelon(cols, len(rows), track=True)[1]
+def _tail(block, m, d):
+    """Hermite form of {x in Z^d : (0, x) in the span of the block rows}.
+
+    Each block row has width m + d.  In an echelon basis the vectors of the
+    span whose first m entries are 0 are spanned by exactly the rows whose
+    pivot lies past column m, so their last d entries, reduced above their
+    pivots, are the Hermite form of the answer.
+    """
+    body = [row[m:] for row in _echelon(block, m + d) if not any(row[:m])]
+    return Sublattice(d, tuple(map(tuple, _reduce_above(body))))
+
+
+def _kernel_block(rows, d):
+    """The rows (column i of R | e_i), i < d, of the block whose span is
+    {(R x, x)}, with the number m of rows of R."""
+    rows = _as_int_rows(rows)
+    if any(len(r) != d for r in rows):
+        raise ValueError("condition rows must have the ambient length")
+    cols = zip(*rows) if rows else [()] * d
+    return len(rows), [col + (0,) * i + (1,) + (0,) * (d - 1 - i) for i, col in enumerate(cols)]
 
 
 def _smith_diagonal(rows, ncols):
@@ -146,9 +153,9 @@ def _smith_diagonal(rows, ncols):
     on the rest this ends.  Trading each pair (d_i, d_j), i < j, for its gcd
     and lcm then sorts the exponent of every prime into a divisibility chain.
     """
-    body, _ = _echelon(rows, ncols)
+    body = _echelon(rows, ncols)
     while any(a and i != j for i, row in enumerate(body) for j, a in enumerate(row)):
-        body, _ = _echelon(transpose(body), len(body))
+        body = _echelon(transpose(body), len(body))
     diag = [row[i] for i, row in enumerate(body)]
     for i in range(len(diag)):
         for j in range(i + 1, len(diag)):
@@ -248,6 +255,7 @@ class FiniteAbelianStructure:
             raise ValueError("invariant factors must be >= 2")
         if any(factors[i + 1] % factors[i] for i in range(len(factors) - 1)):
             raise ValueError("invariant factors must form a divisibility chain")
+        object.__setattr__(self, "free_rank", operator.index(self.free_rank))
         if self.free_rank < 0:
             raise ValueError("free rank must be non-negative")
 
@@ -272,8 +280,7 @@ def hermite_normal_form(rows, ambient_rank=None):
         ambient_rank = len(rows[0])
     if any(len(r) != ambient_rank for r in rows):
         raise ValueError("generator rows have unequal lengths")
-    body, _ = _echelon(rows, ambient_rank)
-    body = _reduce_above(body)
+    body = _reduce_above(_echelon(rows, ambient_rank))
     return Sublattice(ambient_rank, tuple(tuple(r) for r in body))
 
 
@@ -294,7 +301,7 @@ def index(sup, sub):
     coords = _coords_matrix(sup, sub)
     if sub.rank < sup.rank:
         return INFINITE
-    body, _ = _echelon(coords, sup.rank)
+    body = _echelon(coords, sup.rank)
     return prod(row[next(j for j, a in enumerate(row) if a)] for row in body)
 
 
@@ -315,34 +322,27 @@ def intersect(a, b):
     """Exact intersection of two sublattices of the same Z^d."""
     if a.ambient_rank != b.ambient_rank:
         raise ValueError("ambient ranks differ")
-    d = a.ambient_rank
-    if a.rank == 0 or b.rank == 0:
-        return Sublattice.zero(d)
     if _is_full(a):
         return b
     if _is_full(b):
         return a
-    stacked = list(a.basis) + list(b.basis)
-    _, kernel = _echelon(stacked, d, track=True)
-    gens = []
-    for u in kernel:
-        vec = [0] * d
-        for c, row in zip(u[:a.rank], a.basis):
-            if c:
-                vec = [x + c * y for x, y in zip(vec, row)]
-        gens.append(tuple(vec))
-    return hermite_normal_form(gens, d)
+    # the combination (x + y, x) of the rows (x | x) and (y | 0) starts with
+    # zeros exactly when x = -y lies in both
+    d = a.ambient_rank
+    block = [x + x for x in a.basis] + [y + (0,) * d for y in b.basis]
+    return _tail(block, d, d)
 
 
 def orthogonal_lattice(rows, d):
     """The sublattice {y in Z^d : row . y = 0 for every row}."""
-    return hermite_normal_form(_right_kernel(rows, d), d)
+    m, block = _kernel_block(rows, d)
+    return _tail(block, m, d)
 
 
 def saturation(lat):
     """Largest sublattice with the same rational span: {y : k*y in lat, k > 0}."""
     d = lat.ambient_rank
-    return orthogonal_lattice(_right_kernel(lat.basis, d), d)
+    return orthogonal_lattice(orthogonal_lattice(lat.basis, d).basis, d)
 
 
 def is_saturated(lat):
@@ -355,7 +355,10 @@ def is_saturated(lat):
 
 def rank(rows, d):
     """Rank of the span of integer vectors of length d, by one echelon pass."""
-    return len(_echelon(rows, d)[0])
+    rows = _as_int_rows(rows)
+    if any(len(r) != d for r in rows):
+        raise ValueError("rows must have length d")
+    return len(_echelon(rows, d))
 
 
 def fixed_sublattice(endomorphisms, ambient_rank=None):
@@ -388,6 +391,8 @@ def congruence_index(rows, modulus):
     rows = _as_int_rows(rows)
     if not rows:
         return 1
+    if any(len(r) != len(rows[0]) for r in rows):
+        raise ValueError("rows have unequal lengths")
     return prod(modulus // gcd(modulus, s) for s in _smith_diagonal(rows, len(rows[0])))
 
 
@@ -396,16 +401,12 @@ def congruence_kernel(rows, modulus, ambient_rank):
     d = ambient_rank
     if modulus < 1:
         raise ValueError("modulus must be positive")
-    rows = _as_int_rows(rows)
-    if any(len(r) != d for r in rows):
-        raise ValueError("condition rows must have the ambient length")
-    if not rows or modulus == 1:
+    m, block = _kernel_block(rows, d)
+    if not m or modulus == 1:
         return Sublattice.full(d)
-    m = len(rows)
-    extended = [r + tuple(modulus * (i == k) for k in range(m))
-                for i, r in enumerate(rows)]
-    kernel = _right_kernel(extended, d + m)
-    return hermite_normal_form([v[:d] for v in kernel], d)
+    # (A x + n z, x) starts with zeros exactly when A x = 0 mod n
+    block += [tuple(modulus * (i == j) for i in range(m)) + (0,) * d for j in range(m)]
+    return _tail(block, m, d)
 
 
 def quotient_hnf(sup, sub):
@@ -417,9 +418,7 @@ def quotient_hnf(sup, sub):
     coords = _coords_matrix(sup, sub)
     if sub.rank != sup.rank:
         raise ValueError("quotient is infinite: ranks differ")
-    body, _ = _echelon(coords, sup.rank)
-    body = _reduce_above(body)
-    return tuple(tuple(r) for r in body)
+    return tuple(tuple(r) for r in _reduce_above(_echelon(coords, sup.rank)))
 
 
 def coset_representatives(sup, sub):

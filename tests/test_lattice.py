@@ -21,6 +21,7 @@ from whitdim.lattice import (
     is_saturated,
     mat_mul,
     mat_vec,
+    orthogonal_lattice,
     rank,
     saturation,
     smith_invariants,
@@ -509,6 +510,30 @@ def test_integer_inputs_refuse_non_integers():
         fixed_sublattice([((1.5, 0), (0, 1))])
     with pytest.raises(TypeError):
         FiniteAbelianStructure((2.5,), 0)
+    with pytest.raises(TypeError):
+        FiniteAbelianStructure((), 1.5)
+    with pytest.raises(TypeError):
+        orthogonal_lattice([(1.5, 0)], 2)
+    with pytest.raises(TypeError):
+        congruence_index([(1.5, 0)], 4)
+    with pytest.raises(TypeError):
+        rank([(1.5, 0)], 2)
+
+
+def test_rows_of_the_wrong_length_are_refused():
+    # a longer row lost its last entries and a shorter one raised IndexError
+    with pytest.raises(ValueError, match="^condition rows must have the ambient length$"):
+        orthogonal_lattice([(1, 2, 3)], 2)
+    with pytest.raises(ValueError, match="^condition rows must have the ambient length$"):
+        orthogonal_lattice([(1,)], 2)
+    with pytest.raises(ValueError, match="^rows have unequal lengths$"):
+        congruence_index([(2, 0), (0, 4, 7)], 8)
+    with pytest.raises(ValueError, match="^rows have unequal lengths$"):
+        congruence_index([(1, 2), (3,)], 5)
+    with pytest.raises(ValueError, match="^rows must have length d$"):
+        rank([(1, 2), (3,)], 2)
+    with pytest.raises(ValueError, match="^rows must have length d$"):
+        rank([(1, 2, 3)], 2)
 
 
 def test_rank_matches_the_hnf_rank():
@@ -522,8 +547,9 @@ def test_rank_matches_the_hnf_rank():
 def test_intersect_with_the_full_lattice_on_either_side():
     for d, rows, lat in _random_lattices(31, 100):
         full = Sublattice.full(d)
-        assert intersect(full, lat) == lat
-        assert intersect(lat, full) == lat
+        # the other side itself, without an elimination
+        assert intersect(full, lat) is lat
+        assert intersect(lat, full) is (full if lat == full else lat)
         # a full-rank sublattice that is not Z^d still goes through the meet
         doubled = hermite_normal_form([[2 * (i == j) for j in range(d)] for i in range(d)])
         meet = intersect(doubled, lat)
@@ -541,3 +567,62 @@ def test_coset_guard_at_its_bound_and_one_past_it():
     with pytest.raises(ResourceLimitError,
                        match="^the quotient has 100001 cosets, more than the coset guard 100000$"):
         coset_representatives(sup, hermite_normal_form([(1, 0), (0, 100_001)]))
+
+
+# ---------------------------------------------------------------------------
+# kernels and meets against their definitions, vector by vector
+
+def _box(d, lo, hi):
+    return product(range(lo, hi), repeat=d)
+
+
+def test_orthogonal_lattice_by_membership():
+    rng = random.Random(37)
+    nonzero_members = 0
+    for _ in range(60):
+        d = rng.randint(1, 4)
+        rows = [tuple(rng.randint(-2, 2) for _ in range(d)) for _ in range(rng.randint(0, d))]
+        lat = orthogonal_lattice(rows, d)
+        for vec in _box(d, -2, 3):
+            member = all(dot_by_zip(row, vec) == 0 for row in rows)
+            assert lat.contains_vector(vec) == member, (rows, vec)
+            nonzero_members += member and any(vec)
+    assert nonzero_members
+    assert orthogonal_lattice([], 3) == Sublattice.full(3)
+    assert orthogonal_lattice([(0, 0)], 2) == Sublattice.full(2)
+    assert orthogonal_lattice([(1, 0), (0, 1)], 2) == Sublattice.zero(2)
+
+
+def test_congruence_kernel_by_membership():
+    rng = random.Random(41)
+    box_modulus = {1: 12, 2: 9, 3: 5, 4: 3}
+    for _ in range(60):
+        d = rng.randint(1, 4)
+        n = rng.randint(1, box_modulus[d])
+        rows = [tuple(rng.randint(-6, 6) for _ in range(d)) for _ in range(rng.randint(0, 3))]
+        lat = congruence_kernel(rows, n, d)
+        for vec in _box(d, 0, 2 * n):
+            member = all(dot_by_zip(row, vec) % n == 0 for row in rows)
+            assert lat.contains_vector(vec) == member, (rows, n, vec)
+    assert congruence_kernel([], 5, 2) == Sublattice.full(2)
+    assert congruence_kernel([(0, 0)], 5, 2) == Sublattice.full(2)
+
+
+def test_intersect_by_membership():
+    rng = random.Random(43)
+    sides = set()
+    for _ in range(60):
+        d = rng.randint(1, 4)
+        a, b = (hermite_normal_form([[rng.randint(-3, 3) for _ in range(d)]
+                                     for _ in range(rng.randint(0, d))], d)
+                for _ in range(2))
+        sides.update((a.rank, b.rank))
+        meet = intersect(a, b)
+        for vec in _box(d, -3, 4) if d < 4 else _box(d, -2, 3):
+            member = in_span_z(vec, a.basis) and in_span_z(vec, b.basis)
+            assert meet.contains_vector(vec) == member, (a, b, vec)
+    assert 0 in sides
+    for d in (1, 3):
+        zero, full = Sublattice.zero(d), Sublattice.full(d)
+        assert intersect(zero, full) == intersect(full, zero) == zero
+        assert intersect(zero, zero) == zero

@@ -375,7 +375,10 @@ def test_frobenius_commutes_with_pairing():
 
 def test_glr_weyl_fixed_lattice_is_diagonal():
     for r in (2, 3, 4):
-        assert weyl_frobenius_fixed_lattice(build_glr(r)).basis == ((1,) * r,)
+        rd = build_glr(r)
+        assert weyl_frobenius_fixed_lattice(rd).basis == ((1,) * r,)
+        # with the identity Frobenius the meet is Y^W itself
+        assert weyl_frobenius_fixed_lattice(rd) is weyl_fixed_lattice(rd)
 
 
 def test_frobenius_order_bound():
