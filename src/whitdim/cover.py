@@ -32,10 +32,10 @@ refused before any is built.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from functools import cached_property
 from math import comb, prod
 
+from ._frozen import Frozen
 from .errors import MathConstraintError, ResourceLimitError
 from .lattice import (
     congruence_index,
@@ -48,7 +48,6 @@ from .lattice import (
     transpose,
 )
 from .root_datum import (
-    BasedRootDatum,
     _swaps_coordinates,
     build_glr,
     frobenius_fixed_lattice,
@@ -140,19 +139,17 @@ def _passes_miller_rabin(m):
     return True
 
 
-@dataclass(frozen=True)
-class WeylInvariantForm:
+class WeylInvariantForm(Frozen):
     """Symmetric integer gram matrix with even diagonal; Q(y) = B(y, y)/2.
 
     Invariance under the Weyl group and Frobenius of a root datum is checked
     when the form is bound into a :class:`CoverSpec`.
     """
 
-    gram: tuple
+    _fields = ("gram",)
 
-    def __post_init__(self):
-        g = tuple(tuple(map(operator.index, row)) for row in self.gram)
-        object.__setattr__(self, "gram", g)
+    def __init__(self, gram):
+        g = tuple(tuple(map(operator.index, row)) for row in gram)
         d = len(g)
         if d < 1 or any(len(row) != d for row in g):
             raise ValueError("gram matrix must be square and non-empty")
@@ -161,6 +158,7 @@ class WeylInvariantForm:
         if any(g[i][i] % 2 for i in range(d)):
             raise MathConstraintError(
                 "gram diagonal must be even so that Q is integer-valued")
+        self.__dict__.update(gram=g)
 
     @property
     def rank(self):
@@ -181,21 +179,25 @@ def _check_q_and_degree(q, n):
     return p
 
 
-@dataclass(frozen=True)
-class CoverSpec:
-    """A root datum together with (Q, n, q); validates n | q - 1 and invariance."""
+class CoverSpec(Frozen):
+    """A root datum together with (Q, n, q); validates n | q - 1 and invariance.
 
-    datum: BasedRootDatum
-    form: WeylInvariantForm
-    n: int
-    q: int
+    ``__init__`` calls ``__post_init__`` through the class, so the validation
+    is one method that a caller can wrap.
+    """
+
+    _fields = ("datum", "form", "n", "q")
+
+    def __init__(self, datum, form, n, q):
+        self.__dict__.update(datum=datum, form=form, n=n, q=q)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.form.rank != self.datum.rank:
             raise ValueError("form size does not match the root datum rank")
         if not isinstance(self.n, int) or self.n < 1:
             raise ValueError("cover degree n must be a positive integer")
-        object.__setattr__(self, "_p", _check_q_and_degree(self.q, self.n))
+        self.__dict__["_p"] = _check_q_and_degree(self.q, self.n)
         # s_i^T G s_i = G exactly when G coroot_i = Q(coroot_i) root_i
         g, rd, qs = self.form.gram, self.datum, self.coroot_q
         for i in rd.simple_indices:

@@ -28,15 +28,12 @@ side when one side is Z^d, and ``congruence_index`` reads the index of
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from itertools import product as _cartesian
 from math import gcd, prod
 from operator import mul
 
+from ._frozen import Frozen
 from .errors import ResourceLimitError
-
-IntVector = tuple[int, ...]
-IntMatrix = tuple[IntVector, ...]
 
 #: Sentinel returned by :func:`index` when the subgroup has infinite index.
 INFINITE = "infinite"
@@ -167,8 +164,15 @@ def _smith_diagonal(rows, ncols):
 # ---------------------------------------------------------------------------
 # domain types
 
-@dataclass(frozen=True)
-class Sublattice:
+def _basis_refusal(basis, d, message):
+    """The error that refuses a basis for ``message``, unless some row has
+    the wrong length: that refusal comes first, whichever row it is."""
+    if any(len(row) != d for row in basis):
+        return ValueError("basis rows must all have the ambient length")
+    return ValueError(message)
+
+
+class Sublattice(Frozen):
     """A sublattice of Z^d, stored in canonical row Hermite normal form.
 
     The zero lattice has an empty basis; Z^d itself has the identity basis.
@@ -177,30 +181,33 @@ class Sublattice:
     already canonical.
     """
 
-    ambient_rank: int
-    basis: IntMatrix
+    _fields = ("ambient_rank", "basis")
 
-    def __post_init__(self):
-        d = self.ambient_rank
+    def __init__(self, ambient_rank, basis):
+        d = ambient_rank
         if not isinstance(d, int) or d < 1:
             raise ValueError("ambient rank must be a positive integer")
-        basis = tuple(tuple(map(operator.index, row)) for row in self.basis)
-        object.__setattr__(self, "basis", basis)
-        if any(len(row) != d for row in basis):
-            raise ValueError("basis rows must all have the ambient length")
-        last_pivot = -1
+        basis = tuple([tuple(map(operator.index, row)) for row in basis])
+        # one pass over the rows: each pivot lies right of the last one,
+        # is positive, and bounds the entries above it
+        last = -1
         for k, row in enumerate(basis):
-            p = next((j for j, a in enumerate(row) if a), None)
-            if p is None:
-                raise ValueError("zero rows are not allowed in a canonical basis")
-            if p <= last_pivot:
-                raise ValueError("basis is not in echelon order")
-            if row[p] < 0:
-                raise ValueError("pivots must be positive")
-            for i in range(k):
-                if not 0 <= basis[i][p] < row[p]:
-                    raise ValueError("entries above a pivot must be reduced")
-            last_pivot = p
+            if len(row) != d:
+                raise ValueError("basis rows must all have the ambient length")
+            if not any(row):
+                raise _basis_refusal(basis, d, "zero rows are not allowed in a canonical basis")
+            if any(row[:last + 1]):
+                raise _basis_refusal(basis, d, "basis is not in echelon order")
+            last += 1
+            while not row[last]:
+                last += 1
+            pivot = row[last]
+            if pivot < 0:
+                raise _basis_refusal(basis, d, "pivots must be positive")
+            for above in basis[:k]:
+                if not 0 <= above[last] < pivot:
+                    raise _basis_refusal(basis, d, "entries above a pivot must be reduced")
+        self.__dict__.update(ambient_rank=d, basis=basis)
 
     @classmethod
     def zero(cls, d):
@@ -241,23 +248,21 @@ class Sublattice:
         return all(self.contains_vector(row) for row in other.basis)
 
 
-@dataclass(frozen=True)
-class FiniteAbelianStructure:
+class FiniteAbelianStructure(Frozen):
     """Invariant factors d_1 | d_2 | ... (each >= 2) plus a free rank."""
 
-    invariant_factors: tuple[int, ...]
-    free_rank: int
+    _fields = ("invariant_factors", "free_rank")
 
-    def __post_init__(self):
-        factors = tuple(map(operator.index, self.invariant_factors))
-        object.__setattr__(self, "invariant_factors", factors)
+    def __init__(self, invariant_factors, free_rank):
+        factors = tuple(map(operator.index, invariant_factors))
         if any(d < 2 for d in factors):
             raise ValueError("invariant factors must be >= 2")
         if any(factors[i + 1] % factors[i] for i in range(len(factors) - 1)):
             raise ValueError("invariant factors must form a divisibility chain")
-        object.__setattr__(self, "free_rank", operator.index(self.free_rank))
-        if self.free_rank < 0:
+        free_rank = operator.index(free_rank)
+        if free_rank < 0:
             raise ValueError("free rank must be non-negative")
+        self.__dict__.update(invariant_factors=factors, free_rank=free_rank)
 
     @property
     def torsion_order(self):

@@ -32,11 +32,11 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
 
+from ._frozen import Frozen
 from .errors import MathConstraintError
 from .lattice import (
     Sublattice,
@@ -60,22 +60,21 @@ def parse_rational(text):
     return Fraction(token)
 
 
-@dataclass(frozen=True)
-class ApartmentPoint:
+class ApartmentPoint(Frozen):
     """A point of the apartment, as a vector of exact rationals in Y tensor R.
 
     Coordinates are ints or Fractions; any other entry, a float included,
     raises :class:`TypeError`.
     """
 
-    coords: tuple
+    _fields = ("coords",)
 
-    def __post_init__(self):
+    def __init__(self, coords):
         coords = tuple(c if isinstance(c, Fraction) else Fraction(operator.index(c))
-                       for c in self.coords)
-        object.__setattr__(self, "coords", coords)
+                       for c in coords)
         if not coords:
             raise ValueError("an apartment point needs at least one coordinate")
+        self.__dict__.update(coords=coords)
 
     @classmethod
     def parse(cls, text):
@@ -83,19 +82,21 @@ class ApartmentPoint:
         return cls(tuple(parse_rational(part) for part in text.split(",")))
 
 
-@dataclass
-class _PointRoots:
+class _PointRoots(Frozen):
     """The roots of a datum at a point x: ``x`` as the caller gave it, the
     coordinates as integer ``numerators`` over their least common
     ``denominator`` D, (index, root(x)) for each root integral at x, and
-    Lambda_x, the Hermite form of the span of their coroots."""
+    Lambda_x, the Hermite form of the span of their coroots.  Mutable, so
+    unhashable."""
 
-    x: object
-    point: ApartmentPoint
-    denominator: int
-    numerators: tuple
-    integral: tuple
-    coroot_span: Sublattice
+    _fields = ("x", "point", "denominator", "numerators", "integral", "coroot_span")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, x, point, denominator, numerators, integral, coroot_span):
+        self.__dict__.update(x=x, point=point, denominator=denominator, numerators=numerators,
+                             integral=integral, coroot_span=coroot_span)
 
 
 def _integral_roots(rd, x):
@@ -146,8 +147,7 @@ def phi_x(rd, x):
     return tuple(i for i, _ in _integral_roots(rd, x).integral)
 
 
-@dataclass(frozen=True)
-class ResidualRootData:
+class ResidualRootData(Frozen):
     """Roots integral at x, with each coroot extended into Y + Z.
 
     ``iota[k]`` is the image of the coroot paired with root index
@@ -158,12 +158,11 @@ class ResidualRootData:
     denominator D = ``denominator`` of x.
     """
 
-    point: ApartmentPoint
-    phi_x: tuple
-    iota: tuple
-    coroot_span: Sublattice
-    form_at_x: tuple
-    denominator: int
+    _fields = ("point", "phi_x", "iota", "coroot_span", "form_at_x", "denominator")
+
+    def __init__(self, point, phi_x, iota, coroot_span, form_at_x, denominator):
+        self.__dict__.update(point=point, phi_x=phi_x, iota=iota, coroot_span=coroot_span,
+                             form_at_x=form_at_x, denominator=denominator)
 
     @cached_property
     def _lambda(self):

@@ -27,9 +27,9 @@ are enumerated, and they are refused above :data:`MAX_WEYL_ORDER`.
 from __future__ import annotations
 
 import operator
-from dataclasses import InitVar, dataclass
 from functools import cached_property
 
+from ._frozen import Frozen
 from .errors import MathConstraintError, ResourceLimitError
 from .lattice import (
     Sublattice,
@@ -42,7 +42,7 @@ from .lattice import (
     mat_mul,
     mat_vec,
     orthogonal_lattice,
-    rank,
+    rank as row_rank,
     transpose,
 )
 
@@ -60,19 +60,17 @@ def _as_matrix(rows):
     return tuple(tuple(map(operator.index, row)) for row in rows)
 
 
-@dataclass(frozen=True)
-class FrobeniusAction:
+class FrobeniusAction(Frozen):
     """A finite-order integer matrix acting on the cocharacter lattice Y.
 
     Building it decides ``order`` (at most MAX_FROBENIUS_ORDER) and keeps the
     power before the identity as ``inverse``.
     """
 
-    matrix: tuple
+    _fields = ("matrix",)
 
-    def __post_init__(self):
-        mat = _as_matrix(self.matrix)
-        object.__setattr__(self, "matrix", mat)
+    def __init__(self, matrix):
+        mat = _as_matrix(matrix)
         d = len(mat)
         if any(len(row) != d for row in mat):
             raise ValueError("Frobenius matrix must be square")
@@ -92,8 +90,7 @@ class FrobeniusAction:
         if order is None:
             raise MathConstraintError(
                 f"Frobenius matrix must have finite order <= {MAX_FROBENIUS_ORDER}")
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "inverse", inverse)
+        self.__dict__.update(matrix=mat, order=order, inverse=inverse)
 
     @property
     def rank(self):
@@ -223,8 +220,7 @@ def identity_frobenius(d):
     return FrobeniusAction(identity_matrix(d))
 
 
-@dataclass(frozen=True)
-class BasedRootDatum:
+class BasedRootDatum(Frozen):
     """The sextuple (X, roots, simples, Y, coroots, simple coroots) plus Frobenius.
 
     ``roots[i]`` (an X-vector) is paired with ``coroots[i]`` (a Y-vector) and
@@ -236,23 +232,17 @@ class BasedRootDatum:
     them.
     """
 
-    rank: int
-    roots: tuple
-    coroots: tuple
-    simple_indices: tuple
-    fr: FrobeniusAction | None = None
-    _grow: InitVar[bool] = False
+    _fields = ("rank", "roots", "coroots", "simple_indices", "fr")
 
-    def __post_init__(self, _grow):
-        d = self.rank
+    def __init__(self, rank, roots, coroots, simple_indices, fr=None, _grow=False):
+        d = rank
         if not isinstance(d, int) or d < 1:
             raise ValueError("rank must be a positive integer")
-        roots = _as_matrix(self.roots)
-        coroots = _as_matrix(self.coroots)
-        simple = tuple(map(operator.index, self.simple_indices))
-        fr = self.fr if self.fr is not None else identity_frobenius(d)
-        object.__setattr__(self, "simple_indices", simple)
-        object.__setattr__(self, "fr", fr)
+        roots = _as_matrix(roots)
+        coroots = _as_matrix(coroots)
+        simple = tuple(map(operator.index, simple_indices))
+        if fr is None:
+            fr = identity_frobenius(d)
 
         if len(roots) != len(coroots):
             raise ValueError("roots and coroots must be index-paired")
@@ -278,7 +268,7 @@ class BasedRootDatum:
                 if c not in (0, -1, -2, -3):
                     raise _refusal(roots, coroots, simple,
                                    f"Cartan entry <root {i}, coroot {j}> = {c} is out of range")
-        if rank([roots[i] for i in simple], d) != len(simple):
+        if row_rank([roots[i] for i in simple], d) != len(simple):
             raise _refusal(roots, coroots, simple,
                            "the simple roots are not a base: they are linearly dependent")
 
@@ -298,9 +288,8 @@ class BasedRootDatum:
 
         # last, so that data the checks above refuse keep their message
         roots, coroots, heights = _root_heights(roots, coroots, simple, _grow)
-        object.__setattr__(self, "roots", roots)
-        object.__setattr__(self, "coroots", coroots)
-        object.__setattr__(self, "heights", heights)
+        self.__dict__.update(rank=d, roots=roots, coroots=coroots, simple_indices=simple,
+                             fr=fr, heights=heights)
 
     @property
     def semisimple_rank(self):
@@ -338,8 +327,7 @@ class BasedRootDatum:
         return intersect(self._weyl_fixed, self._frobenius_fixed)
 
 
-@dataclass(frozen=True)
-class WeylGroup:
+class WeylGroup(Frozen):
     """The Weyl group of a rank-``rank`` datum, generated by the reflections
     of its simple (root, coroot) pairs, with |W| known from the root heights.
     On block-permutation data ``blocks`` partitions the coordinates (see
@@ -348,10 +336,10 @@ class WeylGroup:
     the blocks.  Otherwise ``blocks`` is None, and they are answered from the
     elements, closed on first use."""
 
-    rank: int
-    simple_pairs: tuple
-    order: int
-    blocks: tuple | None
+    _fields = ("rank", "simple_pairs", "order", "blocks")
+
+    def __init__(self, rank, simple_pairs, order, blocks):
+        self.__dict__.update(rank=rank, simple_pairs=simple_pairs, order=order, blocks=blocks)
 
     @cached_property
     def elements(self):

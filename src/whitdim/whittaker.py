@@ -39,10 +39,10 @@ a table with q^r - 1 above 10^6.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
+from ._frozen import Frozen
 from .cover import _check_q_and_degree, m_qr
 from .errors import GeneralPositionError, MathConstraintError, ResourceLimitError
 from .lattice import (
@@ -60,8 +60,7 @@ MAX_ORACLE_SCAN = 100_000
 MAX_TABLE_ORDER = 10 ** 6
 
 
-@dataclass(frozen=True)
-class LusztigParameter:
+class LusztigParameter(Frozen):
     """Twisting Weyl element w (a matrix on Y) and dual exponents mod 1,
     theta_i = numerators[i] / denominator; central / denominator is the
     coordinate along the extension's extra summand, fixed by genuineness,
@@ -70,31 +69,24 @@ class LusztigParameter:
     compare and hash equal.
     """
 
-    w: tuple
-    denominator: int
-    numerators: tuple
-    central: int = 0
+    _fields = ("w", "denominator", "numerators", "central")
 
-    def __post_init__(self):
-        w = tuple([tuple(map(operator.index, row)) for row in self.w])
-        denom = operator.index(self.denominator)
+    def __init__(self, w, denominator, numerators, central=0):
+        w = tuple([tuple(map(operator.index, row)) for row in w])
+        denom = operator.index(denominator)
         if denom < 1:
             raise ValueError("the denominator must be a positive integer")
-        nums = tuple([operator.index(x) % denom for x in self.numerators])
-        central = operator.index(self.central) % denom
+        nums = tuple([operator.index(x) % denom for x in numerators])
+        central = operator.index(central) % denom
         g = gcd(denom, central, *nums)
         if g != 1:
             denom //= g
             nums = tuple([x // g for x in nums])
             central //= g
-        setattr_ = object.__setattr__
-        setattr_(self, "w", w)
-        setattr_(self, "denominator", denom)
-        setattr_(self, "numerators", nums)
-        setattr_(self, "central", central)
         d = len(nums)
         if len(w) != d or any(len(row) != d for row in w):
             raise ValueError("w must be a square matrix matching the length of theta")
+        self.__dict__.update(w=w, denominator=denom, numerators=nums, central=central)
 
     @classmethod
     def from_theta(cls, w, theta, central_exponent=0):
@@ -382,8 +374,7 @@ def _table_bound_error(q, r):
         f"q^r - 1 with r = {r} exceeds the enumeration bound {MAX_TABLE_ORDER}")
 
 
-@dataclass(frozen=True)
-class GLrTable:
+class GLrTable(Frozen):
     """The classes of a GL_r cover's table, held per residue mod P.
 
     With M = q^r - 1 (``modulus``) and P = M/(q - 1) (``period``),
@@ -395,10 +386,10 @@ class GLrTable:
     :meth:`blocks`.
     """
 
-    r: int
-    modulus: int
-    period: int
-    emitting: tuple
+    _fields = ("r", "modulus", "period", "emitting")
+
+    def __init__(self, r, modulus, period, emitting):
+        self.__dict__.update(r=r, modulus=modulus, period=period, emitting=emitting)
 
     def blocks(self):
         """Yield (base, residues) for base = 0, P, 2P, ...: the entries of

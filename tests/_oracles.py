@@ -601,3 +601,31 @@ def is_vertex_reference(rd, x):
         return None
     positive = [rd.roots[i] for i, _ in integral if rd.heights[i] > 0]
     return rational_rank(positive) == len(rd.simple_indices)
+
+
+def canonical_basis_refusal(d, basis):
+    """(exception type, message) that ``Sublattice(d, basis)`` raises, or
+    None when the basis is canonical; the message is None for a TypeError.
+    The checks run in stages: the ambient rank, every entry an integer,
+    every row of length d, then row by row a nonzero row, a pivot right of
+    the last one, a positive pivot and reduced entries above it."""
+    if not isinstance(d, int) or d < 1:
+        return ValueError, "ambient rank must be a positive integer"
+    if any(not isinstance(x, int) for row in basis for x in row):
+        return TypeError, None
+    if any(len(row) != d for row in basis):
+        return ValueError, "basis rows must all have the ambient length"
+    last = -1
+    for k, row in enumerate(basis):
+        nonzero = [j for j in range(d) if row[j] != 0]
+        if not nonzero:
+            return ValueError, "zero rows are not allowed in a canonical basis"
+        p = nonzero[0]
+        if p <= last:
+            return ValueError, "basis is not in echelon order"
+        if row[p] < 0:
+            return ValueError, "pivots must be positive"
+        if any(not 0 <= basis[i][p] < row[p] for i in range(k)):
+            return ValueError, "entries above a pivot must be reduced"
+        last = p
+    return None

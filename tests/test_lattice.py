@@ -30,6 +30,7 @@ from whitdim.lattice import (
 
 from _oracles import (
     brute_force_coset_count,
+    canonical_basis_refusal,
     brute_force_saturation_member,
     elementary_row_hnf,
     in_span_z,
@@ -129,6 +130,38 @@ def test_constructor_rejects_non_canonical_bases():
         Sublattice(2, ((1, 5), (0, 2)))   # unreduced above the pivot
     with pytest.raises(ValueError):
         Sublattice(2, ((0, 1), (1, 0)))   # pivots out of order
+
+
+def _outcome(d, basis):
+    try:
+        Sublattice(d, basis)
+    except (TypeError, ValueError) as exc:
+        return type(exc), None if isinstance(exc, TypeError) else str(exc)
+    return None
+
+
+def test_constructor_refusals_follow_the_staged_check():
+    """One pass over the rows refuses what the staged check refuses, with
+    its message: a float anywhere, then a row of the wrong length anywhere,
+    come before any row's canonical-form failure."""
+    rng = random.Random(0)
+    for _ in range(3000):
+        d = rng.randint(1, 3)
+        basis = []
+        for _ in range(rng.randint(0, 4)):
+            length = d if rng.random() < 0.9 else rng.choice([d - 1, d + 1])
+            row = [rng.choice((0, 0, 0, 1, 1, 2, 3, -1)) for _ in range(length)]
+            if row and rng.random() < 0.03:
+                row[rng.randrange(len(row))] = 1.0
+            basis.append(tuple(row))
+        assert _outcome(d, tuple(basis)) == canonical_basis_refusal(d, basis), (d, basis)
+    # every stage, and the order between them
+    for d, basis in [(0, ()), (2.0, ()), (2, ((0, 0), (1,))), (2, ((1, 0), (0, 1.0), (3,))),
+                     (2, ((2, 5), (0, 0, 1))), (2, ((0, 1), (1, 0))), (2, ((1, 1), (0, -1))),
+                     (3, ((1, 0, 2), (0, 1, 0), (0, 0, 2))), (3, ((1, 0, 1), (0, 1, 0), (0, 0, 2)))]:
+        assert _outcome(d, basis) == canonical_basis_refusal(d, basis), (d, basis)
+    for d in range(1, 6):
+        assert _outcome(d, Sublattice.full(d).basis) is None
 
 
 @st.composite
