@@ -11,10 +11,13 @@ Subcommands:
   orbit-search routes.
 * ``table --r --q --n --pp --qq`` -- dimensions of all general-position
   classes, with a histogram.  The classes are computed first, per residue
-  mod (q^r - 1)/(q - 1); their rows are then rendered per residue and
-  written to stdout in chunks, byte for byte as ``json.dumps`` would print
-  them.  The class size and dimension that end a row are formatted once
-  per dimension; per row only the representative is formatted.
+  mod (q^r - 1)/(q - 1), with the number of blocks of rows each residue
+  reaches; the rows are then rendered window by window, 1,000
+  representatives at a time, and written to stdout in chunks, byte for
+  byte as ``json.dumps`` would print them.  The class size and dimension
+  that end a row are formatted once per dimension, and the representative
+  is pieced together from the window's thousands and a table of
+  three-digit strings, so no integer is formatted per row.
 
 Exit codes: 0 success, 2 malformed input, 3 mathematical-constraint
 violation, 4 parameter not in general position, 5 stdout closed before all
@@ -33,6 +36,7 @@ import argparse
 import json
 import os
 import sys
+from bisect import bisect_left
 
 from . import __version__
 from .cover import (
@@ -141,18 +145,74 @@ _CHUNK_ROWS = 4096
 
 def _write_rows(table, head, tail, sep):
     """Write the rows of a :class:`GLrTable` to stdout, joined by sep, in
-    chunks of about :data:`_CHUNK_ROWS` rows: head, the representative,
-    then the tail of its dimension, formatted once per dimension."""
+    chunks of about :data:`_CHUNK_ROWS` rows.
+
+    A row is head, the representative a, then the tail of its dimension,
+    which is formatted once per dimension.  The representative prints as
+    str(a // 1000) and then "%03d" % (a % 1000) when a >= 1000, and as
+    str(a) below.  The low three digits come from two tables of 1,000
+    strings, built per call and laid end to end, the second repeated so
+    that one slice of them, taken per block, holds the digits of base + c
+    at index c for every residue c < P.  The rows go out one window of
+    1,000 representatives at a time, as one join over sep, head and the
+    window's thousands (the same for the whole window, formatted once), the
+    low digits and the tail, row by row.  The live residues and their
+    tails change only where a residue's reach runs out
+    (:meth:`GLrTable.runs`), so no row is tested; a block wholly inside a
+    window is read with one ``map``, and only a block that crosses a
+    window's edge is split, by ``bisect``.
+    """
     tails = {dim: tail % (table.r, dim) for dim in {dim for _, _, dim in table.emitting}}
-    chunk, size, start = [], 0, ""
-    for base, residues in table.blocks():
-        chunk.append(sep.join([f"{head}{base + c}{tails[dim]}" for c, _, dim in residues]))
-        size += len(residues)
+    period = table.period
+    digits = [str(x) for x in range(1000)] + ["%03d" % x for x in range(1000)] * (period // 1000 + 2)
+
+    def windows():
+        # (w, low digits, tails) of window w, the representatives
+        # 1000 w to 1000 w + 999, in increasing order
+        window, lows, ends = 0, [], []
+        for bases, residues, live in table.runs([tails[dim] for _, _, dim in table.emitting]):
+            first, last = residues[0], residues[-1]
+            for base in bases:
+                # low[c] holds the low digits of base + c: digits[a] does for
+                # every a < 1000, and from 1000 on it repeats with period 1000
+                start = base if base < 1000 else 1000 + base % 1000
+                low = digits[start:start + period] if start else digits
+                w = (base + first) // 1000
+                if w == (base + last) // 1000:
+                    if w != window:
+                        yield window, lows, ends
+                        window, lows, ends = w, [], []
+                    lows += map(low.__getitem__, residues)
+                    ends += live
+                    continue
+                i = 0
+                while i < len(residues):
+                    w = (base + residues[i]) // 1000
+                    j = bisect_left(residues, 1000 * (w + 1) - base, i)
+                    if w != window:
+                        yield window, lows, ends
+                        window, lows, ends = w, [], []
+                    lows += map(low.__getitem__, residues[i:j])
+                    ends += live[i:j]
+                    i = j
+        yield window, lows, ends
+
+    # each row is preceded by sep, so the first write drops the one before
+    # the first row
+    write, chunk, size, cut = sys.stdout.write, [], 0, len(sep)
+    for window, lows, ends in windows():
+        count = len(lows)
+        parts = [None] * (3 * count)
+        parts[::3] = [f"{sep}{head}{window or ''}"] * count
+        parts[1::3] = lows
+        parts[2::3] = ends
+        chunk.append("".join(parts))
+        size += count
         if size >= _CHUNK_ROWS:
-            sys.stdout.write(start + sep.join(chunk))
-            chunk, size, start = [], 0, sep
+            write("".join(chunk)[cut:])
+            chunk, size, cut = [], 0, 0
     if chunk:
-        sys.stdout.write(start + sep.join(chunk))
+        write("".join(chunk)[cut:])
 
 
 def _print_value(key, value, indent=""):

@@ -172,9 +172,13 @@ class WeylInvariantForm(Frozen):
 
 
 def _check_q_and_degree(q, n):
-    """The prime below q, once q is a prime power and n divides q - 1."""
+    """The prime below q, once n >= 1, q is a prime power and n divides
+    q - 1; n below 1 is refused first, with :class:`ValueError`, as by
+    :class:`CoverSpec`."""
+    if n < 1:
+        raise ValueError("cover degree n must be a positive integer")
     p = _prime_power_base(q)
-    if n < 1 or (q - 1) % n:
+    if (q - 1) % n:
         raise MathConstraintError(f"cover degree n = {n} must divide q - 1 = {q - 1}")
     return p
 
@@ -195,7 +199,7 @@ class CoverSpec(Frozen):
     def __post_init__(self):
         if self.form.rank != self.datum.rank:
             raise ValueError("form size does not match the root datum rank")
-        if not isinstance(self.n, int) or self.n < 1:
+        if not isinstance(self.n, int):
             raise ValueError("cover degree n must be a positive integer")
         self.__dict__["_p"] = _check_q_and_degree(self.q, self.n)
         # s_i^T G s_i = G exactly when G coroot_i = Q(coroot_i) root_i

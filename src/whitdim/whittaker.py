@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 
 from ._frozen import Frozen
@@ -241,8 +242,9 @@ def _check_glr_args(r, q):
 
 def _check_glr_dim_args(r, q, n, a):
     _check_glr_args(r, q)
-    _check_q_and_degree(q, n)
-    if not 0 <= a < q ** r - 1:
+    # a float n or a is refused with TypeError, as on the other GL_r routes
+    _check_q_and_degree(q, operator.index(n))
+    if not 0 <= operator.index(a) < q ** r - 1:
         raise ValueError(f"exponent a must lie in [0, q^r - 1) = [0, {q ** r - 1})")
 
 
@@ -382,8 +384,10 @@ class GLrTable(Frozen):
     residue c = a mod P whose exponents are in general position and reach
     below limit(c), the bound under which an exponent is the least member
     of its orbit; every orbit has r members.  The rows are the exponents
-    a = base + c < limit(c), base = 0, P, 2P, ..., read off by
-    :meth:`blocks`.
+    a = base + c < limit(c), base = 0, P, 2P, ...: residue c has a row in
+    the first ceil((limit(c) - c)/P) blocks, its reach, and in no later
+    one.  :attr:`schedule` groups the residues by reach, once;
+    :meth:`histogram`, :meth:`runs` and so :meth:`blocks` all read it.
     """
 
     _fields = ("r", "modulus", "period", "emitting")
@@ -391,24 +395,49 @@ class GLrTable(Frozen):
     def __init__(self, r, modulus, period, emitting):
         self.__dict__.update(r=r, modulus=modulus, period=period, emitting=emitting)
 
+    @cached_property
+    def schedule(self):
+        """[(reach, entries)] in increasing reach: the entries of
+        ``emitting`` whose residue has a row in exactly the first reach
+        blocks."""
+        period, ending = self.period, {}
+        for entry in self.emitting:
+            # ceil((limit - c) / P) bases 0, P, 2P, ... have base + c < limit
+            ending.setdefault(-((entry[0] - entry[1]) // period), []).append(entry)
+        return sorted(ending.items())
+
+    def runs(self, values):
+        """Yield (bases, residues, live) for each run of consecutive blocks
+        that have the same rows: the range of their bases, the residues c
+        of the rows in increasing order, and the entries of ``values``
+        (one per entry of ``emitting``, in its order) of those residues.
+        A residue is deleted where its reach runs out; nothing else is
+        tested per block."""
+        live = dict(zip([c for c, _, _ in self.emitting], values))
+        start, period = 0, self.period
+        for reach, ending in self.schedule:
+            stop = reach * period
+            yield range(start, stop, period), list(live), list(live.values())
+            for c, _, _ in ending:
+                del live[c]
+            start = stop
+
     def blocks(self):
         """Yield (base, residues) for base = 0, P, 2P, ...: the entries of
         ``emitting`` whose exponent base + c is a row, in increasing c, so
         the rows come out in increasing order.  No block is empty: at
         r = 1 every exponent is a row, and at r >= 2 every base has
         base + 1 < limit(1) = M - (q^(r-1) - 1)."""
-        residues = self.emitting
-        for base in range(0, self.modulus, self.period):
-            # base only grows, so a residue past its limit stays past it
-            residues = [entry for entry in residues if base + entry[0] < entry[1]]
-            yield base, residues
+        for bases, _, residues in self.runs(self.emitting):
+            for base in bases:
+                yield base, residues
 
     def histogram(self):
         """The number of classes of each dimension, in increasing dimension."""
         histogram = {}
-        for c, limit, dim in self.emitting:
-            # ceil((limit - c) / P) rows, one per block
-            histogram[dim] = histogram.get(dim, 0) - (c - limit) // self.period
+        for reach, ending in self.schedule:
+            for _, _, dim in ending:
+                histogram[dim] = histogram.get(dim, 0) + reach
         return dict(sorted(histogram.items()))
 
 
@@ -466,11 +495,15 @@ def enumerate_glr_table(r, q, n, bold_p, bold_q):
     once per residue, still covers every row, because the rows of one
     residue share its right sides.  :func:`glr_table` holds the result per
     residue as a :class:`GLrTable`; the rows are then read off block by
-    block, a = base + c for base = 0, P, 2P, ..., at one comparison with
-    limit(c) per exponent.  ``whitdim table`` renders the same object per
-    residue without building these triples: the class size and dimension
-    that end a row are formatted once per dimension, and per row only the
-    representative.
+    block, a = base + c for base = 0, P, 2P, ...  Residue c has a row in
+    the first ceil((limit(c) - c)/P) blocks, its reach, counted once per
+    residue: the histogram adds up the reaches, and a residue leaves the
+    live set where its reach runs out, so no exponent is compared with its
+    limit.  ``whitdim table`` renders the same object without building
+    these triples: the class size and dimension that end a row are
+    formatted once per dimension, and the representative is pieced
+    together from tables of digit strings, one window of 1,000
+    representatives at a time.
     """
     table = glr_table(r, q, n, bold_p, bold_q)
     rows = []

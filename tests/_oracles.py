@@ -21,6 +21,11 @@ TABLE_CASES = ((1, 2), (2, 2), (3, 2), (4, 2), (1, 5), (2, 5), (3, 3), (4, 3),
                (3, 7), (3, 13), (4, 5), (2, 31), (2, 49))
 #: (bold_p, bold_q) of the table checks.
 TABLE_FORMS = ((0, 1), (1, 0), (-2, 3), (0, 0))
+#: (r, q) whose rows cross the renderer's windows of 1,000 representatives
+#: block by block: (4, 19) has P = 7,240 and six-digit representatives
+#: (M = 130,320), (3, 32) has P = 1,057, and (10, 2) is one block,
+#: P = M = 1,023.
+TABLE_WINDOW_CASES = ((4, 19), (3, 32), (10, 2))
 
 
 def transpose(rows):
@@ -244,6 +249,19 @@ def glr_general_position(r, q, a):
     Coxeter torus of GL_r."""
     modulus = q ** r - 1
     return all(a * (q ** s - 1) % modulus for s in range(1, r))
+
+
+def table_blocks_by_filter(table):
+    """(base, residues) for base = 0, P, 2P, ... below M: the entries
+    (c, limit, dimension) of a :class:`GLrTable`'s ``emitting`` with
+    base + c < limit, found by testing every entry still live at each
+    block, with no reach schedule."""
+    residues = list(table.emitting)
+    blocks = []
+    for base in range(0, table.modulus, table.period):
+        residues = [entry for entry in residues if base + entry[0] < entry[1]]
+        blocks.append((base, residues))
+    return blocks
 
 
 def integral_roots_reference(rd, x):

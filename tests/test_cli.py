@@ -12,10 +12,23 @@ import pytest
 
 import whitdim
 from whitdim import cli
-from whitdim.cli import EXIT_BROKEN_PIPE, EXIT_CONSTRAINT, EXIT_RESOURCE_LIMIT, main
-from whitdim.whittaker import enumerate_glr_table
+from whitdim.cli import (
+    EXIT_BROKEN_PIPE,
+    EXIT_CONSTRAINT,
+    EXIT_MALFORMED,
+    EXIT_RESOURCE_LIMIT,
+    main,
+)
+from whitdim.cover import glr_cover
+from whitdim.whittaker import (
+    enumerate_glr_table,
+    glr_coxeter_parameter,
+    glr_table,
+    wh_dim_glr_closed,
+    wh_dim_oracle,
+)
 
-from _oracles import TABLE_CASES, TABLE_FORMS
+from _oracles import TABLE_CASES, TABLE_FORMS, TABLE_WINDOW_CASES
 
 KP_GL2 = {
     "rank": 2,
@@ -307,6 +320,41 @@ def test_table_q_not_a_prime_power_exits_3_like_whittaker(capsys):
     assert out == "" and err == wh_err == "error: q = 6 is not a prime power\n"
 
 
+#: The GL_r library routes that take a cover degree n, called with (q, n).
+GLR_DEGREE_ROUTES = {
+    "wh_dim_glr_closed": lambda q, n: wh_dim_glr_closed(2, q, n, 0, 1, 1),
+    "wh_dim_oracle": lambda q, n: wh_dim_oracle(2, q, n, 0, 1, 1),
+    "glr_table": lambda q, n: glr_table(2, q, n, 0, 1),
+    "glr_cover": lambda q, n: glr_cover(2, 0, 1, n, q),
+    "glr_coxeter_parameter": lambda q, n: glr_coxeter_parameter(2, q, 1, n),
+}
+
+
+@pytest.mark.parametrize("n", [0, -4])
+@pytest.mark.parametrize("route", sorted(GLR_DEGREE_ROUTES))
+def test_glr_routes_refuse_a_degree_below_one_with_value_error(route, n):
+    # the degree is refused before q is tested, so a q that is no prime
+    # power (12) changes nothing
+    message = "cover degree n must be a positive integer"
+    if route == "glr_coxeter_parameter":
+        message = f"the cover degree n must be at least 1, got n = {n}"
+    for q in (9, 12):
+        with pytest.raises(ValueError) as caught:
+            GLR_DEGREE_ROUTES[route](q, n)
+        assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("n", [0, -4])
+@pytest.mark.parametrize("command", [["table"], ["whittaker", "--a", "1"]])
+def test_glr_commands_refuse_a_degree_below_one_with_exit_2(capsys, command, n):
+    # malformed input, exit 2, on both commands, before q is tested
+    for q in (9, 12):
+        code, out, err = run(capsys, [command[0], "--r", "2", "--q", str(q), "--n", str(n),
+                                      "--pp", "0", "--qq", "1", *command[1:]])
+        assert code == EXIT_MALFORMED
+        assert out == "" and err == "error: cover degree n must be a positive integer\n"
+
+
 ROW_KEYS = ("representative", "class_size", "dimension")
 
 
@@ -350,6 +398,15 @@ def test_table_rows_across_chunk_boundaries_print_as_json_dumps(r, q):
     assert len(enumerate_glr_table(r, q, 2, 0, 1)[0]) > 2 * cli._CHUNK_ROWS
     _assert_table_prints_as_json_dumps(r, q, 2, 0, 1)
     _assert_table_prints_as_json_dumps(r, q, q - 1, -3, -1)
+
+
+@pytest.mark.parametrize("r,q", TABLE_WINDOW_CASES)
+def test_table_blocks_across_windows_print_as_json_dumps(r, q):
+    # blocks of more than 1,000 rows spanning several windows, and a single
+    # block, at the largest and the smallest degree
+    for n in sorted({1, q - 1}):
+        for pp, qq in ((0, 1), (-3, -1)):
+            _assert_table_prints_as_json_dumps(r, q, n, pp, qq)
 
 
 WORST_TABLE = ["table", "--r", "2", "--q", "499", "--n", "498", "--pp", "-3", "--qq", "-1"]

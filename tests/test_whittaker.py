@@ -34,6 +34,7 @@ from whitdim.whittaker import (
     _GLrSolver,
     enumerate_glr_table,
     glr_coxeter_parameter,
+    glr_table,
     is_general_position,
     squeeze_bounds,
     wh_dim_glr_closed,
@@ -45,11 +46,13 @@ from whitdim.whittaker import (
 from _oracles import (
     TABLE_CASES,
     TABLE_FORMS,
+    TABLE_WINDOW_CASES,
     glr_dimension_scan,
     glr_general_position,
     oracle_scan_fractions,
     orbit_search_reference,
     simple_reflection_matrices,
+    table_blocks_by_filter,
     theta_solutions,
     twisted_centralizer_fixing,
 )
@@ -834,6 +837,15 @@ def test_dimension_precondition_gates():
         wh_dim_oracle(2, 5, 4, 0, 1, 6)
 
 
+def test_both_routes_refuse_a_float_exponent_or_degree():
+    # a float is refused, not carried through the arithmetic
+    for route in (wh_dim_glr_closed, wh_dim_oracle):
+        assert route(2, 5, 4, 0, 1, 3) == 2
+        for n, a in ((4, 3.0), (4.0, 3), (4, Fraction(3))):
+            with pytest.raises(TypeError):
+                route(2, 5, n, 0, 1, a)
+
+
 def test_both_routes_reject_a_q_that_is_not_a_prime_power():
     for route in (wh_dim_glr_closed, wh_dim_oracle):
         with pytest.raises(MathConstraintError, match="^q = 6 is not a prime power$"):
@@ -1073,6 +1085,22 @@ def test_table_matches_the_literal_reference():
         for n in _divisors(q - 1):
             for pp, qq in TABLE_FORMS:
                 assert enumerate_glr_table(r, q, n, pp, qq) == _reference_table(r, q, n, pp, qq)
+
+
+def test_table_blocks_match_the_per_block_filter():
+    # the reach schedule against a filter that tests every live residue at
+    # every block
+    for r, q in TABLE_CASES + TABLE_WINDOW_CASES:
+        for n in _divisors(q - 1):
+            for pp, qq in TABLE_FORMS:
+                table = glr_table(r, q, n, pp, qq)
+                expected = table_blocks_by_filter(table)
+                assert [(base, list(residues)) for base, residues in table.blocks()] == expected
+                histogram = {}
+                for _, residues in expected:
+                    for _, _, dim in residues:
+                        histogram[dim] = histogram.get(dim, 0) + 1
+                assert table.histogram() == dict(sorted(histogram.items()))
 
 
 def test_table_worst_case_q_997():
