@@ -173,9 +173,9 @@ class WeylInvariantForm(Frozen):
 
 def _check_q_and_degree(q, n):
     """The prime below q, once n >= 1, q is a prime power and n divides
-    q - 1; n below 1 is refused first, with :class:`ValueError`, as by
-    :class:`CoverSpec`."""
-    if n < 1:
+    q - 1.  n is refused first: with :class:`TypeError` when it is not an
+    integer, and with :class:`ValueError` below 1, as by :class:`CoverSpec`."""
+    if operator.index(n) < 1:
         raise ValueError("cover degree n must be a positive integer")
     p = _prime_power_base(q)
     if (q - 1) % n:
@@ -200,7 +200,8 @@ class CoverSpec(Frozen):
         if self.form.rank != self.datum.rank:
             raise ValueError("form size does not match the root datum rank")
         if not isinstance(self.n, int):
-            raise ValueError("cover degree n must be a positive integer")
+            raise TypeError(
+                f"cover degree n must be an integer, not {type(self.n).__name__}")
         self.__dict__["_p"] = _check_q_and_degree(self.q, self.n)
         # s_i^T G s_i = G exactly when G coroot_i = Q(coroot_i) root_i
         g, rd, qs = self.form.gram, self.datum, self.coroot_q

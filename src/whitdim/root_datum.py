@@ -332,9 +332,10 @@ class WeylGroup(Frozen):
     of its simple (root, coroot) pairs, with |W| known from the root heights.
     On block-permutation data ``blocks`` partitions the coordinates (see
     :func:`permutation_blocks`): W is every permutation that maps each block
-    to itself, acting on X as on Y, and membership and orbits are read off
-    the blocks.  Otherwise ``blocks`` is None, and they are answered from the
-    elements, closed on first use."""
+    to itself, acting on X as on Y.  Membership is :meth:`permutation`,
+    which keeps the last twist it decided, and orbits compare the sets of
+    entries in each block.  Otherwise ``blocks`` is None, and membership and
+    orbits are answered from the elements, closed on first use."""
 
     _fields = ("rank", "simple_pairs", "order", "blocks")
 
@@ -378,10 +379,28 @@ class WeylGroup(Frozen):
         matrix that maps every block to itself?"""
         if self.blocks is None:
             return m in self._members
-        # a permutation matrix is one whose rows are the unit vectors
-        return sorted(m) == self._unit_rows and (
-            len(self.blocks) == 1
-            or all({m[i].index(1) for i in block} == set(block) for block in self.blocks))
+        return self.permutation(m) is not None
+
+    def permutation(self, m):
+        """On block data, the permutation p with (m^T v)_j = v_{p[j]} when
+        the matrix m is in W, or None when it is not: m must have the unit
+        vectors as rows, and p, the row of the 1 in each column, must map
+        every block to itself.  The last tuple of tuples asked about and its
+        answer are kept in the instance dict, as ``cached_property`` keeps
+        values; an equal matrix is answered from them."""
+        last = self.__dict__.get("_last_twist")
+        if last is not None and last[0] == m:
+            return last[1]
+        p = None
+        if sorted(m) == self._unit_rows:
+            p = [col.index(1) for col in zip(*m)]
+            if len(self.blocks) > 1 and any({p[j] for j in block} != set(block)
+                                            for block in self.blocks):
+                p = None
+        # other containers than tuples could change once kept
+        if type(m) is tuple and all(type(row) is tuple for row in m):
+            self.__dict__["_last_twist"] = (m, p)
+        return p
 
     @cached_property
     def x_action(self):
@@ -389,23 +408,17 @@ class WeylGroup(Frozen):
         on X as ``elements[i]`` inverted, so the tuple runs over the group."""
         return tuple(transpose(m) for m in self.elements)
 
-    def key(self, v):
-        """Canonical form of v under W on block data: its entries sorted
-        within each block.  Two vectors lie in one W-orbit exactly when their
-        keys are equal."""
-        if len(self.blocks) == 1:
-            return sorted(v)
-        return [sorted([v[i] for i in block]) for block in self.blocks]
-
     def orbit(self, v, denom, w, f):
         """A test for the W-orbit of the exponents v mod denom, or None when
         v is not in general position for the twist w Fr: some element other
         than the identity fixes v and commutes with w Fr.
 
         Other data than block data map v by every element and search its
-        stabilizer for an element commuting with w Fr.  On block data the
-        test compares keys, and it is None exactly when two entries of v in
-        one block are equal, whatever the twist.
+        stabilizer for an element commuting with w Fr.  On block data v is
+        in general position exactly when its entries are distinct within
+        each block, whatever the twist.  Then a list u of the same length
+        lies in the orbit exactly when each block holds the same set of
+        entries in u as in v; with one block that is one set.
 
         The stabilizer of v is the Young subgroup H of equal entries.  Let
         g = w Fr.  Fr permutes the simple coroots, so g normalizes W; and
@@ -421,12 +434,17 @@ class WeylGroup(Frozen):
         datum, and validation refuses a root that is not W-conjugate to a
         simple one with its coroot.
         """
-        if self.blocks is not None:
-            key = self.key(v)
-            for block in [key] if len(self.blocks) == 1 else key:
-                if any(a == b for a, b in zip(block, block[1:])):
+        blocks = self.blocks
+        if blocks is not None:
+            if len(blocks) == 1:
+                entries = frozenset(v)
+                if len(entries) < len(v):
                     return None
-            return lambda u: self.key(u) == key
+                return lambda u: frozenset(u) == entries
+            sets = [frozenset([v[i] for i in block]) for block in blocks]
+            if any(len(s) < len(block) for s, block in zip(sets, blocks)):
+                return None
+            return lambda u: [frozenset([u[i] for i in block]) for block in blocks] == sets
         images = [tuple(sum(a * t for a, t in zip(row, v)) % denom for row in mt)
                   for mt in self.x_action]
         stabilizer = [m for m, image in zip(self.elements[1:], images[1:]) if image == v]

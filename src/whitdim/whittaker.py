@@ -25,11 +25,14 @@ test for w, and ``orbit(v, D, w, Fr)``, a test for the W-orbit of the
 numerators v mod D, or None when theta is not in general position, that is
 when an element other than the identity fixes v and commutes with w Fr.  On
 block-permutation data (each simple reflection swaps two coordinates: GL_r,
-tori, roots +-(e_i - e_j)) the group answers from its blocks: vectors share
-an orbit exactly when they agree after sorting within each block, and theta
+tori, roots +-(e_i - e_j)) W permutes coordinates: membership returns the
+permutation that w^T applies, decided once for the twist every parameter of
+a cover carries, and w^T theta is gathered with no matrix arithmetic; theta
 is in general position exactly when its entries are distinct within each
-block.  Other data map theta by every element of W, enumerated once, and
-search the stabilizer for an element commuting with w Fr.  Resource guards
+block, and then shares its orbit with the vectors whose blocks hold the
+same sets of entries.  Other data take column sums of w, map theta by every
+element of W, enumerated once, and search the stabilizer for an element
+commuting with w Fr.  Resource guards
 raise :class:`ResourceLimitError` before any enumeration: |W| above 40,320
 (computed from the root heights), GL_r with r above 16, more than 100,000
 cosets for the orbit search, an oracle scan of more than 100,000 steps, and
@@ -116,13 +119,17 @@ def _orbit_pass(cover, param):
     """Validate a parameter against a cover; (D, theta mod D, orbit test)
     with D = lcm(n, denominator).  The test tells whether a list mod D lies in
     the Weyl orbit of theta; it is None when theta is not in general
-    position: a nonidentity Weyl element commuting with w Fr fixes it."""
+    position: a nonidentity Weyl element commuting with w Fr fixes it.
+    On block-permutation data membership gives the permutation p that w^T
+    applies, and w^T theta is gathered as theta_{p[j]}."""
     datum = cover.datum
     d = datum.rank
     if len(param.numerators) != d:
         raise ValueError("parameter dimension does not match the cover")
     group = datum._weyl_group  # read directly: a traced weyl_group opens a span per call
-    if param.w not in group:
+    w = param.w
+    perm = None if group.blocks is None else group.permutation(w)
+    if perm is None and w not in group:
         raise MathConstraintError("w is not an element of the Weyl group")
     # the reduced denominator is the lcm of the denominators of the entries
     if gcd(param.denominator, cover.p) != 1:
@@ -130,16 +137,23 @@ def _orbit_pass(cover, param):
             f"exponent denominators must be coprime to the residue characteristic {cover.p}")
     if param.central * (cover.q - 1) % param.denominator:
         raise MathConstraintError("central exponent is not annihilated by q - 1")
-    denom = lcm(cover.n, param.denominator)
-    tnum = tuple(x * (denom // param.denominator) for x in param.numerators)
-    # (w Fr)^T theta = Fr^T (w^T theta), by column sums; the identity
-    # Frobenius (order 1) leaves w^T theta as it is
-    w, f = param.w, datum.fr.matrix
-    image = [sum(map(operator.mul, col, tnum)) for col in zip(*w)]
+    tnum = param.numerators
+    scale = cover.n // gcd(cover.n, param.denominator)
+    denom = param.denominator * scale
+    if scale != 1:
+        tnum = tuple([x * scale for x in tnum])
+    # (w Fr)^T theta = Fr^T (w^T theta) mod D; the identity Frobenius
+    # (order 1) leaves w^T theta as it is, and a gathered theta, whose
+    # entries lie in [0, D), needs no reduction
+    f = datum.fr.matrix
+    if perm is not None:
+        image = [tnum[j] for j in perm]
+    else:
+        image = [sum(map(operator.mul, col, tnum)) % denom for col in zip(*w)]
     if datum.fr.order != 1:
-        image = [sum(map(operator.mul, col, image)) for col in zip(*f)]
+        image = [sum(map(operator.mul, col, image)) % denom for col in zip(*f)]
     q = cover.q
-    if any((q * t - s) % denom for t, s in zip(tnum, image)):
+    if [q * t % denom for t in tnum] != image:
         raise MathConstraintError(
             "q * theta = (w Fr)^T theta mod 1 fails: not a character of the twisted torus")
     return denom, tnum, group.orbit(tnum, denom, w, f)
@@ -167,8 +181,10 @@ def glr_coxeter_parameter(r, q, a, n=1):
     modulus = q ** r - 1
     if not 0 <= a < modulus:
         raise ValueError(f"exponent a must lie in [0, q^r - 1) = [0, {modulus})")
-    if n < 1:
-        raise ValueError(f"the cover degree n must be at least 1, got n = {n}")
+    # a float n is refused with TypeError, and n below 1 with the message of
+    # the other GL_r routes
+    if operator.index(n) < 1:
+        raise ValueError("cover degree n must be a positive integer")
     # row i of the r-cycle is the unit row e_(i-1 mod r)
     units = [(0,) * j + (1,) + (0,) * (r - 1 - j) for j in range(r)]
     w = (units[-1], *units[:-1])
@@ -243,7 +259,7 @@ def _check_glr_args(r, q):
 def _check_glr_dim_args(r, q, n, a):
     _check_glr_args(r, q)
     # a float n or a is refused with TypeError, as on the other GL_r routes
-    _check_q_and_degree(q, operator.index(n))
+    _check_q_and_degree(q, n)
     if not 0 <= operator.index(a) < q ** r - 1:
         raise ValueError(f"exponent a must lie in [0, q^r - 1) = [0, {q ** r - 1})")
 
@@ -411,15 +427,26 @@ class GLrTable(Frozen):
         that have the same rows: the range of their bases, the residues c
         of the rows in increasing order, and the entries of ``values``
         (one per entry of ``emitting``, in its order) of those residues.
-        A residue is deleted where its reach runs out; nothing else is
-        tested per block."""
-        live = dict(zip([c for c, _, _ in self.emitting], values))
+        A residue is dropped where its reach runs out; nothing else is
+        tested per block.  A yielded list is never changed: when the
+        residues that end are the last ones (always at r <= 2, where the
+        reach falls as c grows) the next lists are cut by one slice, and
+        otherwise read off a map of the live residues."""
+        residues, live = [c for c, _, _ in self.emitting], list(values)
+        alive = dict(zip(residues, live))
         start, period = 0, self.period
         for reach, ending in self.schedule:
             stop = reach * period
-            yield range(start, stop, period), list(live), list(live.values())
+            yield range(start, stop, period), residues, live
             for c, _, _ in ending:
-                del live[c]
+                del alive[c]
+            # the ending residues, in increasing order, are the last ones
+            # exactly when the least of them comes after the k live ones
+            k = len(alive)
+            if residues[k] == ending[0][0]:
+                residues, live = residues[:k], live[:k]
+            else:
+                residues, live = list(alive), list(alive.values())
             start = stop
 
     def blocks(self):

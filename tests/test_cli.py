@@ -6,6 +6,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -336,12 +337,18 @@ def test_glr_routes_refuse_a_degree_below_one_with_value_error(route, n):
     # the degree is refused before q is tested, so a q that is no prime
     # power (12) changes nothing
     message = "cover degree n must be a positive integer"
-    if route == "glr_coxeter_parameter":
-        message = f"the cover degree n must be at least 1, got n = {n}"
     for q in (9, 12):
         with pytest.raises(ValueError) as caught:
             GLR_DEGREE_ROUTES[route](q, n)
         assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("route", sorted(GLR_DEGREE_ROUTES))
+def test_glr_routes_refuse_a_degree_that_is_no_integer_with_type_error(route):
+    # 4.0 divides q - 1 = 4 and 2.5 does not: neither reaches the arithmetic
+    for n in (4.0, 2.5, Fraction(4)):
+        with pytest.raises(TypeError):
+            GLR_DEGREE_ROUTES[route](5, n)
 
 
 @pytest.mark.parametrize("n", [0, -4])

@@ -17,6 +17,7 @@ from whitdim.lattice import (
     hermite_normal_form,
     identity_matrix,
     mat_mul,
+    mat_vec,
     transpose,
 )
 from whitdim.root_datum import (
@@ -32,6 +33,7 @@ from whitdim.whittaker import (
     MAX_ORACLE_SCAN,
     LusztigParameter,
     _GLrSolver,
+    _orbit_pass,
     enumerate_glr_table,
     glr_coxeter_parameter,
     glr_table,
@@ -129,8 +131,7 @@ def test_coxeter_parameter_central_exponent():
 def test_coxeter_parameter_refuses_a_degree_below_one():
     # 0 once dropped the 1/n pin; -4 pinned central to 18/24 = 3/4
     for n in (0, -4):
-        with pytest.raises(ValueError,
-                           match=f"^the cover degree n must be at least 1, got n = {n}$"):
+        with pytest.raises(ValueError, match="^cover degree n must be a positive integer$"):
             glr_coxeter_parameter(2, 5, 7, n)
     # the default degree 1 pins the central exponent to 0
     assert glr_coxeter_parameter(2, 5, 7).central == 0
@@ -502,11 +503,15 @@ def check_against_orbit_reference(cover, params, elements=None):
 
 
 def test_block_membership_matches_the_weyl_group():
+    # every candidate is asked, then its transpose, then the candidate twice
+    # more, so that the kept twist is replaced and then hit; a member's
+    # permutation gathers w^T v
     for cover in BLOCK_COVERS:
         group = weyl_group(cover.datum)
         assert group.blocks is not None
         d = cover.rank
         members = set(group.elements)
+        v = tuple(random.Random(d).sample(range(100), d))
         if d <= 3:
             candidates = product((-1, 0, 1), repeat=d * d)
         else:
@@ -516,7 +521,47 @@ def test_block_membership_matches_the_weyl_group():
                           for signs in product((1, -1), repeat=d))
         for flat in candidates:
             m = tuple(tuple(flat[i * d:(i + 1) * d]) for i in range(d))
-            assert (m in group) == (m in members), m
+            for asked in (m, transpose(m), m, m):
+                assert (asked in group) == (asked in members), asked
+            p = group.permutation(m)
+            assert p is group.permutation(m)
+            assert (p is not None) == (m in members), m
+            if p is not None:
+                assert tuple(v[j] for j in p) == mat_vec(transpose(m), v), m
+
+
+def test_block_orbit_test_compares_the_entries_of_each_block():
+    # on the two blocks of block_swap_cover, and on the one block of GL_3
+    for cover in (block_swap_cover(), glr_cover(3, 1, -1, 2, 3)):
+        group = weyl_group(cover.datum)
+        blocks = group.blocks
+        params = [LusztigParameter.from_theta(w, theta, Fraction(1, cover.n))
+                  for w in group.elements for theta in theta_solutions(cover, w)]
+        checked = 0
+        for param in params:
+            _, v, in_orbit = _orbit_pass(cover, param)
+            if in_orbit is None:
+                continue
+            for block in blocks:
+                # the first entry of the block in place of the second: the
+                # entries stay those of v, but the block loses one
+                u = list(v)
+                u[block[1]] = u[block[0]]
+                assert not in_orbit(u), (param, u)
+                # the block reversed stays in the orbit
+                u = list(v)
+                for i, j in zip(block, reversed(block)):
+                    u[i] = v[j]
+                assert in_orbit(u), (param, u)
+            if len(blocks) > 1:
+                # the first entries of two blocks exchanged: the same entries
+                # overall, but not block by block
+                u = list(v)
+                a, b = blocks[0][0], blocks[1][0]
+                u[a], u[b] = v[b], v[a]
+                assert in_orbit(u) == (v[a] == v[b]), (param, u)
+            checked += 1
+        assert checked
 
 
 def test_block_orbit_search_matches_the_reference_for_every_twist():
@@ -782,6 +827,8 @@ def test_passing_cosets_that_are_no_subgroup_are_refused_every_time(monkeypatch)
     cover = glr_cover(*SWEEP_COVER)
 
     class FirstTwoCosetsPass:
+        blocks = None
+
         def __contains__(self, w):
             return True
 
