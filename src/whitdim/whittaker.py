@@ -7,7 +7,11 @@ parameter carries the twisting Weyl element w and satisfies
 q * theta = (w Fr)^T theta mod 1; the contribution of the extension's central
 coordinate is stored but inert, since the Weyl group acts trivially on it.
 Rationals appear only at the API boundary: `LusztigParameter.from_theta`
-reads them and the `theta` property returns them.
+reads them and the `theta` property returns them.  A parameter is normalised
+once, by one private path that divides the entries by their gcd: the
+constructor ends in it after coercing and checking its arguments, and
+`glr_coxeter_parameter`, whose entries are exact integers reduced mod D
+already, builds its parameter in lowest terms through it directly.
 
 Three independent routes compute the same dimension for covers of GL_r:
 
@@ -81,15 +85,19 @@ class LusztigParameter(Frozen):
         if denom < 1:
             raise ValueError("the denominator must be a positive integer")
         nums = tuple([operator.index(x) % denom for x in numerators])
-        central = operator.index(central) % denom
+        d = len(nums)
+        if len(w) != d or any(len(row) != d for row in w):
+            raise ValueError("w must be a square matrix matching the length of theta")
+        self._set_lowest_terms(w, denom, nums, operator.index(central) % denom)
+
+    def _set_lowest_terms(self, w, denom, nums, central):
+        # the one normalisation: w a tuple of tuples of int matching the
+        # tuple nums, whose entries and central are ints in [0, denom)
         g = gcd(denom, central, *nums)
         if g != 1:
             denom //= g
             nums = tuple([x // g for x in nums])
             central //= g
-        d = len(nums)
-        if len(w) != d or any(len(row) != d for row in w):
-            raise ValueError("w must be a square matrix matching the length of theta")
         self.__dict__.update(w=w, denominator=denom, numerators=nums, central=central)
 
     @classmethod
@@ -101,7 +109,9 @@ class LusztigParameter(Frozen):
                    for t in (*theta, central_exponent)]
         denom = lcm(*(t.denominator for t in entries))
         *nums, central = (int(t * denom) for t in entries)
-        return cls(w, denom, tuple(nums), central)
+        # exact integers now; the constructor checks w and ends in the one
+        # normalisation
+        return cls(w, denom, nums, central)
 
     @property
     def theta(self):
@@ -175,25 +185,34 @@ def glr_coxeter_parameter(r, q, a, n=1):
 
     w is the full cycle and theta_i = a * q^(i-1) / (q^r - 1) mod 1.  The
     central exponent is pinned to 1/n for the cover degree n >= 1; n = 1
-    pins it to 0.
+    pins it to 0.  The parameter is built in lowest terms, with no second
+    pass through the constructor.
     """
+    # a float or Fraction q, a or n is refused with TypeError, and n below 1
+    # with the message of the other GL_r routes
+    q, a, n = operator.index(q), operator.index(a), operator.index(n)
     _check_glr_args(r, q)
     modulus = q ** r - 1
     if not 0 <= a < modulus:
         raise ValueError(f"exponent a must lie in [0, q^r - 1) = [0, {modulus})")
-    # a float n is refused with TypeError, and n below 1 with the message of
-    # the other GL_r routes
-    if operator.index(n) < 1:
+    if n < 1:
         raise ValueError("cover degree n must be a positive integer")
-    # row i of the r-cycle is the unit row e_(i-1 mod r)
-    units = [(0,) * j + (1,) + (0,) * (r - 1 - j) for j in range(r)]
-    w = (units[-1], *units[:-1])
-    nums = [a * pow(q, i, modulus) % modulus for i in range(r)]
-    if any((q * nums[i] - nums[(i + 1) % r]) % modulus for i in range(r)):
+    # row 0 of the r-cycle is the unit row e_(r-1) and row i >= 1 is
+    # e_(i-1): each a slice of one strip
+    strip = (0,) * (r - 1) + (1,) + (0,) * (r - 1)
+    w = (strip[:r], *[strip[r - i:2 * r - i] for i in range(1, r)])
+    nums = [a]
+    for _ in range(r - 1):
+        nums.append(nums[-1] * q % modulus)
+    # w^T theta is theta rotated one place to the left
+    if [q * x % modulus for x in nums] != nums[1:] + nums[:1]:
         raise RuntimeError("internal consistency: theta is not fixed by q times the Coxeter twist")
     denom = lcm(modulus, n)
-    nums = tuple(x * (denom // modulus) for x in nums)
-    return LusztigParameter(w, denom, nums, denom // n)
+    if denom != modulus:
+        nums = [x * (denom // modulus) for x in nums]
+    param = LusztigParameter.__new__(LusztigParameter)
+    param._set_lowest_terms(w, denom, tuple(nums), denom // n % denom)
+    return param
 
 
 def is_general_position(param, cover):

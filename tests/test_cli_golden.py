@@ -276,6 +276,20 @@ GOLDEN = {
     ("whittaker --r 7 --q 5 --n 4 --pp 0 --qq 1 --a 1 --oracle", "json"):
         (0, "8598a929695a55d2dfeb618e0fda5537bd0ec67cf7c0a03de3461b2092e23ae9",
          EMPTY),
+    # the edge ranks of the Coxeter twist: a 1 x 1 cycle, and the largest
+    # the rank guard admits
+    ("whittaker --r 1 --q 3 --n 2 --pp 0 --qq 1 --a 1 --oracle", "text"):
+        (0, "5dd7ce25ea550a211957b82805a4e2ef6246bc4c7121ba3e311276c19b6235b8",
+         EMPTY),
+    ("whittaker --r 1 --q 3 --n 2 --pp 0 --qq 1 --a 1 --oracle", "json"):
+        (0, "28904af5c16211b60edb8f2fccd0633b0355284fe85824d432d34cc303e650c4",
+         EMPTY),
+    ("whittaker --r 16 --q 3 --n 2 --pp 0 --qq 1 --a 1 --oracle", "text"):
+        (0, "8b5460fc8b7969d4dcc31c5f5dfc0f39782b53b53aadb35418c02779a1d1f97a",
+         EMPTY),
+    ("whittaker --r 16 --q 3 --n 2 --pp 0 --qq 1 --a 1 --oracle", "json"):
+        (0, "910d91f13c8d6e8c0b9817e473d883565a697545fd651e62cc5f9be92be26000",
+         EMPTY),
     ("whittaker --r 2 --q 5 --n 4 --pp 0 --qq 1 --a 0", "text"):
         (4, EMPTY,
          "d6ba040e9b40c4b6c85e4dfe651bef8d9dc3d6fd88407f669a0967b94fef4745"),

@@ -138,6 +138,13 @@ def test_coxeter_parameter_refuses_a_degree_below_one():
     assert glr_coxeter_parameter(2, 5, 7) == glr_coxeter_parameter(2, 5, 7, 1)
 
 
+def test_coxeter_parameter_refuses_an_exponent_or_degree_that_is_no_integer():
+    for args in ((2, 5, 1.0), (2, 5, Fraction(1)), (2, 5.0, 1), (2, Fraction(5), 1),
+                 (2, 5, 1, 4.0), (2, 5, 1, Fraction(4))):
+        with pytest.raises(TypeError):
+            glr_coxeter_parameter(*args)
+
+
 def test_coxeter_parameter_range_check():
     message = r"^exponent a must lie in \[0, q\^r - 1\) = \[0, 24\)$"
     for a in (24, -1):
@@ -227,18 +234,28 @@ def test_parameter_refuses_a_non_integer_twist():
 
 
 def test_coxeter_parameter_matches_its_rational_definition():
-    for q in (2, 3, 4, 5, 7):
-        for r in (1, 2, 3):
-            r_cycle = tuple(tuple(int(i == (j + 1) % r) for j in range(r)) for i in range(r))
-            assert glr_coxeter_parameter(r, q, 0).w == r_cycle
-            modulus = q ** r - 1
-            for n in _divisors(q - 1):
-                central = Fraction(1, n)
-                for a in range(modulus):
-                    theta = [Fraction(a * q ** i, modulus) for i in range(r)]
-                    expected = LusztigParameter.from_theta(
-                        glr_coxeter_parameter(r, q, 0).w, theta, central)
-                    assert glr_coxeter_parameter(r, q, a, n) == expected, (r, q, n, a)
+    # every n | q - 1 at r <= 3 and at r = 4, 5 on q = 2, 3; and degrees that
+    # do not divide q - 1, where D = lcm(q^r - 1, n) exceeds q^r - 1
+    cases = [(r, q, _divisors(q - 1)) for q in (2, 3, 4, 5, 7) for r in (1, 2, 3)]
+    cases += [(r, q, _divisors(q - 1)) for q in (2, 3) for r in (4, 5)]
+    cases += [(r, 5, (5, 7, 9)) for r in (1, 2, 3)]
+    for r, q, degrees in cases:
+        r_cycle = tuple(tuple(int(i == (j + 1) % r) for j in range(r)) for i in range(r))
+        assert glr_coxeter_parameter(r, q, 0).w == r_cycle
+        modulus = q ** r - 1
+        for n in degrees:
+            central = Fraction(1, n)
+            for a in range(modulus):
+                p = glr_coxeter_parameter(r, q, a, n)
+                theta = [Fraction(a * q ** i, modulus) for i in range(r)]
+                for expected in (LusztigParameter.from_theta(r_cycle, theta, central),
+                                 LusztigParameter(p.w, p.denominator, p.numerators, p.central)):
+                    assert p == expected and hash(p) == hash(expected), (r, q, n, a)
+                assert type(p.w) is tuple, (r, q, n, a)
+                assert all(type(row) is tuple and all(type(x) is int for x in row)
+                           for row in p.w), (r, q, n, a)
+                assert type(p.numerators) is tuple, (r, q, n, a)
+                assert all(type(x) is int for x in (*p.numerators, p.denominator, p.central))
 
 
 def test_glr_routes_refuse_a_rank_above_the_guard_quickly():
