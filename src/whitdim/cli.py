@@ -302,7 +302,8 @@ def cmd_residual(args):
 
 
 def cmd_whittaker(args):
-    cover = glr_cover(args.r, args.pp, args.qq, args.n, args.q)
+    # the closed form checks the inputs, in the order of every GL_r route;
+    # only the orbit search reads a cover
     results = {"general_position": True,
                "dimension": wh_dim_glr_closed(args.r, args.q, args.n,
                                               args.pp, args.qq, args.a)}
@@ -310,6 +311,7 @@ def cmd_whittaker(args):
         results["dimension_oracle"] = wh_dim_oracle(args.r, args.q, args.n,
                                                     args.pp, args.qq, args.a)
         param = glr_coxeter_parameter(args.r, args.q, args.a, args.n)
+        cover = glr_cover(args.r, args.pp, args.qq, args.n, args.q)
         _, orbit_dim = y_x_rho(cover, param)
         results["dimension_orbit_search"] = orbit_dim
         results["agreement"] = (results["dimension"]

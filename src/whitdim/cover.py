@@ -50,6 +50,7 @@ from .lattice import (
 from .root_datum import (
     _swaps_coordinates,
     build_glr,
+    check_glr_rank,
     frobenius_fixed_lattice,
     weyl_frobenius_fixed_lattice,
 )
@@ -75,7 +76,7 @@ def _prime_power_base(q):
     bases", Math. Comp. 86 (2017)).  Beyond that bound a passing b cannot be
     decided, and :class:`ResourceLimitError` is raised.
     """
-    if not isinstance(q, int) or q < 2:
+    if q < 2:
         raise MathConstraintError("q must be a prime power >= 2")
     for p in _SMALL_PRIMES:
         if q % p == 0:
@@ -167,17 +168,17 @@ class WeylInvariantForm(Frozen):
     def bilinear(self, y1, y2):
         return dot(mat_vec(self.gram, y1), tuple(y2))
 
-    def q_value(self, y):
-        return self.bilinear(y, y) // 2
-
 
 def _check_q_and_degree(q, n):
     """The prime below q, once n >= 1, q is a prime power and n divides
-    q - 1.  n is refused first: with :class:`TypeError` when it is not an
-    integer, and with :class:`ValueError` below 1, as by :class:`CoverSpec`."""
+    q - 1, tested in that order.  An n or a q that is no integer raises
+    :class:`TypeError` where it is reached, n below 1 :class:`ValueError`,
+    and a q that is not a prime power, q < 2 included,
+    :class:`MathConstraintError`.  :class:`CoverSpec` and every GL_r route
+    check n and q here alone, after r and the route's size guard."""
     if operator.index(n) < 1:
         raise ValueError("cover degree n must be a positive integer")
-    p = _prime_power_base(q)
+    p = _prime_power_base(operator.index(q))
     if (q - 1) % n:
         raise MathConstraintError(f"cover degree n = {n} must divide q - 1 = {q - 1}")
     return p
@@ -266,8 +267,7 @@ class CoverSpec(Frozen):
 
 def form_from_glr_invariants(r, bold_p, bold_q):
     """Gram matrix with diagonal 2*bold_p and off-diagonal bold_q (unused if r=1)."""
-    if r < 1:
-        raise ValueError("GL_r needs r >= 1")
+    check_glr_rank(r, None)
     gram = tuple(tuple(2 * bold_p if i == j else bold_q for j in range(r))
                  for i in range(r))
     return WeylInvariantForm(gram)

@@ -242,11 +242,6 @@ class Sublattice(Frozen):
     def contains_vector(self, vec):
         return self.coordinates(vec) is not None
 
-    def contains_lattice(self, other):
-        if other.ambient_rank != self.ambient_rank:
-            raise ValueError("ambient ranks differ")
-        return all(self.contains_vector(row) for row in other.basis)
-
 
 class FiniteAbelianStructure(Frozen):
     """Invariant factors d_1 | d_2 | ... (each >= 2) plus a free rank."""
@@ -263,10 +258,6 @@ class FiniteAbelianStructure(Frozen):
         if free_rank < 0:
             raise ValueError("free rank must be non-negative")
         self.__dict__.update(invariant_factors=factors, free_rank=free_rank)
-
-    @property
-    def torsion_order(self):
-        return prod(self.invariant_factors)
 
 
 # ---------------------------------------------------------------------------

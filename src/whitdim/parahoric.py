@@ -48,7 +48,7 @@ from .lattice import (
 )
 from .root_datum import _pairings
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/(\d+))?$")
+_RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/(\d+))?$", re.ASCII)
 
 
 def parse_rational(text):

@@ -528,16 +528,20 @@ def is_derived_simply_connected(rd):
 # ---------------------------------------------------------------------------
 # standard constructors (split groups; arbitrary Frobenii only on tori)
 
-def check_glr_rank(r):
-    """Refuse GL_r with r above :data:`MAX_GLR_RANK`."""
-    if r > MAX_GLR_RANK:
-        raise ResourceLimitError(f"GL_r with r = {r} exceeds the rank guard {MAX_GLR_RANK}")
+def check_glr_rank(r, limit=MAX_GLR_RANK):
+    """Refuse a GL_r rank r that is no integer, with :class:`TypeError`, or
+    below 1, with :class:`ValueError`; then one above ``limit`` with
+    :class:`ResourceLimitError`, unless ``limit`` is None.  Every GL_r route
+    checks r here, before anything else; ``glr_table``, which bounds
+    q^r - 1 instead, and ``form_from_glr_invariants`` pass None."""
+    if operator.index(r) < 1:
+        raise ValueError("GL_r needs r >= 1")
+    if limit is not None and r > limit:
+        raise ResourceLimitError(f"GL_r with r = {r} exceeds the rank guard {limit}")
 
 
 def build_glr(r):
     """Root datum of GL_r: Y = Z^r, roots e_i - e_j, W the permutation matrices."""
-    if r < 1:
-        raise ValueError("GL_r needs r >= 1")
     check_glr_rank(r)
     roots, coroots, simple = [], [], []
     for i in range(r):

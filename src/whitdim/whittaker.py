@@ -41,6 +41,14 @@ raise :class:`ResourceLimitError` before any enumeration: |W| above 40,320
 (computed from the root heights), GL_r with r above 16, more than 100,000
 cosets for the orbit search, an oracle scan of more than 100,000 steps, and
 a table with q^r - 1 above 10^6.
+
+Every GL_r route (the closed form, the oracle, the Coxeter parameter, the
+table and ``glr_cover``) refuses its inputs in one order: r >= 1, then its
+size guard (the rank guard, or the table's bound on q^r - 1, which applies
+once q >= 2), then n >= 1, then q a prime power, then n | q - 1, then a in
+[0, q^r - 1).  ``check_glr_rank`` is the one check of r and
+``_check_q_and_degree`` the one check of n and q, so each fault raises the
+same exception with the same message on every route.
 """
 
 from __future__ import annotations
@@ -184,34 +192,25 @@ def glr_coxeter_parameter(r, q, a, n=1):
     """Parameter of the exponent-a character on the Coxeter torus of GL_r.
 
     w is the full cycle and theta_i = a * q^(i-1) / (q^r - 1) mod 1.  The
-    central exponent is pinned to 1/n for the cover degree n >= 1; n = 1
-    pins it to 0.  The parameter is built in lowest terms, with no second
-    pass through the constructor.
+    central exponent is pinned to 1/n for the cover degree n; n = 1 pins it
+    to 0.  r, q, n and a are refused as by the other GL_r routes, in the
+    same order, so n divides q - 1 and hence q^r - 1, the denominator.  The
+    parameter is built in lowest terms, with no second pass through the
+    constructor.
     """
-    # a float or Fraction q, a or n is refused with TypeError, and n below 1
-    # with the message of the other GL_r routes
-    q, a, n = operator.index(q), operator.index(a), operator.index(n)
-    _check_glr_args(r, q)
-    modulus = q ** r - 1
-    if not 0 <= a < modulus:
-        raise ValueError(f"exponent a must lie in [0, q^r - 1) = [0, {modulus})")
-    if n < 1:
-        raise ValueError("cover degree n must be a positive integer")
+    modulus = _check_glr_dim_args(r, q, n, a)
     # row 0 of the r-cycle is the unit row e_(r-1) and row i >= 1 is
     # e_(i-1): each a slice of one strip
     strip = (0,) * (r - 1) + (1,) + (0,) * (r - 1)
     w = (strip[:r], *[strip[r - i:2 * r - i] for i in range(1, r)])
-    nums = [a]
+    nums = [operator.index(a)]
     for _ in range(r - 1):
         nums.append(nums[-1] * q % modulus)
     # w^T theta is theta rotated one place to the left
     if [q * x % modulus for x in nums] != nums[1:] + nums[:1]:
         raise RuntimeError("internal consistency: theta is not fixed by q times the Coxeter twist")
-    denom = lcm(modulus, n)
-    if denom != modulus:
-        nums = [x * (denom // modulus) for x in nums]
     param = LusztigParameter.__new__(LusztigParameter)
-    param._set_lowest_terms(w, denom, tuple(nums), denom // n % denom)
+    param._set_lowest_terms(w, modulus, tuple(nums), modulus // n % modulus)
     return param
 
 
@@ -268,19 +267,16 @@ def y_x_rho(cover, param):
     return found
 
 
-def _check_glr_args(r, q):
-    # first on every GL_r route, before any q ** r
-    if r < 1 or q < 2:
-        raise ValueError("need r >= 1 and q >= 2")
-    check_glr_rank(r)
-
-
 def _check_glr_dim_args(r, q, n, a):
-    _check_glr_args(r, q)
-    # a float n or a is refused with TypeError, as on the other GL_r routes
+    """q^r - 1, once r, n and q pass their checks and a lies in
+    [0, q^r - 1): the contract of every GL_r route that takes an exponent.
+    A float or Fraction a raises :class:`TypeError`."""
+    check_glr_rank(r)
     _check_q_and_degree(q, n)
-    if not 0 <= operator.index(a) < q ** r - 1:
-        raise ValueError(f"exponent a must lie in [0, q^r - 1) = [0, {q ** r - 1})")
+    modulus = q ** r - 1
+    if not 0 <= operator.index(a) < modulus:
+        raise ValueError(f"exponent a must lie in [0, q^r - 1) = [0, {modulus})")
+    return modulus
 
 
 class _GLrSolver:
@@ -351,14 +347,13 @@ def wh_dim_oracle(r, q, n, bold_p, bold_q, a):
     k = n/gcd(n, m) always passes, so a scan longer than
     :data:`MAX_ORACLE_SCAN` is refused before it starts.
     """
-    _check_glr_dim_args(r, q, n, a)
+    modulus = _check_glr_dim_args(r, q, n, a)
     m = m_qr(r, bold_p, bold_q)
     steps = n // gcd(n, m)
     if steps > MAX_ORACLE_SCAN:
         raise ResourceLimitError(
             f"the oracle's scan of n/gcd(n, m) = {steps} steps exceeds the guard "
             f"{MAX_ORACLE_SCAN}")
-    modulus = q ** r - 1
     targets = {a * (q ** s - 1) % modulus * n for s in range(1, r)}
     if 0 in targets:
         raise GeneralPositionError(
@@ -422,7 +417,7 @@ class GLrTable(Frozen):
     a = base + c < limit(c), base = 0, P, 2P, ...: residue c has a row in
     the first ceil((limit(c) - c)/P) blocks, its reach, and in no later
     one.  :attr:`schedule` groups the residues by reach, once;
-    :meth:`histogram`, :meth:`runs` and so :meth:`blocks` all read it.
+    :meth:`histogram` and :meth:`runs` read it.
     """
 
     _fields = ("r", "modulus", "period", "emitting")
@@ -468,16 +463,6 @@ class GLrTable(Frozen):
                 residues, live = list(alive), list(alive.values())
             start = stop
 
-    def blocks(self):
-        """Yield (base, residues) for base = 0, P, 2P, ...: the entries of
-        ``emitting`` whose exponent base + c is a row, in increasing c, so
-        the rows come out in increasing order.  No block is empty: at
-        r = 1 every exponent is a row, and at r >= 2 every base has
-        base + 1 < limit(1) = M - (q^(r-1) - 1)."""
-        for bases, _, residues in self.runs(self.emitting):
-            for base in bases:
-                yield base, residues
-
     def histogram(self):
         """The number of classes of each dimension, in increasing dimension."""
         histogram = {}
@@ -489,14 +474,14 @@ class GLrTable(Frozen):
 
 def glr_table(r, q, n, bold_p, bold_q):
     """The :class:`GLrTable` of a GL_r cover; see :func:`enumerate_glr_table`."""
-    if r < 1 or q < 2:
-        raise ValueError("need r >= 1 and q >= 2")
-    # q >= 2, so an r beyond the bound's bit length puts q^r - 1 past it
-    # without forming the power
-    if r > MAX_TABLE_ORDER.bit_length() or q ** r - 1 > MAX_TABLE_ORDER:
+    check_glr_rank(r, None)
+    # the bound is on q^r - 1, no size for a q below 2, which the prime-power
+    # test refuses next; at q >= 2 an r beyond the bound's bit length puts
+    # q^r - 1 past it without forming the power
+    if q >= 2 and (r > MAX_TABLE_ORDER.bit_length() or q ** r - 1 > MAX_TABLE_ORDER):
         raise _table_bound_error(q, r)
-    modulus = q ** r - 1
     _check_q_and_degree(q, n)
+    modulus = q ** r - 1
     solver = _GLrSolver(r, q, n, m_qr(r, bold_p, bold_q))
     period = modulus // (q - 1)
     shifts = [(q ** s - 1) // (q - 1) for s in range(1, r)]
@@ -553,6 +538,7 @@ def enumerate_glr_table(r, q, n, bold_p, bold_q):
     """
     table = glr_table(r, q, n, bold_p, bold_q)
     rows = []
-    for base, residues in table.blocks():
-        rows.extend([(base + c, r, dim) for c, _, dim in residues])
+    for bases, _, residues in table.runs(table.emitting):
+        for base in bases:
+            rows.extend([(base + c, r, dim) for c, _, dim in residues])
     return tuple(rows), table.histogram()

@@ -76,6 +76,12 @@ def in_span_z(vec, basis_rows):
     return all(c.denominator == 1 for c in sol)
 
 
+def lattice_contains(outer, inner):
+    """Is every basis row of the sublattice inner an integer combination of
+    the basis rows of outer?"""
+    return all(in_span_z(row, outer.basis) for row in inner.basis)
+
+
 def brute_force_coset_count(box, relation_rows):
     """Number of classes of the integer points of prod [0, box_i) modulo the
     lattice spanned by relation_rows, classified by pairwise differences."""

@@ -21,6 +21,7 @@ from whitdim.cli import (
     main,
 )
 from whitdim.cover import glr_cover
+from whitdim.errors import MathConstraintError, ResourceLimitError
 from whitdim.whittaker import (
     enumerate_glr_table,
     glr_coxeter_parameter,
@@ -321,34 +322,104 @@ def test_table_q_not_a_prime_power_exits_3_like_whittaker(capsys):
     assert out == "" and err == wh_err == "error: q = 6 is not a prime power\n"
 
 
-#: The GL_r library routes that take a cover degree n, called with (q, n).
-GLR_DEGREE_ROUTES = {
-    "wh_dim_glr_closed": lambda q, n: wh_dim_glr_closed(2, q, n, 0, 1, 1),
-    "wh_dim_oracle": lambda q, n: wh_dim_oracle(2, q, n, 0, 1, 1),
-    "glr_table": lambda q, n: glr_table(2, q, n, 0, 1),
-    "glr_cover": lambda q, n: glr_cover(2, 0, 1, n, q),
-    "glr_coxeter_parameter": lambda q, n: glr_coxeter_parameter(2, q, 1, n),
+#: The five GL_r library routes, called with r, q, n and a, by default the
+#: valid inputs 2, 5, 4 and 1 with the form (pp, qq) = (0, 1); the table and
+#: the cover take no exponent and ignore a.
+GLR_ROUTES = {
+    "wh_dim_glr_closed": lambda r=2, q=5, n=4, a=1: wh_dim_glr_closed(r, q, n, 0, 1, a),
+    "wh_dim_oracle": lambda r=2, q=5, n=4, a=1: wh_dim_oracle(r, q, n, 0, 1, a),
+    "glr_table": lambda r=2, q=5, n=4, a=1: glr_table(r, q, n, 0, 1),
+    "glr_cover": lambda r=2, q=5, n=4, a=1: glr_cover(r, 0, 1, n, q),
+    "glr_coxeter_parameter": lambda r=2, q=5, n=4, a=1: glr_coxeter_parameter(r, q, a, n),
 }
+#: The routes that take an exponent a.
+GLR_EXPONENT_ROUTES = ("glr_coxeter_parameter", "wh_dim_glr_closed", "wh_dim_oracle")
+#: One fault each in the valid inputs, and what every route that reads the
+#: faulty input raises for it.  The checks run in one order: r >= 1, the
+#: route's size guard, n >= 1, q a prime power (q < 2 included), n | q - 1,
+#: a in [0, q^r - 1).
+GLR_FAULTS = [
+    ({"r": 0}, ValueError, "GL_r needs r >= 1"),
+    ({"r": 2.0}, TypeError, "'float' object cannot be interpreted as an integer"),
+    ({"q": 5.0}, TypeError, "'float' object cannot be interpreted as an integer"),
+    ({"q": Fraction(5)}, TypeError, "'Fraction' object cannot be interpreted as an integer"),
+    ({"q": 0, "n": 1}, MathConstraintError, "q must be a prime power >= 2"),
+    ({"q": 1, "n": 1}, MathConstraintError, "q must be a prime power >= 2"),
+    ({"q": 6, "n": 1}, MathConstraintError, "q = 6 is not a prime power"),
+    ({"n": 0}, ValueError, "cover degree n must be a positive integer"),
+    ({"n": 3}, MathConstraintError, "cover degree n = 3 must divide q - 1 = 4"),
+    ({"a": 24}, ValueError, "exponent a must lie in [0, q^r - 1) = [0, 24)"),
+    ({"a": -1}, ValueError, "exponent a must lie in [0, q^r - 1) = [0, 24)"),
+]
+
+
+@pytest.mark.parametrize("fault,error,message", GLR_FAULTS)
+def test_glr_routes_refuse_one_fault_alike(fault, error, message):
+    routes = GLR_EXPONENT_ROUTES if "a" in fault else sorted(GLR_ROUTES)
+    for route in routes:
+        with pytest.raises(error) as caught:
+            GLR_ROUTES[route](**fault)
+        assert type(caught.value) is error and str(caught.value) == message, route
+    # the table and the cover read no exponent
+    if "a" in fault:
+        assert GLR_ROUTES["glr_table"](**fault).modulus == 24
+        assert GLR_ROUTES["glr_cover"](**fault).n == 4
+
+
+def test_glr_routes_refuse_a_rank_above_their_own_size_guard():
+    for route in sorted(GLR_ROUTES):
+        if route == "glr_table":
+            message = "q^r - 1 = 762939453124 exceeds the enumeration bound 1000000"
+        else:
+            message = "GL_r with r = 17 exceeds the rank guard 16"
+        with pytest.raises(ResourceLimitError) as caught:
+            GLR_ROUTES[route](r=17)
+        assert str(caught.value) == message, route
+    # the table's bound is on q^r - 1, so it takes r = 17 at q = 2
+    assert GLR_ROUTES["glr_table"](r=17, q=2, n=1).modulus == 2 ** 17 - 1
+
+
+@pytest.mark.parametrize("fault,code,message", [
+    ({"q": 0, "n": 1}, EXIT_CONSTRAINT, "q must be a prime power >= 2"),
+    ({"q": 1, "n": 1}, EXIT_CONSTRAINT, "q must be a prime power >= 2"),
+    ({"q": 6, "n": 1}, EXIT_CONSTRAINT, "q = 6 is not a prime power"),
+    ({"r": 0}, EXIT_MALFORMED, "GL_r needs r >= 1"),
+    ({"n": 3}, EXIT_CONSTRAINT, "cover degree n = 3 must divide q - 1 = 4"),
+])
+def test_glr_commands_refuse_one_fault_alike(capsys, fault, code, message):
+    inputs = {"r": 2, "q": 5, "n": 4, "pp": 0, "qq": 1, **fault}
+    flags = [text for key, value in inputs.items() for text in (f"--{key}", str(value))]
+    for command in (["table"], ["whittaker", "--a", "1"], ["whittaker", "--a", "1", "--oracle"]):
+        for fmt in ("text", "json"):
+            assert run(capsys, [*command, *flags, "--format", fmt]) == (
+                code, "", f"error: {message}\n"), (command, fmt)
+
+
+def test_table_bound_applies_once_q_is_at_least_2(capsys):
+    # q^r - 1 is no size for q = 1, which is refused as no prime power
+    code, out, err = run(capsys, [
+        "table", "--r", "25", "--q", "1", "--n", "1", "--pp", "0", "--qq", "1"])
+    assert (code, out, err) == (EXIT_CONSTRAINT, "", "error: q must be a prime power >= 2\n")
 
 
 @pytest.mark.parametrize("n", [0, -4])
-@pytest.mark.parametrize("route", sorted(GLR_DEGREE_ROUTES))
+@pytest.mark.parametrize("route", sorted(GLR_ROUTES))
 def test_glr_routes_refuse_a_degree_below_one_with_value_error(route, n):
     # the degree is refused before q is tested, so a q that is no prime
     # power (12) changes nothing
     message = "cover degree n must be a positive integer"
     for q in (9, 12):
         with pytest.raises(ValueError) as caught:
-            GLR_DEGREE_ROUTES[route](q, n)
+            GLR_ROUTES[route](q=q, n=n)
         assert str(caught.value) == message
 
 
-@pytest.mark.parametrize("route", sorted(GLR_DEGREE_ROUTES))
+@pytest.mark.parametrize("route", sorted(GLR_ROUTES))
 def test_glr_routes_refuse_a_degree_that_is_no_integer_with_type_error(route):
     # 4.0 divides q - 1 = 4 and 2.5 does not: neither reaches the arithmetic
     for n in (4.0, 2.5, Fraction(4)):
         with pytest.raises(TypeError):
-            GLR_DEGREE_ROUTES[route](5, n)
+            GLR_ROUTES[route](q=5, n=n)
 
 
 @pytest.mark.parametrize("n", [0, -4])

@@ -95,6 +95,12 @@ NOT_A_BASE = "64a7b1ecad9ca0c83bad9f6ed7499bfbb09c7749cfc919224b829048af1d7cf9"
 NOT_CONJUGATE = "bd3137f28a9b861dfa80cf0c5d16f93b7297587534ecf54b787654b20e79c9a9"
 #: stderr of ``nested.json``, nested too deeply to parse
 NESTED = "0c580905872b69303f0d1a779845c719b3a5f67a3eb88a7adcc85b8c0def24e0"
+#: stderr of ``whittaker`` and ``table`` at q = 1, no prime power
+Q_BELOW_2 = "29d7ec5786ebdb367e9b9fdd622e40f94de9f4750f85db1a1107d3740c74ea2b"
+#: stderr of ``whittaker`` and ``table`` at r = 0
+R_BELOW_1 = "742c7a9938e845cd1c8581ef603b22d0d828421221039975190ed076f5be61e5"
+#: stderr of a point written in Arabic-Indic digits
+NOT_ASCII_POINT = "7b3a69095ccc2389e75da7f10869d8b67994f17840f216ee552a1da2e157d56c"
 
 #: (command, format) -> (exit code, sha256 of stdout, sha256 of stderr)
 GOLDEN = {
@@ -232,6 +238,9 @@ GOLDEN = {
     ("residual gl2.json --point 1/2,zebra", "json"):
         (2, EMPTY,
          "a0419fa546ab67e15c4f125f6dec926b79e1c75533f7887b1b0c0ac0188e5db5"),
+    # decimal digits of another script are malformed, not read as 1/2
+    ("residual gl2.json --point \u0661/\u0662,0", "text"): (2, EMPTY, NOT_ASCII_POINT),
+    ("residual gl2.json --point \u0661/\u0662,0", "json"): (2, EMPTY, NOT_ASCII_POINT),
     # a Frobenius that moves coordinates: a fixed point, a point that is not
     # fixed, a point of the wrong length, and mixed denominators on the blocks
     ("residual torus_swap.json --point 1/2,1/2", "text"):
@@ -349,6 +358,16 @@ GOLDEN = {
     ("table --r 3 --q 101 --n 2 --pp 0 --qq 1", "json"):
         (6, EMPTY,
          "0538654b39ded7a94c5c34ea5792a77e1dd774c533b88d691b2714cac59048ba"),
+    # both GL_r commands refuse a fault alike: q = 1 as no prime power, r = 0
+    # as malformed
+    ("whittaker --r 2 --q 1 --n 1 --pp 0 --qq 1 --a 1", "text"): (3, EMPTY, Q_BELOW_2),
+    ("whittaker --r 2 --q 1 --n 1 --pp 0 --qq 1 --a 1", "json"): (3, EMPTY, Q_BELOW_2),
+    ("table --r 2 --q 1 --n 1 --pp 0 --qq 1", "text"): (3, EMPTY, Q_BELOW_2),
+    ("table --r 2 --q 1 --n 1 --pp 0 --qq 1", "json"): (3, EMPTY, Q_BELOW_2),
+    ("whittaker --r 0 --q 5 --n 4 --pp 0 --qq 1 --a 1", "text"): (2, EMPTY, R_BELOW_1),
+    ("whittaker --r 0 --q 5 --n 4 --pp 0 --qq 1 --a 1", "json"): (2, EMPTY, R_BELOW_1),
+    ("table --r 0 --q 5 --n 4 --pp 0 --qq 1", "text"): (2, EMPTY, R_BELOW_1),
+    ("table --r 0 --q 5 --n 4 --pp 0 --qq 1", "json"): (2, EMPTY, R_BELOW_1),
 }
 
 

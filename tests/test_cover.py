@@ -28,7 +28,7 @@ from whitdim.root_datum import (
 )
 from whitdim.whittaker import squeeze_bounds
 
-from _oracles import prime_power_base_trial, simple_reflection_matrices
+from _oracles import lattice_contains, prime_power_base_trial, simple_reflection_matrices
 
 
 # ---------------------------------------------------------------------------
@@ -65,7 +65,7 @@ def test_q_of_e0_values():
     assert q_of_e0(4, 0, 0) == 0
     # derived by expanding Q(e_1+e_2+e_3) through the bilinear identity
     form = form_from_glr_invariants(3, 1, 2)
-    assert form.q_value((1, 1, 1)) == 9 == q_of_e0(3, 1, 2)
+    assert form.bilinear((1, 1, 1), (1, 1, 1)) // 2 == 9 == q_of_e0(3, 1, 2)
 
 
 def test_classify_glr_family():
@@ -218,7 +218,7 @@ def held_state_covers():
 def test_coroot_q_is_q_on_every_coroot_in_root_order():
     for cover, _ in held_state_covers():
         table = cover.coroot_q
-        assert table == tuple(cover.form.q_value(c) for c in cover.datum.coroots)
+        assert table == tuple(cover.form.bilinear(c, c) // 2 for c in cover.datum.coroots)
         assert cover.coroot_q is table
 
 
@@ -266,7 +266,7 @@ def test_y_qn_monotone_in_n():
     for n, n2 in [(2, 4), (1, 3), (2, 6), (3, 12)]:
         big = y_qn(glr_cover(2, 1, -1, n, 13))
         small = y_qn(glr_cover(2, 1, -1, n2, 13))
-        assert big.contains_lattice(small)
+        assert lattice_contains(big, small)
 
 
 # ---------------------------------------------------------------------------

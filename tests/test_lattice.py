@@ -1,5 +1,6 @@
 import random
 from itertools import product
+from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -34,6 +35,7 @@ from _oracles import (
     brute_force_saturation_member,
     elementary_row_hnf,
     in_span_z,
+    lattice_contains,
 )
 
 
@@ -274,14 +276,14 @@ def test_smith_trivial_quotient():
     full = Sublattice.full(2)
     s = smith_invariants(full, full)
     assert s.invariant_factors == () and s.free_rank == 0
-    assert s.torsion_order == 1
+    assert prod(s.invariant_factors) == 1
 
 
 def test_smith_z2_mod_2x3_by_brute_force():
     sub = hermite_normal_form([(2, 0), (0, 3)])
     count = brute_force_coset_count((2, 3), [(2, 0), (0, 3)])
     s = smith_invariants(Sublattice.full(2), sub)
-    assert count == 6 == s.torsion_order
+    assert count == 6 == prod(s.invariant_factors)
     assert s.invariant_factors == (6,)   # Z/2 x Z/3 is cyclic
     assert s.free_rank == 0
 
@@ -314,7 +316,7 @@ def test_smith_vs_brute_force_coset_counting():
         cases += 1
         sub = hermite_normal_form(rel, d)
         s = smith_invariants(Sublattice.full(d), sub)
-        assert s.torsion_order == order == index(Sublattice.full(d), sub)
+        assert prod(s.invariant_factors) == order == index(Sublattice.full(d), sub)
         assert brute_force_coset_count(tuple(diag), rel) == order
 
 
@@ -364,7 +366,7 @@ def test_intersect_properties():
         a = hermite_normal_form(rows_a, d)
         b = hermite_normal_form(rows_b, d)
         meet = intersect(a, b)
-        assert a.contains_lattice(meet) and b.contains_lattice(meet)
+        assert lattice_contains(a, meet) and lattice_contains(b, meet)
         assert intersect(b, a) == meet
         assert intersect(meet, meet) == meet
 
@@ -402,7 +404,7 @@ def test_saturation_properties():
                 for _ in range(rng.randint(0, d + 1))]
         lat = hermite_normal_form(rows, d)
         sat = saturation(lat)
-        assert sat.contains_lattice(lat)
+        assert lattice_contains(sat, lat)
         assert saturation(sat) == sat
         assert index(sat, lat) != INFINITE
 
@@ -587,7 +589,7 @@ def test_intersect_with_the_full_lattice_on_either_side():
         doubled = hermite_normal_form([[2 * (i == j) for j in range(d)] for i in range(d)])
         meet = intersect(doubled, lat)
         assert meet == intersect(lat, doubled)
-        assert doubled.contains_lattice(meet) and lat.contains_lattice(meet)
+        assert lattice_contains(doubled, meet) and lattice_contains(lat, meet)
         assert all(meet.contains_vector([2 * x for x in row]) for row in lat.basis)
 
 

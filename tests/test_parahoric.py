@@ -55,6 +55,11 @@ def test_parse_rational_forms():
     for bad in ("1.5", "x", "1/0", "1/00", "-3/000", ""):
         with pytest.raises(ValueError):
             parse_rational(bad)
+    # decimal digits of other scripts were read as their values: "١/٢"
+    # (Arabic-Indic) as 1/2 and "१२/७" (Devanagari) as 12/7
+    for bad in ("\u0661/\u0662", "\u0663", "\u0967\u0968/\u096d", "\uff11", "1/\u0662"):
+        with pytest.raises(ValueError, match="^malformed rational"):
+            parse_rational(bad)
 
 
 def test_point_refuses_float_coordinates():

@@ -200,7 +200,7 @@ def test_invariance_check_matches_conjugation_by_reflections():
 
 def test_invariance_check_with_q_of_the_wrong_coroot_is_caught(monkeypatch):
     def rotated(cover):
-        values = [cover.form.q_value(c) for c in cover.datum.coroots]
+        values = [cover.form.bilinear(c, c) // 2 for c in cover.datum.coroots]
         return tuple(values[1:] + values[:1])
 
     monkeypatch.setattr(CoverSpec, "coroot_q", property(rotated))
@@ -449,5 +449,5 @@ def test_lambda_and_is_vertex_match_the_references_at_seeded_points():
 
 def test_coroot_q_is_q_of_every_coroot():
     for cover in _covers():
-        assert cover.coroot_q == tuple(map(cover.form.q_value, cover.datum.coroots))
+        assert cover.coroot_q == tuple(cover.form.bilinear(c, c) // 2 for c in cover.datum.coroots)
 

@@ -51,6 +51,7 @@ from _oracles import (
     TABLE_WINDOW_CASES,
     glr_dimension_scan,
     glr_general_position,
+    lattice_contains,
     oracle_scan_fractions,
     orbit_search_reference,
     simple_reflection_matrices,
@@ -153,11 +154,14 @@ def test_coxeter_parameter_range_check():
         for route in (wh_dim_glr_closed, wh_dim_oracle):
             with pytest.raises(ValueError, match=message):
                 route(2, 5, 4, 0, 1, a)
-    # with both q and a out of range, q is named first
-    with pytest.raises(ValueError, match="^need r >= 1 and q >= 2$"):
+    # with both q and a out of range, q is named first, on all three routes:
+    # below 2 as well as 6 as no prime power
+    with pytest.raises(MathConstraintError, match="^q must be a prime power >= 2$"):
         glr_coxeter_parameter(2, 1, -1)
+    with pytest.raises(MathConstraintError, match="^q = 6 is not a prime power$"):
+        glr_coxeter_parameter(2, 6, -1, 5)
     for route in (wh_dim_glr_closed, wh_dim_oracle):
-        with pytest.raises(ValueError, match="^need r >= 1 and q >= 2$"):
+        with pytest.raises(MathConstraintError, match="^q must be a prime power >= 2$"):
             route(2, 1, 1, 0, 1, -1)
         with pytest.raises(MathConstraintError, match="^q = 6 is not a prime power$"):
             route(2, 6, 5, 0, 1, -1)
@@ -234,11 +238,17 @@ def test_parameter_refuses_a_non_integer_twist():
 
 
 def test_coxeter_parameter_matches_its_rational_definition():
-    # every n | q - 1 at r <= 3 and at r = 4, 5 on q = 2, 3; and degrees that
-    # do not divide q - 1, where D = lcm(q^r - 1, n) exceeds q^r - 1
+    # every n | q - 1 at r <= 3 and at r = 4, 5 on q = 2, 3; a degree that
+    # does not divide q - 1 is refused at every exponent, as on the other
+    # GL_r routes, so the denominator always divides q^r - 1
+    for r in (1, 2, 3):
+        for n in (5, 7, 9):
+            for a in range(5 ** r - 1):
+                with pytest.raises(MathConstraintError,
+                                   match=f"^cover degree n = {n} must divide q - 1 = 4$"):
+                    glr_coxeter_parameter(r, 5, a, n)
     cases = [(r, q, _divisors(q - 1)) for q in (2, 3, 4, 5, 7) for r in (1, 2, 3)]
     cases += [(r, q, _divisors(q - 1)) for q in (2, 3) for r in (4, 5)]
-    cases += [(r, 5, (5, 7, 9)) for r in (1, 2, 3)]
     for r, q, degrees in cases:
         r_cycle = tuple(tuple(int(i == (j + 1) % r) for j in range(r)) for i in range(r))
         assert glr_coxeter_parameter(r, q, 0).w == r_cycle
@@ -248,6 +258,7 @@ def test_coxeter_parameter_matches_its_rational_definition():
             for a in range(modulus):
                 p = glr_coxeter_parameter(r, q, a, n)
                 theta = [Fraction(a * q ** i, modulus) for i in range(r)]
+                assert modulus % p.denominator == 0, (r, q, n, a)
                 for expected in (LusztigParameter.from_theta(r_cycle, theta, central),
                                  LusztigParameter(p.w, p.denominator, p.numerators, p.central)):
                     assert p == expected and hash(p) == hash(expected), (r, q, n, a)
@@ -466,7 +477,7 @@ def test_y_x_rho_lattice_contains_the_meet():
         lat, idx = y_x_rho(KP, glr_coxeter_parameter(2, 5, a, 4))
         big = weyl_frobenius_fixed_lattice(KP.datum)
         meet = intersect(big, y_qn(KP))
-        assert lat.contains_lattice(meet)
+        assert lattice_contains(lat, meet)
         assert index(big, lat) == idx
 
 
@@ -914,11 +925,15 @@ def test_both_routes_reject_a_q_that_is_not_a_prime_power():
     for route in (wh_dim_glr_closed, wh_dim_oracle):
         with pytest.raises(MathConstraintError, match="^q = 6 is not a prime power$"):
             route(2, 6, 5, 0, 1, 1)
-        # checked after r and q >= 2 and before n | q - 1, as in the table
-        with pytest.raises(ValueError, match="need r >= 1"):
+        # checked after r and before n | q - 1, as in the table; q below 2
+        # is no prime power either
+        with pytest.raises(ValueError, match="^GL_r needs r >= 1$"):
             route(0, 6, 5, 0, 1, 1)
         with pytest.raises(MathConstraintError, match="^q = 6 is not a prime power$"):
             route(2, 6, 4, 0, 1, 1)
+        for q in (0, 1, -7):
+            with pytest.raises(MathConstraintError, match="^q must be a prime power >= 2$"):
+                route(2, q, 1, 0, 1, 1)
 
 
 def test_both_routes_reject_every_exponent_not_in_general_position():
@@ -1121,6 +1136,16 @@ def test_table_requires_a_prime_power_q():
         enumerate_glr_table(2, 6, 4, 0, 1)
 
 
+def test_table_refuses_a_q_below_2_at_any_r_without_forming_q_to_the_r():
+    # the bound on q^r - 1 applies from q = 2 on; below, the prime-power test
+    # refuses q before any power is formed ((-7)^(4 * 10^6) takes seconds)
+    start = time.perf_counter()
+    for q in (-7, 0, 1):
+        with pytest.raises(MathConstraintError, match="^q must be a prime power >= 2$"):
+            glr_table(4 * 10 ** 6, q, 1, 0, 1)
+    assert time.perf_counter() - start < 1
+
+
 def test_table_class_representatives_are_orbit_minima():
     rows, _ = enumerate_glr_table(2, 7, 2, 0, 1)
     modulus = 48
@@ -1153,18 +1178,20 @@ def test_table_matches_the_literal_reference():
 
 def test_table_blocks_match_the_per_block_filter():
     # the reach schedule against a filter that tests every live residue at
-    # every block
+    # every block; a row base + c with c < P names its block and residue
     for r, q in TABLE_CASES + TABLE_WINDOW_CASES:
         for n in _divisors(q - 1):
             for pp, qq in TABLE_FORMS:
                 table = glr_table(r, q, n, pp, qq)
                 expected = table_blocks_by_filter(table)
-                assert [(base, list(residues)) for base, residues in table.blocks()] == expected
-                histogram = {}
+                rows, histogram = enumerate_glr_table(r, q, n, pp, qq)
+                assert list(rows) == [(base + c, r, dim) for base, residues in expected
+                                      for c, _, dim in residues]
+                counted = {}
                 for _, residues in expected:
                     for _, _, dim in residues:
-                        histogram[dim] = histogram.get(dim, 0) + 1
-                assert table.histogram() == dict(sorted(histogram.items()))
+                        counted[dim] = counted.get(dim, 0) + 1
+                assert table.histogram() == histogram == dict(sorted(counted.items()))
 
 
 def test_table_worst_case_q_997():
