@@ -38,6 +38,7 @@ from math import comb, prod
 from ._frozen import Frozen
 from .errors import MathConstraintError, ResourceLimitError
 from .lattice import (
+    _as_matrix,
     congruence_index,
     congruence_kernel,
     coset_representatives,
@@ -150,7 +151,7 @@ class WeylInvariantForm(Frozen):
     _fields = ("gram",)
 
     def __init__(self, gram):
-        g = tuple(tuple(map(operator.index, row)) for row in gram)
+        g = _as_matrix(gram)
         d = len(g)
         if d < 1 or any(len(row) != d for row in g):
             raise ValueError("gram matrix must be square and non-empty")
@@ -187,8 +188,9 @@ def _check_q_and_degree(q, n):
 class CoverSpec(Frozen):
     """A root datum together with (Q, n, q); validates n | q - 1 and invariance.
 
-    ``__init__`` calls ``__post_init__`` through the class, so the validation
-    is one method that a caller can wrap.
+    Validation keeps the residue characteristic, the prime below q, as
+    ``p``.  ``__init__`` calls ``__post_init__`` through the class, so the
+    validation is one method that a caller can wrap.
     """
 
     _fields = ("datum", "form", "n", "q")
@@ -200,10 +202,7 @@ class CoverSpec(Frozen):
     def __post_init__(self):
         if self.form.rank != self.datum.rank:
             raise ValueError("form size does not match the root datum rank")
-        if not isinstance(self.n, int):
-            raise TypeError(
-                f"cover degree n must be an integer, not {type(self.n).__name__}")
-        self.__dict__["_p"] = _check_q_and_degree(self.q, self.n)
+        self.__dict__["p"] = _check_q_and_degree(self.q, self.n)
         # s_i^T G s_i = G exactly when G coroot_i = Q(coroot_i) root_i
         g, rd, qs = self.form.gram, self.datum, self.coroot_q
         for i in rd.simple_indices:
@@ -218,11 +217,6 @@ class CoverSpec(Frozen):
     @property
     def rank(self):
         return self.datum.rank
-
-    @property
-    def p(self):
-        """Residue characteristic: the prime below q."""
-        return self._p
 
     @property
     def fr(self):

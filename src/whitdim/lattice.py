@@ -70,8 +70,8 @@ def dot(u, v):
     return sum(map(mul, u, v))
 
 
-def _as_int_rows(rows):
-    return [tuple(map(operator.index, r)) for r in rows]
+def _as_matrix(rows):
+    return tuple([tuple(map(operator.index, row)) for row in rows])
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +134,7 @@ def _tail(block, m, d):
 def _kernel_block(rows, d):
     """The rows (column i of R | e_i), i < d, of the block whose span is
     {(R x, x)}, with the number m of rows of R."""
-    rows = _as_int_rows(rows)
+    rows = _as_matrix(rows)
     if any(len(r) != d for r in rows):
         raise ValueError("condition rows must have the ambient length")
     cols = zip(*rows) if rows else [()] * d
@@ -164,14 +164,6 @@ def _smith_diagonal(rows, ncols):
 # ---------------------------------------------------------------------------
 # domain types
 
-def _basis_refusal(basis, d, message):
-    """The error that refuses a basis for ``message``, unless some row has
-    the wrong length: that refusal comes first, whichever row it is."""
-    if any(len(row) != d for row in basis):
-        return ValueError("basis rows must all have the ambient length")
-    return ValueError(message)
-
-
 class Sublattice(Frozen):
     """A sublattice of Z^d, stored in canonical row Hermite normal form.
 
@@ -187,26 +179,27 @@ class Sublattice(Frozen):
         d = ambient_rank
         if not isinstance(d, int) or d < 1:
             raise ValueError("ambient rank must be a positive integer")
-        basis = tuple([tuple(map(operator.index, row)) for row in basis])
+        basis = _as_matrix(basis)
+        for row in basis:
+            if len(row) != d:
+                raise ValueError("basis rows must all have the ambient length")
         # one pass over the rows: each pivot lies right of the last one,
         # is positive, and bounds the entries above it
         last = -1
         for k, row in enumerate(basis):
-            if len(row) != d:
-                raise ValueError("basis rows must all have the ambient length")
             if not any(row):
-                raise _basis_refusal(basis, d, "zero rows are not allowed in a canonical basis")
+                raise ValueError("zero rows are not allowed in a canonical basis")
             if any(row[:last + 1]):
-                raise _basis_refusal(basis, d, "basis is not in echelon order")
+                raise ValueError("basis is not in echelon order")
             last += 1
             while not row[last]:
                 last += 1
             pivot = row[last]
             if pivot < 0:
-                raise _basis_refusal(basis, d, "pivots must be positive")
+                raise ValueError("pivots must be positive")
             for above in basis[:k]:
                 if not 0 <= above[last] < pivot:
-                    raise _basis_refusal(basis, d, "entries above a pivot must be reduced")
+                    raise ValueError("entries above a pivot must be reduced")
         self.__dict__.update(ambient_rank=d, basis=basis)
 
     @classmethod
@@ -269,7 +262,7 @@ def hermite_normal_form(rows, ambient_rank=None):
     >>> hermite_normal_form([(4, 6), (2, 2)]).basis
     ((2, 0), (0, 2))
     """
-    rows = _as_int_rows(rows)
+    rows = _as_matrix(rows)
     if ambient_rank is None:
         if not rows:
             raise ValueError("cannot infer the ambient rank from no generators")
@@ -351,7 +344,7 @@ def is_saturated(lat):
 
 def rank(rows, d):
     """Rank of the span of integer vectors of length d, by one echelon pass."""
-    rows = _as_int_rows(rows)
+    rows = _as_matrix(rows)
     if any(len(r) != d for r in rows):
         raise ValueError("rows must have length d")
     return len(_echelon(rows, d))
@@ -359,7 +352,7 @@ def rank(rows, d):
 
 def fixed_sublattice(endomorphisms, ambient_rank=None):
     """Joint fixed lattice: the intersection over M of ker(M - I) in Z^d."""
-    mats = [tuple(tuple(map(operator.index, row)) for row in m) for m in endomorphisms]
+    mats = [_as_matrix(m) for m in endomorphisms]
     if ambient_rank is None:
         if not mats:
             raise ValueError("ambient rank is required when no endomorphisms are given")
@@ -384,7 +377,7 @@ def congruence_index(rows, modulus):
     """
     if modulus < 1:
         raise ValueError("modulus must be positive")
-    rows = _as_int_rows(rows)
+    rows = _as_matrix(rows)
     if not rows:
         return 1
     if any(len(r) != len(rows[0]) for r in rows):

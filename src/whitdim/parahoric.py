@@ -86,17 +86,10 @@ class _PointRoots(Frozen):
     """The roots of a datum at a point x: ``x`` as the caller gave it, the
     coordinates as integer ``numerators`` over their least common
     ``denominator`` D, (index, root(x)) for each root integral at x, and
-    Lambda_x, the Hermite form of the span of their coroots.  Mutable, so
-    unhashable."""
+    Lambda_x, the Hermite form of the span of their coroots.  Frozen and
+    hashable, like every value class."""
 
     _fields = ("x", "point", "denominator", "numerators", "integral", "coroot_span")
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None
-
-    def __init__(self, x, point, denominator, numerators, integral, coroot_span):
-        self.__dict__.update(x=x, point=point, denominator=denominator, numerators=numerators,
-                             integral=integral, coroot_span=coroot_span)
 
 
 def _integral_roots(rd, x):
@@ -159,10 +152,6 @@ class ResidualRootData(Frozen):
     """
 
     _fields = ("point", "phi_x", "iota", "coroot_span", "form_at_x", "denominator")
-
-    def __init__(self, point, phi_x, iota, coroot_span, form_at_x, denominator):
-        self.__dict__.update(point=point, phi_x=phi_x, iota=iota, coroot_span=coroot_span,
-                             form_at_x=form_at_x, denominator=denominator)
 
     @cached_property
     def _lambda(self):

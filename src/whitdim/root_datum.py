@@ -33,6 +33,7 @@ from ._frozen import Frozen
 from .errors import MathConstraintError, ResourceLimitError
 from .lattice import (
     Sublattice,
+    _as_matrix,
     dot,
     fixed_sublattice,
     hermite_normal_form,
@@ -54,10 +55,6 @@ MAX_WEYL_ORDER = 40_320
 
 #: Largest r accepted by :func:`build_glr`; validating the datum costs about r^3.
 MAX_GLR_RANK = 16
-
-
-def _as_matrix(rows):
-    return tuple(tuple(map(operator.index, row)) for row in rows)
 
 
 class FrobeniusAction(Frozen):
@@ -338,9 +335,6 @@ class WeylGroup(Frozen):
     orbits are answered from the elements, closed on first use."""
 
     _fields = ("rank", "simple_pairs", "order", "blocks")
-
-    def __init__(self, rank, simple_pairs, order, blocks):
-        self.__dict__.update(rank=rank, simple_pairs=simple_pairs, order=order, blocks=blocks)
 
     @cached_property
     def elements(self):

@@ -62,6 +62,7 @@ from ._frozen import Frozen
 from .cover import _check_q_and_degree, m_qr
 from .errors import GeneralPositionError, MathConstraintError, ResourceLimitError
 from .lattice import (
+    _as_matrix,
     congruence_index,
     hermite_normal_form,
     index,
@@ -88,7 +89,7 @@ class LusztigParameter(Frozen):
     _fields = ("w", "denominator", "numerators", "central")
 
     def __init__(self, w, denominator, numerators, central=0):
-        w = tuple([tuple(map(operator.index, row)) for row in w])
+        w = _as_matrix(w)
         denom = operator.index(denominator)
         if denom < 1:
             raise ValueError("the denominator must be a positive integer")
@@ -386,22 +387,18 @@ def squeeze_bounds(cover):
     return congruence_index(pairings, cover.n), congruence_index(twists, cover.n)
 
 
-#: Largest r * q.bit_length() for which the table guard's message forms q^r
-#: to print it.  Every q^r - 1 short enough for int-to-str conversion (4,300
-#: digits by default) is below 2^14,285, and r * q.bit_length() is less than
-#: twice log2(q^r).
-_PRINTED_POWER_BITS = 1 << 16
+#: Largest r * q.bit_length() for which the table guard's message quotes
+#: q^r - 1: then q^r < 2^2,000 has at most 603 digits, below 640, the least
+#: int-to-str limit Python accepts.
+_PRINTED_POWER_BITS = 2_000
 
 
 def _table_bound_error(q, r):
     """The error for q^r - 1 above :data:`MAX_TABLE_ORDER`, quoting q^r - 1
-    when it is cheap to form and short enough to print."""
-    if r * q.bit_length() <= _PRINTED_POWER_BITS:
-        try:
-            return ResourceLimitError(
-                f"q^r - 1 = {q ** r - 1} exceeds the enumeration bound {MAX_TABLE_ORDER}")
-        except ValueError:  # more digits than int-to-str conversion allows
-            pass
+    for an int q when it is short enough to print, naming r otherwise."""
+    if isinstance(q, int) and r * q.bit_length() <= _PRINTED_POWER_BITS:
+        return ResourceLimitError(
+            f"q^r - 1 = {q ** r - 1} exceeds the enumeration bound {MAX_TABLE_ORDER}")
     return ResourceLimitError(
         f"q^r - 1 with r = {r} exceeds the enumeration bound {MAX_TABLE_ORDER}")
 
@@ -421,9 +418,6 @@ class GLrTable(Frozen):
     """
 
     _fields = ("r", "modulus", "period", "emitting")
-
-    def __init__(self, r, modulus, period, emitting):
-        self.__dict__.update(r=r, modulus=modulus, period=period, emitting=emitting)
 
     @cached_property
     def schedule(self):

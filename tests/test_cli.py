@@ -126,6 +126,15 @@ def test_info_rank_beyond_the_form_exits_2_quickly(capsys, tmp_path):
     assert err == "error: form size does not match the root datum rank\n"
 
 
+def test_info_form_beyond_the_rank_exits_2(capsys, tmp_path):
+    doc = {"rank": 1, "roots": [], "coroots": [], "simple": [],
+           "bq": [[2, 0], [0, 2]], "n": 1, "q": 3}
+    path = tmp_path / "small_rank.json"
+    path.write_text(json.dumps(doc))
+    assert run(capsys, ["info", str(path)]) == (
+        2, "", "error: form size does not match the root datum rank\n")
+
+
 # ---------------------------------------------------------------------------
 # residual
 
@@ -314,6 +323,26 @@ def test_table_guard_quotes_q_to_the_r_when_it_prints(capsys):
     assert out == "" and err == "error: q^r - 1 = 2097151 exceeds the enumeration bound 1000000\n"
 
 
+@pytest.mark.parametrize("r,q,quoted", [
+    (1, 2 ** 1999, True),  # r * q.bit_length() = 2,000: 602 digits
+    (1, 2 ** 2000, False),
+    (1001, 2, False),
+    (25, 5.0, False),  # a float q past the bound meets the size guard first
+    (10, 5.0, False),
+], ids=["2^1999", "2^2000", "2^1001", "5.0^25", "5.0^10"])
+def test_table_guard_quotes_q_to_the_r_up_to_2000_bits(r, q, quoted):
+    limit = sys.get_int_max_str_digits()
+    # 640 digits, the least limit Python accepts, still prints a quoted power
+    sys.set_int_max_str_digits(640)
+    try:
+        with pytest.raises(ResourceLimitError) as caught:
+            glr_table(r, q, 1, 0, 1)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    power = f"= {q ** r - 1}" if quoted else f"with r = {r}"
+    assert str(caught.value) == f"q^r - 1 {power} exceeds the enumeration bound 1000000"
+
+
 def test_table_q_not_a_prime_power_exits_3_like_whittaker(capsys):
     args = ["--r", "2", "--q", "6", "--n", "5", "--pp", "0", "--qq", "1"]
     code, out, err = run(capsys, ["table", *args])
@@ -347,6 +376,7 @@ GLR_FAULTS = [
     ({"q": 1, "n": 1}, MathConstraintError, "q must be a prime power >= 2"),
     ({"q": 6, "n": 1}, MathConstraintError, "q = 6 is not a prime power"),
     ({"n": 0}, ValueError, "cover degree n must be a positive integer"),
+    ({"n": 4.0}, TypeError, "'float' object cannot be interpreted as an integer"),
     ({"n": 3}, MathConstraintError, "cover degree n = 3 must divide q - 1 = 4"),
     ({"a": 24}, ValueError, "exponent a must lie in [0, q^r - 1) = [0, 24)"),
     ({"a": -1}, ValueError, "exponent a must lie in [0, q^r - 1) = [0, 24)"),

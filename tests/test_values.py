@@ -29,6 +29,8 @@ from whitdim import (
     residual_extension,
     weyl_group,
 )
+import whitdim.cli  # noqa: F401  (defines no value class, which the walk below checks)
+from whitdim._frozen import Frozen
 from whitdim.parahoric import _PointRoots, _integral_roots
 from whitdim.whittaker import GLrTable, glr_table
 
@@ -36,6 +38,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 GL2_ROOTS = ((1, -1), (-1, 1))
 SWAP = ((0, 1), (1, 0))
+POINT_FIELDS = ("x", "point", "denominator", "numerators", "integral", "coroot_span")
 
 
 def _cases():
@@ -43,6 +46,7 @@ def _cases():
     cover = glr_cover(2, 0, 1, 4, 5)
     residual = residual_extension(cover, (Fraction(1, 2), Fraction(-1, 2)))
     group = weyl_group(build_glr(2))
+    point = _integral_roots(build_glr(2), (Fraction(1, 2), Fraction(-1, 2)))
     table = glr_table(2, 5, 4, 0, 1)
     return [
         (Sublattice, ("ambient_rank", "basis"), (2, ((2, 1), (0, 3)))),
@@ -58,6 +62,7 @@ def _cases():
         (ResidualRootData, ("point", "phi_x", "iota", "coroot_span", "form_at_x", "denominator"),
          tuple(getattr(residual, name) for name in
                ("point", "phi_x", "iota", "coroot_span", "form_at_x", "denominator"))),
+        (_PointRoots, POINT_FIELDS, tuple(getattr(point, name) for name in POINT_FIELDS)),
         (LusztigParameter, ("w", "denominator", "numerators", "central"),
          (SWAP, 5, (1, 3), 2)),
         (GLrTable, ("r", "modulus", "period", "emitting"),
@@ -116,22 +121,39 @@ def test_values_found_by_validation_stay_out_of_equality():
     assert (frobenius.order, frobenius.inverse) == (2, SWAP)
     assert repr(frobenius) == f"FrobeniusAction(matrix={SWAP!r})"
     cover = glr_cover(2, 0, 1, 4, 5)
-    assert cover.p == 5 and "_p" not in repr(cover)
+    assert cover.p == vars(cover)["p"] == 5 and "p=" not in repr(cover)
 
 
-def test_point_record_stays_mutable():
-    datum = build_glr(2)
-    record = _integral_roots(datum, (Fraction(1, 2), Fraction(-1, 2)))
-    assert isinstance(record, _PointRoots)
-    with pytest.raises(TypeError):
-        hash(record)
-    copy = _PointRoots(record.x, record.point, record.denominator, record.numerators,
-                       record.integral, record.coroot_span)
-    assert copy == record
-    copy.denominator = 3
-    assert copy.denominator == 3 and copy != record
-    del copy.denominator
-    assert "denominator" not in vars(copy)
+def test_every_value_class_is_a_case():
+    """Every subclass of the frozen base that whitdim or its command line
+    defines is a case of ``test_value_semantics``."""
+    found, unseen = set(), [Frozen]
+    while unseen:
+        for cls in unseen.pop().__subclasses__():
+            if cls.__module__.split(".")[0] == "whitdim" and cls not in found:
+                found.add(cls)
+                unseen.append(cls)
+    assert found == {case[0] for case in CASES}
+
+
+class Pair(Frozen):
+    """Two fields and nothing to check: the base's constructor stores them."""
+
+    _fields = ("a", "b")
+
+
+@pytest.mark.parametrize("args, kwargs", [
+    ((1,), {}),
+    ((1, 2, 3), {}),
+    ((1,), {"b": 2, "c": 3}),
+    ((1,), {"a": 1, "b": 2}),
+    ((), {"a": 1}),
+])
+def test_the_base_refuses_a_wrong_count_or_name(args, kwargs):
+    assert vars(Pair(1, 2)) == vars(Pair(b=2, a=1)) == {"a": 1, "b": 2}
+    with pytest.raises(TypeError, match=r"^Pair\(\) takes the fields a, b, each once, by "
+                                        "position or keyword$"):
+        Pair(*args, **kwargs)
 
 
 def test_building_a_cover_calls_post_init_on_the_class(monkeypatch):
