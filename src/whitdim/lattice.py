@@ -176,8 +176,8 @@ class Sublattice(Frozen):
     _fields = ("ambient_rank", "basis")
 
     def __init__(self, ambient_rank, basis):
-        d = ambient_rank
-        if not isinstance(d, int) or d < 1:
+        d = operator.index(ambient_rank)
+        if d < 1:
             raise ValueError("ambient rank must be a positive integer")
         basis = _as_matrix(basis)
         for row in basis:

@@ -19,8 +19,8 @@ cover on the datum.  A repeated point is recognised as the same object, or
 by its numerators.  The integral roots at x are closed under negation, and
 on validated data their coroots span a space of the same dimension, so
 ``is_vertex`` reads the rank of Lambda_x.  The cover keeps Q on the coroots
-and the :class:`ResidualRootData` of the last point, whose lattice of
-extended coroots is Lambda_x with B(h, x) appended to each basis row h: as
+and the :class:`ResidualRootData` of the last point, which holds its lattice
+of extended coroots: Lambda_x with B(h, x) appended to each basis row h; as
 G alpha^vee = Q(alpha^vee) alpha on every root, B(alpha^vee, x) =
 alpha(x) Q(alpha^vee), so no second echelon is needed.
 ``residual_derived_simply_connected`` reads its Smith factors and
@@ -33,7 +33,6 @@ from __future__ import annotations
 import operator
 import re
 from fractions import Fraction
-from functools import cached_property
 from math import lcm
 
 from ._frozen import Frozen
@@ -145,41 +144,22 @@ class ResidualRootData(Frozen):
 
     ``iota[k]`` is the image of the coroot paired with root index
     ``phi_x[k]``: its first d coordinates are the coroot itself and the last
-    coordinate is root(x) * Q(coroot).  ``coroot_span`` is Lambda_x, the
-    Hermite form of the integral coroots, which the datum keeps for every
-    cover on it, and ``form_at_x`` is G (D x) for the gram G and the common
-    denominator D = ``denominator`` of x.
+    coordinate is root(x) * Q(coroot).  ``lambda_lattice`` is the span of
+    the extended coroots inside Z^(d+1).
     """
 
-    _fields = ("point", "phi_x", "iota", "coroot_span", "form_at_x", "denominator")
-
-    @cached_property
-    def _lambda(self):
-        """{(h, B(h, x)) : h a basis row of Lambda_x}.  y -> (y, B(y, x)) is
-        linear, and B(alpha^vee, x) = alpha(x) Q(alpha^vee) because
-        G alpha^vee = Q(alpha^vee) alpha on every root of a validated cover,
-        so these rows span what the rows of iota span.  Their pivots lie in
-        the first d coordinates, so they are in Hermite normal form as they
-        stand."""
-        rows = []
-        for h in self.coroot_span.basis:
-            value, rest = divmod(dot(h, self.form_at_x), self.denominator)
-            if rest:
-                raise RuntimeError(
-                    f"internal consistency: B({h}, x) is not an integer at {self.point}")
-            rows.append(h + (value,))
-        return Sublattice(len(self.form_at_x) + 1, tuple(rows))
-
-    def lambda_lattice(self):
-        """Span of the extended coroots inside Z^(d+1), built once per record."""
-        return self._lambda
+    _fields = ("point", "phi_x", "iota", "lambda_lattice")
 
 
 def residual_extension(cover, x):
     """Extended coroot table at x: coroot -> (coroot, root(x) * Q(coroot)).
 
-    The record of the last point asked about is kept in the cover's instance
-    dict, so the residual functions at one point share it and its lattice.
+    The lattice is built with the table, once: y -> (y, B(y, x)) is linear,
+    so the rows (h, B(h, x)) for h a basis row of Lambda_x span what the
+    rows of iota span (see the module docstring), and their pivots lie in
+    the first d coordinates, so they are in Hermite normal form as they
+    stand.  The record of the last point asked about is kept in the cover's
+    instance dict, so the residual functions at one point share it.
     """
     rd = cover.datum
     roots_at_x = _integral_roots(rd, x)
@@ -189,10 +169,17 @@ def residual_extension(cover, x):
     coroots, q = rd.coroots, cover.coroot_q
     integral = roots_at_x.integral
     iota = tuple([coroots[i] + (value * q[i],) for i, value in integral])
+    # G (D x) for the common denominator D of x, so B(h, x) = h . G (D x) / D
+    form_at_x = mat_vec(cover.form.gram, roots_at_x.numerators)
+    rows = []
+    for h in roots_at_x.coroot_span.basis:
+        value, rest = divmod(dot(h, form_at_x), roots_at_x.denominator)
+        if rest:
+            raise RuntimeError(
+                f"internal consistency: B({h}, x) is not an integer at {roots_at_x.point}")
+        rows.append(h + (value,))
     last = ResidualRootData(roots_at_x.point, tuple([i for i, _ in integral]), iota,
-                            roots_at_x.coroot_span,
-                            mat_vec(cover.form.gram, roots_at_x.numerators),
-                            roots_at_x.denominator)
+                            Sublattice(rd.rank + 1, tuple(rows)))
     cover.__dict__["_residual"] = last
     return last
 
@@ -211,7 +198,7 @@ def is_vertex(rd, x):
 
 def residual_derived_simply_connected(cover, x):
     """True iff the span of the extended coroots is saturated in Z^(d+1)."""
-    return is_saturated(residual_extension(cover, x).lambda_lattice())
+    return is_saturated(residual_extension(cover, x).lambda_lattice)
 
 
 def residual_splits(cover, x):
@@ -223,7 +210,7 @@ def residual_splits(cover, x):
     so as equations it has the same integer solutions.
     """
     rd = cover.datum
-    basis = residual_extension(cover, x).lambda_lattice().basis
+    basis = residual_extension(cover, x).lambda_lattice.basis
     rows = [v[:-1] for v in basis]
     rhs = [v[-1] for v in basis]
     if not any(rhs):

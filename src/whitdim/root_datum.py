@@ -60,8 +60,8 @@ MAX_GLR_RANK = 16
 class FrobeniusAction(Frozen):
     """A finite-order integer matrix acting on the cocharacter lattice Y.
 
-    Building it decides ``order`` (at most MAX_FROBENIUS_ORDER) and keeps the
-    power before the identity as ``inverse``.
+    Building it decides ``order`` (at most MAX_FROBENIUS_ORDER); the matrix
+    and its order are all it keeps.
     """
 
     _fields = ("matrix",)
@@ -75,19 +75,15 @@ class FrobeniusAction(Frozen):
         # the nonzero entries of each row, so that a signed permutation
         # matrix costs O(d^2) per power rather than d^3
         sparse = [[(j, x) for j, x in enumerate(row) if x] for row in mat]
-        # acc is mat^k and inverse mat^(k-1), which is the inverse once acc
-        # is the identity
-        acc, inverse = mat, identity
-        order = None
-        for k in range(1, MAX_FROBENIUS_ORDER + 1):
+        acc = mat  # mat^order
+        for order in range(1, MAX_FROBENIUS_ORDER + 1):
             if acc == identity:
-                order = k
                 break
-            inverse, acc = acc, tuple(_row_times(row, sparse, d) for row in acc)
-        if order is None:
+            acc = tuple(_row_times(row, sparse, d) for row in acc)
+        else:
             raise MathConstraintError(
                 f"Frobenius matrix must have finite order <= {MAX_FROBENIUS_ORDER}")
-        self.__dict__.update(matrix=mat, order=order, inverse=inverse)
+        self.__dict__.update(matrix=mat, order=order)
 
     @property
     def rank(self):
@@ -232,8 +228,8 @@ class BasedRootDatum(Frozen):
     _fields = ("rank", "roots", "coroots", "simple_indices", "fr")
 
     def __init__(self, rank, roots, coroots, simple_indices, fr=None, _grow=False):
-        d = rank
-        if not isinstance(d, int) or d < 1:
+        d = operator.index(rank)
+        if d < 1:
             raise ValueError("rank must be a positive integer")
         roots = _as_matrix(roots)
         coroots = _as_matrix(coroots)
@@ -278,8 +274,10 @@ class BasedRootDatum(Frozen):
             if simple_coroots and {mat_vec(f, coroots[i]) for i in simple} != simple_coroots:
                 raise _refusal(roots, coroots, simple,
                                "Frobenius does not preserve the simple coroots")
-            fx = transpose(fr.inverse)
-            if root_set and {mat_vec(fx, r) for r in roots} != root_set:
+            # F^T is injective, so it maps the finite root set onto itself
+            # exactly when its inverse, the action on X, does
+            ft = transpose(f)
+            if root_set and {mat_vec(ft, r) for r in roots} != root_set:
                 raise _refusal(roots, coroots, simple,
                                "the dual Frobenius does not permute the roots")
 
@@ -332,7 +330,9 @@ class WeylGroup(Frozen):
     to itself, acting on X as on Y.  Membership is :meth:`permutation`,
     which keeps the last twist it decided, and orbits compare the sets of
     entries in each block.  Otherwise ``blocks`` is None, and membership and
-    orbits are answered from the elements, closed on first use."""
+    orbits are answered from the elements, closed on first use and kept
+    once, as their action on Y: an orbit reads the action on X of each
+    element's inverse off its columns."""
 
     _fields = ("rank", "simple_pairs", "order", "blocks")
 
@@ -396,23 +396,18 @@ class WeylGroup(Frozen):
             self.__dict__["_last_twist"] = (m, p)
         return p
 
-    @cached_property
-    def x_action(self):
-        """The transposes of ``elements``, index-aligned: ``x_action[i]`` acts
-        on X as ``elements[i]`` inverted, so the tuple runs over the group."""
-        return tuple(transpose(m) for m in self.elements)
-
     def orbit(self, v, denom, w, f):
         """A test for the W-orbit of the exponents v mod denom, or None when
         v is not in general position for the twist w Fr: some element other
         than the identity fixes v and commutes with w Fr.
 
-        Other data than block data map v by every element and search its
-        stabilizer for an element commuting with w Fr.  On block data v is
-        in general position exactly when its entries are distinct within
-        each block, whatever the twist.  Then a list u of the same length
-        lies in the orbit exactly when each block holds the same set of
-        entries in u as in v; with one block that is one set.
+        Other data than block data map v by every element's transpose, one
+        column at a time, and search its stabilizer for an element commuting
+        with w Fr.  On block data v is in general position exactly when its
+        entries are distinct within each block, whatever the twist.  Then a
+        list u of the same length lies in the orbit exactly when each block
+        holds the same set of entries in u as in v; with one block that is
+        one set.
 
         The stabilizer of v is the Young subgroup H of equal entries.  Let
         g = w Fr.  Fr permutes the simple coroots, so g normalizes W; and
@@ -439,8 +434,8 @@ class WeylGroup(Frozen):
             if any(len(s) < len(block) for s, block in zip(sets, blocks)):
                 return None
             return lambda u: [frozenset([u[i] for i in block]) for block in blocks] == sets
-        images = [tuple(sum(a * t for a, t in zip(row, v)) % denom for row in mt)
-                  for mt in self.x_action]
+        images = [tuple([sum(map(operator.mul, col, v)) % denom for col in zip(*m)])
+                  for m in self.elements]
         stabilizer = [m for m, image in zip(self.elements[1:], images[1:]) if image == v]
         if stabilizer:
             wf = mat_mul(w, f)
@@ -572,7 +567,7 @@ def build_sp2r(r):
 
 def build_torus(d, fr=None):
     """Rank-d torus: no roots, with the given Frobenius action on Y."""
-    if d < 1:
+    if operator.index(d) < 1:
         raise ValueError("a torus needs rank >= 1")
     if fr is not None and not isinstance(fr, FrobeniusAction):
         fr = FrobeniusAction(fr)

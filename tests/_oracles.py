@@ -400,6 +400,39 @@ def _naive_product(a, b):
     return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
 
 
+def frobenius_inverse_dense(mat, limit=24):
+    """F^-1 for an integer matrix F of finite order k: the power F^(k-1)
+    before the first power that is the identity, each power a dense
+    product; None when no power up to ``limit`` is the identity."""
+    d = len(mat)
+    identity = [[int(i == j) for j in range(d)] for i in range(d)]
+    previous, power = identity, [list(row) for row in mat]
+    for _ in range(limit):
+        if power == identity:
+            return previous
+        previous, power = power, _naive_product(power, mat)
+    return None
+
+
+def frobenius_refusal_reference(roots, coroots, simple, mat):
+    """The message of the first Frobenius check of validation that F fails,
+    or None: F permutes the coroots, F preserves the simple coroots, and
+    F^-T, with F^-1 from :func:`frobenius_inverse_dense`, permutes the
+    roots.  Every image is a dense product with a column vector."""
+    def images(m, vectors):
+        return {tuple(row[0] for row in _naive_product(m, [[x] for x in v])) for v in vectors}
+
+    roots, coroots = set(map(tuple, roots)), list(map(tuple, coroots))
+    simple_coroots = [coroots[i] for i in simple]
+    if images(mat, coroots) != set(coroots):
+        return "Frobenius does not permute the coroots"
+    if images(mat, simple_coroots) != set(simple_coroots):
+        return "Frobenius does not preserve the simple coroots"
+    if images(transpose(frobenius_inverse_dense(mat)), roots) != roots:
+        return "the dual Frobenius does not permute the roots"
+    return None
+
+
 def _reflection_matrix(root, coroot):
     """I - coroot root^T, entry by entry: y -> y - <root, y> coroot on Y."""
     d = len(root)
@@ -630,10 +663,13 @@ def is_vertex_reference(rd, x):
 def canonical_basis_refusal(d, basis):
     """(exception type, message) that ``Sublattice(d, basis)`` raises, or
     None when the basis is canonical; the message is None for a TypeError.
-    The checks run in stages: the ambient rank, every entry an integer,
-    every row of length d, then row by row a nonzero row, a pivot right of
-    the last one, a positive pivot and reduced entries above it."""
-    if not isinstance(d, int) or d < 1:
+    The checks run in stages: the ambient rank an integer, then positive,
+    every entry an integer, every row of length d, then row by row a nonzero
+    row, a pivot right of the last one, a positive pivot and reduced entries
+    above it."""
+    if not isinstance(d, int):
+        return TypeError, None
+    if d < 1:
         return ValueError, "ambient rank must be a positive integer"
     if any(not isinstance(x, int) for row in basis for x in row):
         return TypeError, None

@@ -421,10 +421,12 @@ def test_residual_calls_build_one_lambda_lattice_per_point(hnf_rows):
                 generators = (tuple(datum.coroots[i] for i in datum.simple_indices)
                               if len(ext.phi_x) == len(datum.roots) else positive)
                 assert hnf_rows.count(generators) == (visit == k + 1 == 1 and len(positive) > 0), x
-                assert ext.coroot_span is _integral_roots(datum, x).coroot_span
+                # the lattice extends the rows of the datum's Lambda_x
+                assert (tuple(row[:-1] for row in ext.lambda_lattice.basis)
+                        == _integral_roots(datum, x).coroot_span.basis), x
                 rows = [row for row, i in zip(ext.iota, ext.phi_x) if datum.heights[i] > 0]
-                assert ext.lambda_lattice() == (hermite_normal_form(rows, 4) if rows
-                                                else Sublattice.zero(4)), x
+                assert ext.lambda_lattice == (hermite_normal_form(rows, 4) if rows
+                                              else Sublattice.zero(4)), x
                 assert answers == (residual_extension(fresh, x), residual_splits(fresh, x),
                                    residual_derived_simply_connected(fresh, x),
                                    is_vertex(fresh.datum, x)), x

@@ -17,6 +17,7 @@ from whitdim import (
     Sublattice,
     WeylInvariantForm,
     build_glr,
+    build_torus,
     glr_cover,
     is_general_position,
 )
@@ -31,7 +32,13 @@ REFUSALS = {
         ValueError, "rank must be a positive integer"),
     "datum rank not an integer": (
         lambda: BasedRootDatum(2.0, GL2_ROOTS, GL2_ROOTS, (0,)),
-        ValueError, "rank must be a positive integer"),
+        TypeError, "'float' object cannot be interpreted as an integer"),
+    "torus rank not an integer": (
+        lambda: build_torus(2.0),
+        TypeError, "'float' object cannot be interpreted as an integer"),
+    "lattice rank not an integer": (
+        lambda: Sublattice(2.0, ()),
+        TypeError, "'float' object cannot be interpreted as an integer"),
     "roots not index-paired": (
         lambda: BasedRootDatum(2, GL2_ROOTS, GL2_ROOTS[:1], (0,)),
         ValueError, "roots and coroots must be index-paired"),
@@ -101,3 +108,10 @@ def test_refusal(call, error, message):
     with pytest.raises(error) as caught:
         call()
     assert type(caught.value) is error and str(caught.value) == message
+
+
+def test_a_boolean_rank_is_stored_as_an_int():
+    datum = BasedRootDatum(True, (), (), ())
+    assert type(datum.rank) is int and datum == build_torus(1)
+    lattice = Sublattice(True, ())
+    assert type(lattice.ambient_rank) is int and lattice == Sublattice.zero(1)

@@ -438,7 +438,7 @@ def test_lambda_and_is_vertex_match_the_references_at_seeded_points():
     for seed, cover in enumerate(_covers()):
         rd = cover.datum
         for x in _points(rd, seed):
-            lam = residual_extension(cover, x).lambda_lattice()
+            lam = residual_extension(cover, x).lambda_lattice
             assert lam.basis == lambda_lattice_reference(cover, x), (rd.roots, cover.form, x)
             vertex = is_vertex(rd, x)
             assert vertex == is_vertex_reference(rd, x), (rd.roots, x)

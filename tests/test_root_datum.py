@@ -1,4 +1,5 @@
 import gc
+import random
 import time
 import weakref
 from math import factorial
@@ -40,6 +41,8 @@ from whitdim.whittaker import LusztigParameter, is_general_position, y_x_rho
 
 from _oracles import (
     close_root_system_dense,
+    frobenius_inverse_dense,
+    frobenius_refusal_reference,
     rational_rank,
     rational_solve,
     simple_reflection_matrices,
@@ -252,7 +255,7 @@ def test_weyl_guard_refuses_large_groups_before_any_closure():
         start = time.perf_counter()
         group = weyl_group(cover.datum)
         assert group.order == weyl_order(cover.datum) > 40320 and group.blocks is None
-        refusals = [lambda: group.elements, lambda: group.x_action,
+        refusals = [lambda: group.elements,
                     lambda: identity in group,
                     lambda: group.orbit((0,) * d, 1, identity, identity),
                     lambda: y_x_rho(cover, param),
@@ -309,7 +312,7 @@ def test_a_closure_that_disagrees_with_the_heights_is_an_internal_error(monkeypa
 def test_weyl_group_held_by_its_datum():
     rd = build_glr(4)
     assert weyl_group(rd) is weyl_group(rd)
-    assert weyl_group(rd).x_action is weyl_group(rd).x_action
+    assert weyl_group(rd).elements is weyl_group(rd).elements
 
 
 def test_equal_data_built_separately_hold_their_own_groups():
@@ -322,18 +325,24 @@ def test_equal_data_built_separately_hold_their_own_groups():
 def test_weyl_group_freed_with_its_datum():
     rd = build_sp2r(3)
     group = weyl_group(rd)
-    assert len(group.elements) == 48 and len(group.x_action) == 48 and group.elements[0] in group
+    assert len(group.elements) == 48 and group.elements[0] in group
     ref = weakref.ref(rd)
     del rd, group
     gc.collect()
     assert ref() is None
 
 
-def test_weyl_membership_and_x_action():
+def test_weyl_membership_and_orbit_images():
     group = weyl_group(build_sp2r(2))
     assert all(m in group for m in group.elements)
     assert ((0, 1), (1, 0)) in group and ((1, 1), (0, 1)) not in group
-    assert group.x_action == tuple(transpose(m) for m in group.elements)
+    # the orbit of v mod D is the set of images m^T v, each m^T a dense
+    # transpose of an element
+    v, denom = (1, 3), 7
+    images = {tuple(x % denom for x in mat_vec(transpose(m), v)) for m in group.elements}
+    in_orbit = group.orbit(v, denom, group.elements[0], identity_matrix(2))
+    assert len(images) == 8
+    assert {(a, b) for a in range(denom) for b in range(denom) if in_orbit((a, b))} == images
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +374,7 @@ def test_derived_simply_connected():
 
 def test_frobenius_commutes_with_pairing():
     fr = FrobeniusAction(((0, 1), (1, 0)))
-    fx = transpose(fr.inverse)
+    fx = transpose(frobenius_inverse_dense(fr.matrix))
     for i in range(2):
         x = tuple(int(k == i) for k in range(2))
         for j in range(2):
@@ -412,10 +421,7 @@ def _assert_order_as_dense(mat):
         with pytest.raises(MathConstraintError, match="finite order <= 24$"):
             FrobeniusAction(mat)
     else:
-        fr = FrobeniusAction(mat)
-        assert fr.order == expected
-        d = len(mat)
-        assert _naive_mul(fr.inverse, mat) == [[int(i == j) for j in range(d)] for i in range(d)]
+        assert FrobeniusAction(mat).order == expected
 
 
 #: Every Frobenius matrix the test suite builds, the refused ones included.
@@ -435,16 +441,14 @@ def test_frobenius_order_matches_dense_powers_on_suite_matrices(mat):
     _assert_order_as_dense(mat)
 
 
-@st.composite
-def conjugated_signed_permutations(draw):
-    """U P U^-1 for a signed permutation matrix P and a product U of
-    elementary matrices: a dense matrix of the same order as P."""
-    d = draw(st.integers(1, 5))
-    perm = draw(st.permutations(range(d)))
-    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=d, max_size=d))
+def _signed_permutation_conjugate(perm, signs, elementary):
+    """U P U^-1 for the signed permutation matrix P with signs[i] in column
+    perm[i] of row i and U the product of the elementary matrices
+    I + c E_ij, (i, j, c) in ``elementary`` with i != j: a dense matrix of
+    the same order as P."""
+    d = len(perm)
     mat = [[signs[i] if j == perm[i] else 0 for j in range(d)] for i in range(d)]
-    pairs = st.tuples(st.integers(0, d - 1), st.integers(0, d - 1), st.integers(-2, 2))
-    for i, j, c in draw(st.lists(pairs, max_size=4)):
+    for i, j, c in elementary:
         if i != j:
             elem = [[int(a == b) + (c if (a, b) == (i, j) else 0) for b in range(d)]
                     for a in range(d)]
@@ -452,6 +456,16 @@ def conjugated_signed_permutations(draw):
                    for a in range(d)]
             mat = _naive_mul(_naive_mul(elem, mat), inv)
     return mat
+
+
+@st.composite
+def conjugated_signed_permutations(draw):
+    """:func:`_signed_permutation_conjugate` of drawn inputs."""
+    d = draw(st.integers(1, 5))
+    perm = draw(st.permutations(range(d)))
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=d, max_size=d))
+    pairs = st.tuples(st.integers(0, d - 1), st.integers(0, d - 1), st.integers(-2, 2))
+    return _signed_permutation_conjugate(perm, signs, draw(st.lists(pairs, max_size=4)))
 
 
 @given(conjugated_signed_permutations())
@@ -476,19 +490,41 @@ def test_long_frobenius_cycle_is_refused_quickly():
     assert time.perf_counter() - start < 0.3
 
 
-def test_large_permutation_frobenius_and_inverse_are_quick():
-    # twelve 8-cycles and eight 3-cycles: order 24, so the inverse is the
-    # 23rd power
+def test_large_permutation_frobenius_order_is_quick():
+    # twelve 8-cycles and eight 3-cycles: order 24, the largest accepted, so
+    # every power up to the 24th is formed
     lengths = [8] * 12 + [3] * 8
     starts = [sum(lengths[:k]) for k in range(len(lengths))]
     perm = [s + (i + 1) % n for s, n in zip(starts, lengths) for i in range(n)]
     d = len(perm)
     start = time.perf_counter()
     fr = FrobeniusAction([[int(j == perm[i]) for j in range(d)] for i in range(d)])
-    inverse = fr.inverse
     assert time.perf_counter() - start < 0.3
     assert fr.order == 24
-    assert all(inverse[perm[i]][i] == 1 for i in range(d))
+
+
+def test_dual_frobenius_check_matches_the_inverse_transpose():
+    # validation maps the roots by F^T; the reference inverts F by dense
+    # powers and maps them by F^-T, after the two coroot checks
+    rng = random.Random(0)
+    seen = set()
+    for rd in (build_glr(3), build_slr(3), build_sp2r(2), build_torus(3)):
+        d = rd.rank
+        for _ in range(1500):
+            elementary = [(rng.randrange(d), rng.randrange(d), rng.randint(-2, 2))
+                          for _ in range(rng.randint(0, 3))]
+            mat = _signed_permutation_conjugate(rng.sample(range(d), d),
+                                                [rng.choice((1, -1)) for _ in range(d)],
+                                                elementary)
+            expected = frobenius_refusal_reference(rd.roots, rd.coroots, rd.simple_indices, mat)
+            try:
+                BasedRootDatum(d, rd.roots, rd.coroots, rd.simple_indices, FrobeniusAction(mat))
+                refusal = None
+            except MathConstraintError as exc:
+                refusal = str(exc)
+            assert refusal == expected, (rd.roots, mat)
+            seen.add(refusal)
+    assert {None, "the dual Frobenius does not permute the roots"} <= seen
 
 
 def test_bad_pairing_rejected():

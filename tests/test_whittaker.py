@@ -49,6 +49,7 @@ from _oracles import (
     TABLE_CASES,
     TABLE_FORMS,
     TABLE_WINDOW_CASES,
+    close_root_system_dense,
     glr_dimension_scan,
     glr_general_position,
     lattice_contains,
@@ -715,7 +716,8 @@ _SL3 = build_slr(3)
 #: q and n, and the (in, not in) general position counts of the sample; the
 #: last two have a centre, so that Y^{W x Fr} is not zero.  The last is GL_2
 #: in the basis e_1, e_1 + e_2 with the Kazhdan-Patterson form, where some
-#: twists by the centre land on the other point of the orbit
+#: twists by the centre land on the other point of the orbit.  G2 is closed
+#: from its Cartan matrix in the coroot basis, as SL_3 is
 NON_BLOCK_COVERS = {
     "SL_3": (_SL3, ((2, -1), (-1, 2)), 5, 4, (93, 23)),
     "SU_3": (BasedRootDatum(2, _SL3.roots, _SL3.coroots, _SL3.simple_indices,
@@ -723,6 +725,8 @@ NON_BLOCK_COVERS = {
              ((2, -1), (-1, 2)), 5, 4, (87, 33)),
     "SL_4": (build_slr(4), ((2, -1, 0), (-1, 2, -1), (0, -1, 2)), 3, 2, (281, 163)),
     "Sp_4": (build_sp2r(2), ((2, 0), (0, 2)), 5, 4, (82, 74)),
+    "G2": (BasedRootDatum(2, *close_root_system_dense([((2, -3), (1, 0)), ((-1, 2), (0, 1))])),
+           ((2, -3), (-3, 6)), 5, 4, (157, 79)),
     "SL_2 x GL_1": (BasedRootDatum(2, ((2, 0), (-2, 0)), ((1, 0), (-1, 0)), (0,)),
                     ((2, 0), (0, 2)), 5, 4, (20, 16)),
     "GL_2, non-block basis": (BasedRootDatum(2, ((1, 0), (-1, 0)), ((2, -1), (-2, 1)), (0,)),
