@@ -20,13 +20,15 @@ Data derived from a cover (Q on the coroots, each summed over the support
 of its coroot and read first by validation, Y_{Q,n}, the meet of the
 invariant lattice Y^{W x Fr} with it, the coset representatives of the
 quotient, the residual record of the last apartment point, and the map from
-each passing set of the orbit search to its checked subgroup and index) are
-computed on first use and kept on the cover, so they live exactly as long
-as it does.  With the identity Frobenius the central index is read off the
-Hermite form of the kept Y_{Q,n}.  The invariant lattice itself and the
-Weyl group, with its blocks on block-permutation data, are held on the
-datum and shared by every cover on it.  More than 100,000 cosets are
-refused before any is built.
+the key of each passing set of the orbit search, its per-block moduli on
+block-permutation data and its cosets on other data, to its checked
+subgroup and index) are computed on first use and kept on the cover, so
+they live exactly as long as it does.  Only the orbit search on data that
+are not block data reads the coset representatives.  With the identity
+Frobenius the central index is read off the Hermite form of the kept
+Y_{Q,n}.  The invariant lattice itself and the Weyl group, with its blocks
+on block-permutation data, are held on the datum and shared by every cover
+on it.  More than 100,000 cosets are refused before any is built.
 """
 
 from __future__ import annotations
@@ -60,6 +62,14 @@ from .root_datum import (
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 #: least strong pseudoprime to all of _SMALL_PRIMES (Sorenson and Webster)
 _MILLER_RABIN_BOUND = 3_317_044_064_679_887_385_961_981
+#: (psi, bases): the least strong pseudoprime psi to a shorter prefix of
+#: _SMALL_PRIMES, so that the prefix decides every m < psi (Jaeschke for
+#: 2..13 and 2..17, Jiang and Deng for 2..23, Sorenson and Webster for 2..37)
+_MILLER_RABIN_PREFIXES = tuple(
+    (psi, _SMALL_PRIMES[:k]) for psi, k in ((3_474_749_660_383, 6),
+                                             (341_550_071_728_321, 7),
+                                             (3_825_123_056_546_413_051, 9),
+                                             (318_665_857_834_031_151_167_461, 12)))
 
 
 def _prime_power_base(q):
@@ -75,7 +85,13 @@ def _prime_power_base(q):
     passing all 13 proves b prime when b < 3,317,044,064,679,887,385,961,981
     (J. Sorenson and J. Webster, "Strong pseudoprimes to twelve prime
     bases", Math. Comp. 86 (2017)).  Beyond that bound a passing b cannot be
-    decided, and :class:`ResourceLimitError` is raised.
+    decided, and :class:`ResourceLimitError` is raised.  Below it only the
+    shortest prefix of the bases proven for b's size is tested: 2..13 below
+    3,474,749,660,383 and 2..17 below 341,550,071,728,321 (G. Jaeschke, "On
+    strong pseudoprimes to several bases", Math. Comp. 61 (1993)), 2..23
+    below 3,825,123,056,546,413,051 (Y. Jiang and Y. Deng, Math. Comp. 83
+    (2014)), and 2..37 below 318,665,857,834,031,151,167,461 (Sorenson and
+    Webster).
     """
     if q < 2:
         raise MathConstraintError("q must be a prime power >= 2")
@@ -125,10 +141,13 @@ def _integer_root(m, e):
 
 
 def _passes_miller_rabin(m):
-    """Is odd m > 41 a strong probable prime to every base in _SMALL_PRIMES?"""
+    """Is odd m > 41 a strong probable prime to every base in the shortest
+    prefix of _SMALL_PRIMES that decides m's size, or to all of them past
+    the last prefix?"""
     s = ((m - 1) & (1 - m)).bit_length() - 1
     d = (m - 1) >> s
-    for a in _SMALL_PRIMES:
+    bases = next((bases for psi, bases in _MILLER_RABIN_PREFIXES if m < psi), _SMALL_PRIMES)
+    for a in bases:
         x = pow(a, d, m)
         if x == 1 or x == m - 1:
             continue
@@ -245,17 +264,20 @@ class CoverSpec(Frozen):
     @cached_property
     def _cosets(self):
         """Canonical representatives y of L / (L meet Y_{Q,n}), the zero
-        coset first, each paired with its twist covector gram . y.  More
-        than :data:`whitdim.lattice.MAX_COSETS` of them are refused before
-        any is built."""
+        coset first, each paired with its twist covector gram . y, for the
+        orbit search on data that are not block data.  More than
+        :data:`whitdim.lattice.MAX_COSETS` of them are refused before any is
+        built."""
         reps = coset_representatives(*self._invariant_lattices)
         return tuple((rep, mat_vec(self.form.gram, rep)) for rep in reps)
 
     @cached_property
     def _passing_subgroups(self):
-        """The subgroups ``y_x_rho`` has built and checked, as a map from the
-        tuple of passing representatives, in coset order, to (lattice,
-        index); empty until the first orbit search."""
+        """The subgroups ``y_x_rho`` has built and checked, as a map to
+        (lattice, index) from the tuple of moduli m_B, one per block, on
+        block-permutation data, and from the tuple of passing
+        representatives, in coset order, on other data; empty until the
+        first orbit search."""
         return {}
 
 

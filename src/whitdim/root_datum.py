@@ -329,10 +329,10 @@ class WeylGroup(Frozen):
     :func:`permutation_blocks`): W is every permutation that maps each block
     to itself, acting on X as on Y.  Membership is :meth:`permutation`,
     which keeps the last twist it decided, and orbits compare the sets of
-    entries in each block.  Otherwise ``blocks`` is None, and membership and
-    orbits are answered from the elements, closed on first use and kept
-    once, as their action on Y: an orbit reads the action on X of each
-    element's inverse off its columns."""
+    entries in each block, which :meth:`block_entries` gives.  Otherwise
+    ``blocks`` is None, and membership and orbits are answered from the
+    elements, closed on first use and kept once, as their action on Y: an
+    orbit reads the action on X of each element's inverse off its columns."""
 
     _fields = ("rank", "simple_pairs", "order", "blocks")
 
@@ -396,6 +396,18 @@ class WeylGroup(Frozen):
             self.__dict__["_last_twist"] = (m, p)
         return p
 
+    def block_entries(self, v):
+        """On block data, the set of entries of v in each block, or None
+        when an entry repeats within a block: then v is not in general
+        position (see :meth:`orbit`)."""
+        if len(self.blocks) == 1:
+            entries = frozenset(v)
+            return [entries] if len(entries) == len(v) else None
+        sets = [frozenset([v[i] for i in block]) for block in self.blocks]
+        if any(len(s) < len(block) for s, block in zip(sets, self.blocks)):
+            return None
+        return sets
+
     def orbit(self, v, denom, w, f):
         """A test for the W-orbit of the exponents v mod denom, or None when
         v is not in general position for the twist w Fr: some element other
@@ -425,14 +437,12 @@ class WeylGroup(Frozen):
         """
         blocks = self.blocks
         if blocks is not None:
-            if len(blocks) == 1:
-                entries = frozenset(v)
-                if len(entries) < len(v):
-                    return None
-                return lambda u: frozenset(u) == entries
-            sets = [frozenset([v[i] for i in block]) for block in blocks]
-            if any(len(s) < len(block) for s, block in zip(sets, blocks)):
+            sets = self.block_entries(v)
+            if sets is None:
                 return None
+            if len(blocks) == 1:
+                entries = sets[0]
+                return lambda u: frozenset(u) == entries
             return lambda u: [frozenset([u[i] for i in block]) for block in blocks] == sets
         images = [tuple([sum(map(operator.mul, col, v)) % denom for col in zip(*m)])
                   for m in self.elements]

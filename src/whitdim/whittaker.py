@@ -20,8 +20,8 @@ Three independent routes compute the same dimension for covers of GL_r:
 * a literal scan of k, each step an exact rational equality tested by
   cross-multiplication (`wh_dim_oracle`), sharing no helper with the closed
   form,
-* a Weyl-orbit search over coset representatives of the invariant lattice
-  (`y_x_rho`), which also works for arbitrary root data.
+* a Weyl-orbit search for the invariant cocharacters whose twist keeps
+  theta in its orbit (`y_x_rho`), which also works for arbitrary root data.
 
 Each route decides general position on its own, as it computes.  Only the
 orbit search touches W, through the datum's one Weyl group: a membership
@@ -34,13 +34,17 @@ permutation that w^T applies, decided once for the twist every parameter of
 a cover carries, and w^T theta is gathered with no matrix arithmetic; theta
 is in general position exactly when its entries are distinct within each
 block, and then shares its orbit with the vectors whose blocks hold the
-same sets of entries.  Other data take column sums of w, map theta by every
-element of W, enumerated once, and search the stabilizer for an element
-commuting with w Fr.  Resource guards
-raise :class:`ResourceLimitError` before any enumeration: |W| above 40,320
-(computed from the root heights), GL_r with r above 16, more than 100,000
-cosets for the orbit search, an oracle scan of more than 100,000 steps, and
-a table with q^r - 1 above 10^6.
+same sets of entries.  There the twisting cocharacters that pass are
+solved for, as one congruence on the invariant lattice whose moduli come
+from the shifts that keep each block's set of entries, and no coset is
+built.  Other data take column sums of w, map theta by every element of W,
+enumerated once, search the stabilizer for an element commuting with w Fr,
+and test every coset of the invariant lattice mod its meet with Y_{Q,n}.
+Resource guards raise :class:`ResourceLimitError` before any enumeration:
+|W| above 40,320 (computed from the root heights), GL_r with r above 16,
+more than 100,000 cosets for the orbit search on data that are not block
+data, an oracle scan of more than 100,000 steps, and a table with q^r - 1
+above 10^6.
 
 Every GL_r route (the closed form, the oracle, the Coxeter parameter, the
 table and ``glr_cover``) refuses its inputs in one order: r >= 1, then its
@@ -64,8 +68,10 @@ from .errors import GeneralPositionError, MathConstraintError, ResourceLimitErro
 from .lattice import (
     _as_matrix,
     congruence_index,
+    congruence_kernel,
     hermite_normal_form,
     index,
+    intersect,
     mat_mul,
     mat_vec,
 )
@@ -134,13 +140,11 @@ class LusztigParameter(Frozen):
 # ---------------------------------------------------------------------------
 # validation and the Weyl-orbit pass
 
-def _orbit_pass(cover, param):
-    """Validate a parameter against a cover; (D, theta mod D, orbit test)
-    with D = lcm(n, denominator).  The test tells whether a list mod D lies in
-    the Weyl orbit of theta; it is None when theta is not in general
-    position: a nonidentity Weyl element commuting with w Fr fixes it.
-    On block-permutation data membership gives the permutation p that w^T
-    applies, and w^T theta is gathered as theta_{p[j]}."""
+def _checked_theta(cover, param):
+    """Validate a parameter against a cover; (D, theta mod D) with
+    D = lcm(n, denominator).  On block-permutation data membership gives
+    the permutation p that w^T applies, and w^T theta is gathered as
+    theta_{p[j]}."""
     datum = cover.datum
     d = datum.rank
     if len(param.numerators) != d:
@@ -175,7 +179,17 @@ def _orbit_pass(cover, param):
     if [q * t % denom for t in tnum] != image:
         raise MathConstraintError(
             "q * theta = (w Fr)^T theta mod 1 fails: not a character of the twisted torus")
-    return denom, tnum, group.orbit(tnum, denom, w, f)
+    return denom, tnum
+
+
+def _orbit_pass(cover, param):
+    """(D, theta mod D, orbit test) for a parameter that passes
+    :func:`_checked_theta`.  The test tells whether a list mod D lies in the
+    Weyl orbit of theta; it is None when theta is not in general position: a
+    nonidentity Weyl element commuting with w Fr fixes it."""
+    denom, tnum = _checked_theta(cover, param)
+    datum = cover.datum
+    return denom, tnum, datum._weyl_group.orbit(tnum, denom, param.w, datum.fr.matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -224,18 +238,86 @@ def y_x_rho(cover, param):
     """The sublattice of invariant cocharacters whose twist fixes the
     parameter's geometric conjugacy class, plus its index.
 
-    Enumerates the finite quotient of Y^{W x Fr} by its meet with Y_{Q,n} and
-    keeps the cosets y whose twisted parameter theta + xi_y stays in the Weyl
-    orbit of theta.  The passing set must form a subgroup of the quotient;
-    anything else signals an internal inconsistency.
+    The twist by y in L = Y^{W x Fr} sends theta to theta + xi_y; y passes
+    when that stays in the Weyl orbit of theta.  The passing set is a
+    subgroup of L containing L meet Y_{Q,n}, and the index is taken in L.
 
-    Every call scans every coset and checks that the zero coset passes and
-    that the passing count divides the quotient.  The subgroup's Hermite
-    normal form and its index check depend on the passing set alone, so
-    they run on the first call with that set; the pair is then kept in the
-    cover's ``_passing_subgroups``, keyed by the tuple of passing
-    representatives in coset order, and returned by later calls.
+    On block-permutation data it is solved, with no coset built.  For y in
+    L, gram . y is W-fixed in X, so constant on each block B, and the twist
+    shifts the entries of B by D/n times its value c_B there.  The shifts s
+    mod D that map the block's set of entries onto itself form the subgroup
+    generated by g_B, the least such s among the differences
+    theta_j - theta_first (those with |B| s = 0 mod D, as |B| is a multiple
+    of the subgroup's order), or D when none is.  So y passes exactly when
+    c_B = 0 mod m_B = g_B / gcd(g_B, D/n) on every block: one congruence
+    on L, whose lattice and index depend on the moduli m_B alone.  The
+    first parameter with a given tuple of moduli solves it, checking that
+    gram . y is constant on the blocks for a basis of L, that the lattice
+    contains L meet Y_{Q,n}, and that the index divides the quotient's
+    order.
+
+    Other data scan the cosets of L / (L meet Y_{Q,n}), at most
+    :data:`whitdim.lattice.MAX_COSETS` of them, on every call: the zero
+    coset must pass and the passing count divide the quotient.  The
+    subgroup's Hermite normal form and its index check depend on the
+    passing set alone and run on the first call with that set.
+
+    Either result is kept in the cover's ``_passing_subgroups``, keyed by
+    the tuple of moduli or of passing representatives, and returned by
+    later calls with the same key.
     """
+    group = cover.datum._weyl_group
+    blocks = group.blocks
+    if blocks is None:
+        return _scanned_subgroup(cover, param)
+    denom, tnum = _checked_theta(cover, param)
+    sets = group.block_entries(tnum)
+    if sets is None:
+        raise GeneralPositionError("parameter is not in general position")
+    scale = denom // cover.n
+    moduli = []
+    for block, entries in zip(blocks, sets):
+        first, size, step = tnum[block[0]], len(block), denom
+        for t in entries:
+            s = (t - first) % denom
+            if 0 < s < step and size * s % denom == 0 and {
+                    (x + s) % denom for x in entries} == entries:
+                step = s
+        moduli.append(step // gcd(step, scale))
+    key = tuple(moduli)
+    held = cover._passing_subgroups
+    found = held.get(key)
+    if found is None:
+        found = held[key] = _solved_subgroup(cover, blocks, key)
+    return found
+
+
+def _solved_subgroup(cover, blocks, moduli):
+    """(lattice, index) of {y in L : (gram . y)_first(B) = 0 mod m_B for
+    every block B}, the moduli m_B dividing n; see :func:`y_x_rho`."""
+    lat, sub = cover._invariant_lattices
+    gram = cover.form.gram
+    for y in lat.basis:
+        twist = mat_vec(gram, y)
+        if any(twist[i] != twist[block[0]] for block in blocks for i in block):
+            raise RuntimeError(
+                "internal consistency: gram . y is not constant on a block for invariant y")
+    modulus = lcm(*moduli)
+    rows = [tuple(modulus // m * x for x in gram[block[0]])
+            for m, block in zip(moduli, blocks)]
+    lattice = intersect(lat, congruence_kernel(rows, modulus, cover.rank))
+    if not all(map(lattice.contains_vector, sub.basis)):
+        raise RuntimeError(
+            "internal consistency: the passing lattice does not contain L meet Y_{Q,n}")
+    idx = index(lat, lattice)
+    if index(lat, sub) % idx:
+        raise RuntimeError("internal consistency: subgroup size does not divide the quotient")
+    return lattice, idx
+
+
+def _scanned_subgroup(cover, param):
+    """(lattice, index) of the passing cosets, found by testing each one;
+    see :func:`y_x_rho`."""
     denom, tnum, in_orbit = _orbit_pass(cover, param)
     if in_orbit is None:
         raise GeneralPositionError("parameter is not in general position")

@@ -396,6 +396,36 @@ def orbit_search_reference(cover, w, theta, weyl_elements):
     return passes
 
 
+def coset_scan_reference(cover, param):
+    """The orbit route by a scan of cosets: (lattice, index) of the subgroup
+    of L = Y^{W x Fr} whose twist keeps theta in its Weyl orbit.
+
+    Every coset y of L / (L meet Y_{Q,n}) is twisted, theta + (gram . y)/n,
+    and tested with the library's orbit test; the passing cosets must be a
+    subgroup, checked by the index of the lattice they generate with
+    L meet Y_{Q,n}.  Raises :class:`GeneralPositionError` as ``y_x_rho``
+    does, and :class:`ResourceLimitError` past the coset guard.
+    """
+    from whitdim.lattice import coset_representatives, hermite_normal_form, index, mat_vec
+    from whitdim.whittaker import _orbit_pass
+
+    denom, tnum, in_orbit = _orbit_pass(cover, param)
+    if in_orbit is None:
+        raise GeneralPositionError("parameter is not in general position")
+    lat, sub = cover._invariant_lattices
+    reps = coset_representatives(lat, sub)
+    scale = denom // cover.n
+    passing = [y for y in reps
+               if in_orbit([(t + scale * c) % denom
+                            for t, c in zip(tnum, mat_vec(cover.form.gram, y))])]
+    assert passing and not any(passing[0]), "the zero coset did not pass"
+    assert len(reps) % len(passing) == 0, "the passing count does not divide the quotient"
+    lattice = hermite_normal_form(list(sub.basis) + passing, cover.rank)
+    idx = len(reps) // len(passing)
+    assert index(lat, lattice) == idx, "the passing cosets are no subgroup"
+    return lattice, idx
+
+
 def _naive_product(a, b):
     return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
 

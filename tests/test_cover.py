@@ -4,8 +4,11 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from whitdim import cover as cover_module
 from whitdim.cover import (
+    _SMALL_PRIMES,
     CoverSpec,
+    _passes_miller_rabin,
     _prime_power_base,
     WeylInvariantForm,
     central_index,
@@ -183,6 +186,61 @@ def test_prime_power_base_against_sympy():
                 _prime_power_base(q)
         else:
             assert _prime_power_base(q) == expected, q
+
+
+#: (psi, k): psi is the least strong pseudoprime to the first k prime
+#: bases, the edge of the band that those k bases decide
+MILLER_RABIN_BAND_EDGES = ((3_474_749_660_383, 6), (341_550_071_728_321, 7),
+                           (3_825_123_056_546_413_051, 9),
+                           (318_665_857_834_031_151_167_461, 12),
+                           (3_317_044_064_679_887_385_961_981, 13))
+
+
+def test_each_band_edge_is_refused_by_the_prefix_above_it():
+    mr = pytest.importorskip("sympy.ntheory.primetest").mr
+    for (psi, k), (_, longer) in zip(MILLER_RABIN_BAND_EDGES, MILLER_RABIN_BAND_EDGES[1:]):
+        # psi fools the k bases that decide the band below it, not the next prefix
+        assert mr(psi, _SMALL_PRIMES[:k]) and not mr(psi, _SMALL_PRIMES[:longer])
+        assert not _passes_miller_rabin(psi)
+        with pytest.raises(MathConstraintError, match=f"^q = {psi} is not a prime power$"):
+            _prime_power_base(psi)
+    # below the first edge: strong pseudoprimes to 2..7 and to 2..11
+    for q in (3_215_031_751, 2_152_302_898_747):
+        assert not _passes_miller_rabin(q)
+
+
+def test_miller_rabin_tests_the_shortest_proven_prefix(monkeypatch):
+    sympy = pytest.importorskip("sympy")
+    bases = []
+
+    def counted(a, d, m):
+        bases.append(a)
+        return pow(a, d, m)
+
+    monkeypatch.setattr(cover_module, "pow", counted, raising=False)
+    rng = random.Random(70)
+    lower = 43 * 43
+    for psi, k in MILLER_RABIN_BAND_EDGES:
+        # a prime runs every base of its band's prefix
+        prime = sympy.prevprime(rng.randrange(max(lower, psi // 2), psi))
+        bases.clear()
+        assert _passes_miller_rabin(prime)
+        assert bases == list(_SMALL_PRIMES[:k]), prime
+        # odd numbers, primes and semiprimes of the band, against sympy
+        cases = [prime]
+        for _ in range(40):
+            cases.append(rng.randrange(lower, psi) | 1)
+            cases.append(sympy.nextprime(rng.randrange(lower, psi - psi // 4)))
+            root = rng.randrange(43, int(psi ** 0.5))
+            cases.append(sympy.nextprime(root) * sympy.nextprime(rng.randrange(43, psi // (2 * root))))
+        for b in cases:
+            if b % 2 and all(b % p for p in _SMALL_PRIMES) and lower <= b < psi:
+                assert _passes_miller_rabin(b) == sympy.isprime(b), b
+        lower = psi
+    assert _passes_miller_rabin(999_999_999_989)
+    bases.clear()
+    assert _passes_miller_rabin(999_999_999_989)
+    assert bases == [2, 3, 5, 7, 11, 13]
 
 
 def test_non_invariant_form_rejected():

@@ -14,7 +14,7 @@ from whitdim.errors import GeneralPositionError, MathConstraintError, ResourceLi
 from whitdim.lattice import (
     MAX_COSETS,
     Sublattice,
-    hermite_normal_form,
+    congruence_kernel,
     identity_matrix,
     mat_mul,
     mat_vec,
@@ -50,6 +50,7 @@ from _oracles import (
     TABLE_FORMS,
     TABLE_WINDOW_CASES,
     close_root_system_dense,
+    coset_scan_reference,
     glr_dimension_scan,
     glr_general_position,
     lattice_contains,
@@ -512,8 +513,8 @@ BLOCK_COVERS = (glr_cover(1, 1, 0, 4, 5), glr_cover(2, 0, 1, 4, 5),
 
 def check_against_orbit_reference(cover, params, elements=None):
     """Compare general position and the y_x_rho lattice and index with the
-    literal orbit search over ``elements`` (by default the library's);
-    returns (in general position, not) counts."""
+    literal orbit search over ``elements`` (by default the library's) and
+    with the scan of cosets; returns (in general position, not) counts."""
     elements = elements or weyl_group(cover.datum).elements
     counts = [0, 0]
     for param in params:
@@ -527,6 +528,7 @@ def check_against_orbit_reference(cover, params, elements=None):
         lattice, idx = y_x_rho(cover, param)
         assert idx * sum(passes.values()) == len(passes), param
         assert all(lattice.contains_vector(y) == ok for y, ok in passes.items()), param
+        assert coset_scan_reference(cover, param) == (lattice, idx), param
         counts[0] += 1
     return tuple(counts)
 
@@ -773,7 +775,8 @@ def test_a_permutation_that_moves_a_block_is_not_a_weyl_element():
 # ---------------------------------------------------------------------------
 # passing subgroups held on the cover
 
-#: a cover of the acceptance sweep with 6 cosets, passing sets of 1 and 3
+#: a cover of the acceptance sweep with 6 cosets, passing sets of 1 and 3:
+#: the moduli 12 and 4 of its one block
 SWEEP_COVER = (3, 0, 1, 12, 13)
 #: GL_2 x GL_2 with identity Frobenius: 8 cosets, and two distinct passing
 #: subgroups of order 2, {0, (0, 0, 1, 1)} and {0, (2, 2, 0, 0)}
@@ -807,32 +810,90 @@ def test_a_shared_cover_answers_like_fresh_covers():
         for param in params:
             assert y_x_rho(shared, param) == y_x_rho(make(), param), param
     # the product cover meets two passing subgroups of the same order, so a
-    # map keyed by the order alone would answer one of them wrongly
+    # map keyed by the order alone would answer one of them wrongly; each
+    # key is the pair of moduli of the two blocks
     held = shared._passing_subgroups
-    assert sorted(len(key) for key in held) == [1, 2, 2, 4]
+    assert sorted(held) == [(2, 2), (2, 4), (4, 2), (4, 4)]
+    assert sorted(idx for _, idx in held.values()) == [2, 4, 4, 8]
     assert len({lattice for lattice, _ in held.values()}) == 4
     # a cover of smaller degree on the same datum, after the map of the
-    # product cover is full: the same passing tuples, other subgroups
+    # product cover is full: other moduli, other subgroups
     smaller = CoverSpec(PRODUCT_DATUM, WeylInvariantForm(PRODUCT_GRAM), 2, 5)
-    assert len(smaller._cosets) < len(shared._cosets)
+    assert squeeze_bounds(smaller)[1] < squeeze_bounds(shared)[1]
     assert check_against_orbit_reference(smaller, params) == (len(params), 0)
+
+
+def test_the_solve_equals_the_scan_on_every_parameter_of_the_sweep_cover():
+    cover = glr_cover(*SWEEP_COVER)
+    params = _sweep_cover_parameters()
+    assert check_against_orbit_reference(cover, params) == (len(params), 0)
+
+
+def test_the_solve_equals_the_scan_on_the_product_cover():
+    params = _product_cover_parameters()
+    assert check_against_orbit_reference(_product_cover(), params) == (len(params), 0)
+
+
+def test_the_solve_equals_the_scan_on_sampled_acceptance_sweep_covers():
+    # r <= 3, q in {3, 5, 7, 13}, n | q - 1, forms in [-2, 2]^2: two forms of
+    # each (r, q, n) and at most 12 general-position exponents of each
+    rng = random.Random(32)
+    checked = set()
+    for r, q in product((1, 2, 3), (3, 5, 7, 13)):
+        exponents = [a for a in range(q ** r - 1) if glr_general_position(r, q, a)]
+        for n in (n for n in range(1, q) if (q - 1) % n == 0):
+            for _ in range(2):
+                form = rng.randint(-2, 2), rng.randint(-2, 2)
+                cover = glr_cover(r, *form, n, q)
+                sample = rng.sample(exponents, min(len(exponents), 12))
+                params = [glr_coxeter_parameter(r, q, a, n) for a in sample]
+                assert check_against_orbit_reference(cover, params) == (len(params), 0)
+                for a, param in zip(sample, params):
+                    checked.add(y_x_rho(cover, param)[1])
+                    assert y_x_rho(cover, param)[1] == wh_dim_glr_closed(r, q, n, *form, a)
+    assert len(checked) > 5
+
+
+#: tori whose Frobenius permutes the coordinates: W is trivial, every block
+#: is one coordinate
+PERMUTATION_TORI = {
+    "swap": ((0, 1), (1, 0)),
+    "3-cycle": ((0, 1, 0), (0, 0, 1), (1, 0, 0)),
+    "swap and a fixed line": ((0, 1, 0), (1, 0, 0), (0, 0, 1)),
+    "two swaps": ((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0)),
+    "4-cycle": ((0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (1, 0, 0, 0)),
+}
+
+
+@pytest.mark.parametrize("name", PERMUTATION_TORI)
+def test_the_solve_equals_the_scan_on_tori_with_a_permutation_frobenius(name):
+    fr = PERMUTATION_TORI[name]
+    datum = build_torus(len(fr), fr)
+    rng = random.Random(name)
+    q, n = rng.choice([(q, n) for q, n in ((3, 2), (5, 4), (7, 3)) if q ** datum.rank < 400])
+    cover = _invariant_cover(datum, q, n, rng)
+    params = _sampled_parameters(cover, weyl_group(datum).elements, rng)
+    assert check_against_orbit_reference(cover, params) == (len(params), 0)
 
 
 def test_each_passing_set_is_checked_once_per_cover(monkeypatch):
     calls = []
 
-    def counted(rows, ambient_rank=None):
-        calls.append(len(rows))
-        return hermite_normal_form(rows, ambient_rank)
+    def counted(rows, modulus, ambient_rank):
+        calls.append(modulus)
+        return congruence_kernel(rows, modulus, ambient_rank)
 
     cover = glr_cover(*SWEEP_COVER)
-    monkeypatch.setattr("whitdim.whittaker.hermite_normal_form", counted)
+    monkeypatch.setattr("whitdim.whittaker.congruence_kernel", counted)
     params = _sweep_cover_parameters()
     lattices = {y_x_rho(cover, param)[0] for param in params}
     assert len(params) > 2000
-    # a passing set is the set of cosets in its lattice, so distinct lattices
-    # count distinct passing sets
-    assert len(calls) == len(lattices) == len(cover._passing_subgroups) == 2
+    # one congruence is solved per tuple of moduli, and here distinct moduli
+    # give distinct lattices
+    assert sorted(calls) == sorted(key for key, in cover._passing_subgroups) == [4, 12]
+    assert len(lattices) == 2
+    # no coset of the cover was built
+    assert "_cosets" not in cover.__dict__
 
     # a warm cover still refuses what it refused cold (exit codes 3, 3, 4)
     r, _, _, n, q = SWEEP_COVER
@@ -851,6 +912,34 @@ def test_each_passing_set_is_checked_once_per_cover(monkeypatch):
             y_x_rho(cover, param)
         assert caught.type is error
     assert len(calls) == len(cover._passing_subgroups) == 2
+
+
+def test_the_solve_checks_each_new_key(monkeypatch):
+    # KP has L = Z(1, 1) and L meet Y_{Q,n} = 4L; a = 1 has the modulus 4
+    param = glr_coxeter_parameter(2, 5, 1, 4)
+    lat, sub = KP._invariant_lattices
+    assert (lat.basis, sub.basis) == (((1, 1),), ((4, 4),))
+    assert y_x_rho(glr_cover(2, 0, 1, 4, 5), param)[1] == 4
+    # gram . (1, 0) = (0, 1) is not constant on the block
+    not_invariant = glr_cover(2, 0, 1, 4, 5)
+    not_invariant.__dict__["_invariant_lattices"] = (Sublattice.full(2), sub)
+    # L itself in place of its meet with Y_{Q,n}: not in the passing lattice 4L
+    not_contained = glr_cover(2, 0, 1, 4, 5)
+    not_contained.__dict__["_invariant_lattices"] = (lat, lat)
+    for cover, match in ((not_invariant, "not constant on a block"),
+                         (not_contained, "does not contain L meet Y_{Q,n}")):
+        for _ in range(2):
+            with pytest.raises(RuntimeError, match=match):
+                y_x_rho(cover, param)
+        assert cover._passing_subgroups == {}
+    # an index of the quotient, 4, that the subgroup's index, read as 3,
+    # does not divide
+    wrong_index = glr_cover(2, 0, 1, 4, 5)
+    meet = wrong_index._invariant_lattices[1]
+    monkeypatch.setattr("whitdim.whittaker.index", lambda sup, sub: 4 if sub is meet else 3)
+    with pytest.raises(RuntimeError, match="subgroup size does not divide the quotient"):
+        y_x_rho(wrong_index, param)
+    assert wrong_index._passing_subgroups == {}
 
 
 def test_passing_cosets_that_are_no_subgroup_are_refused_every_time(monkeypatch):
@@ -1275,13 +1364,42 @@ def test_oracle_equals_the_fraction_scan_at_the_scan_guard():
 
 def test_coset_guard_at_its_bound_and_one_past_it():
     assert MAX_COSETS == 100_000
-    # on GL_2 with the Kazhdan-Patterson form, L / (L meet Y_{Q,n}) has order n
-    at = glr_cover(2, 0, 1, 100_000, Q_AT_BOUND)
-    _, dim = y_x_rho(at, glr_coxeter_parameter(2, Q_AT_BOUND, 1, 100_000))
-    assert len(at._cosets) == squeeze_bounds(at)[1] == 100_000
-    assert dim == wh_dim_glr_closed(2, Q_AT_BOUND, 100_000, 0, 1, 1)
-    past = glr_cover(2, 0, 1, 100_001, Q_PAST_BOUND)
+    # GL_2 in the basis e_1, e_1 + e_2 is no block data, so its orbit search
+    # scans the cosets: L = Z(0, 1) and gram . (0, 1) = (1, 2), so
+    # L / (L meet Y_{Q,n}) has order n
+    datum, gram = NON_BLOCK_COVERS["GL_2, non-block basis"][:2]
+    assert weyl_group(datum).blocks is None
+    identity = identity_matrix(2)
+    at = CoverSpec(datum, WeylInvariantForm(gram), 100_000, Q_AT_BOUND)
+    param = LusztigParameter.from_theta(identity, (Fraction(1, Q_AT_BOUND - 1), 0))
+    lower, upper = squeeze_bounds(at)
+    _, dim = y_x_rho(at, param)
+    assert len(at._cosets) == upper == 100_000
+    assert upper % dim == 0 and dim % lower == 0
+    past = CoverSpec(datum, WeylInvariantForm(gram), 100_001, Q_PAST_BOUND)
     assert squeeze_bounds(past)[1] == 100_001
+    param = LusztigParameter.from_theta(identity, (Fraction(1, Q_PAST_BOUND - 1), 0))
     with pytest.raises(ResourceLimitError,
                        match="^the quotient has 100001 cosets, more than the coset guard 100000$"):
-        y_x_rho(past, glr_coxeter_parameter(2, Q_PAST_BOUND, 1, 100_001))
+        y_x_rho(past, param)
+    # on GL_2 with the Kazhdan-Patterson form, block data, the same orders
+    # are solved with no coset built
+    for q, n in ((Q_AT_BOUND, 100_000), (Q_PAST_BOUND, 100_001)):
+        cover = glr_cover(2, 0, 1, n, q)
+        assert squeeze_bounds(cover)[1] == n
+        _, dim = y_x_rho(cover, glr_coxeter_parameter(2, q, 1, n))
+        assert dim == wh_dim_glr_closed(2, q, n, 0, 1, 1)
+        assert "_cosets" not in cover.__dict__
+
+
+def test_the_solve_answers_n_equal_to_q_minus_one_at_q_near_10_12():
+    # about 10^12 cosets, far past the guard of the scan
+    q = 1_000_000_000_039
+    start = time.perf_counter()
+    for form in ((0, 1), (1, 0), (2, -1)):
+        cover = glr_cover(2, *form, q - 1, q)
+        assert squeeze_bounds(cover)[1] > MAX_COSETS
+        for a in (1, 2, q + 2):
+            _, dim = y_x_rho(cover, glr_coxeter_parameter(2, q, a, q - 1))
+            assert dim == wh_dim_glr_closed(2, q, q - 1, *form, a), (form, a)
+    assert time.perf_counter() - start < 1
