@@ -70,14 +70,36 @@ _MILLER_RABIN_PREFIXES = tuple(
                                              (341_550_071_728_321, 7),
                                              (3_825_123_056_546_413_051, 9),
                                              (318_665_857_834_031_151_167_461, 12)))
+#: every q below it is looked up in _SMALL_PRIME_POWER_BASES
+_SMALL_Q_BOUND = 43 * 43
+
+
+def _sieve_prime_power_bases(bound):
+    """The tuple whose entry q < bound is the prime p with q = p^e, or 0
+    when q is not a prime power: a sieve of Eratosthenes."""
+    sieve = bytearray([1]) * bound
+    bases = [0] * bound
+    for p in range(2, bound):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, bound, p)))
+            power = p
+            while power < bound:
+                bases[power] = p
+                power *= p
+    return tuple(bases)
+
+
+#: entry q < 43^2 is the prime below q, or 0 when q is not a prime power
+_SMALL_PRIME_POWER_BASES = _sieve_prime_power_bases(_SMALL_Q_BOUND)
 
 
 def _prime_power_base(q):
     """The unique prime p with q = p^e, or raise.
 
-    Trial division by the primes up to 41 decides every q with such a
-    factor, and every q < 43^2.  Otherwise each prime factor of q is at
-    least 43, so q = b^e needs 43^e <= q: for each such e (2 and the odd
+    Every q < 43^2 is looked up in a table built once, by a sieve, when the
+    module is imported.  A larger q is divided by the primes up to 41, which
+    decides every q with such a factor.  Otherwise each prime factor of q is
+    at least 43, so q = b^e needs 43^e <= q: for each such e (2 and the odd
     numbers, a superset of the primes) an integer Newton e-th root is tried,
     and the search goes on from an exact root.
     The base b that remains is tested by Miller-Rabin with the 13 prime
@@ -95,6 +117,11 @@ def _prime_power_base(q):
     """
     if q < 2:
         raise MathConstraintError("q must be a prime power >= 2")
+    if q < _SMALL_Q_BOUND:
+        p = _SMALL_PRIME_POWER_BASES[q]
+        if not p:
+            raise MathConstraintError(f"q = {q} is not a prime power")
+        return p
     for p in _SMALL_PRIMES:
         if q % p == 0:
             m = q // p
@@ -104,7 +131,8 @@ def _prime_power_base(q):
                 raise MathConstraintError(f"q = {q} is not a prime power")
             return p
     base = _perfect_power_base(q)
-    if base < 43 * 43:
+    # free of prime factors below 43, a base below 43^2 is prime
+    if base < _SMALL_Q_BOUND:
         return base
     if not _passes_miller_rabin(base):
         raise MathConstraintError(f"q = {q} is not a prime power")

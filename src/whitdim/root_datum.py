@@ -381,9 +381,9 @@ class WeylGroup(Frozen):
         vectors as rows, and p, the row of the 1 in each column, must map
         every block to itself.  The last tuple of tuples asked about and its
         answer are kept in the instance dict, as ``cached_property`` keeps
-        values; an equal matrix is answered from them."""
+        values; the same or an equal matrix is answered from them."""
         last = self.__dict__.get("_last_twist")
-        if last is not None and last[0] == m:
+        if last is not None and (last[0] is m or last[0] == m):
             return last[1]
         p = None
         if sorted(m) == self._unit_rows:

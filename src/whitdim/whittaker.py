@@ -11,7 +11,11 @@ reads them and the `theta` property returns them.  A parameter is normalised
 once, by one private path that divides the entries by their gcd: the
 constructor ends in it after coercing and checking its arguments, and
 `glr_coxeter_parameter`, whose entries are exact integers reduced mod D
-already, builds its parameter in lowest terms through it directly.
+already, builds its parameter in lowest terms through it directly.  Its
+twist, the r-cycle, comes from a tuple of the Coxeter twists of every rank
+the rank guard admits, built once when the module is imported, so the
+parameters of one rank share one w and the Weyl group's membership test
+recognises a twist it has just answered by identity.
 
 Three independent routes compute the same dimension for covers of GL_r:
 
@@ -75,7 +79,12 @@ from .lattice import (
     mat_mul,
     mat_vec,
 )
-from .root_datum import check_glr_rank, weyl_fixed_lattice, weyl_frobenius_fixed_lattice
+from .root_datum import (
+    MAX_GLR_RANK,
+    check_glr_rank,
+    weyl_fixed_lattice,
+    weyl_frobenius_fixed_lattice,
+)
 
 #: Longest scan of :func:`wh_dim_oracle`, n/gcd(n, m) steps of exact equality tests.
 MAX_ORACLE_SCAN = 100_000
@@ -203,21 +212,32 @@ def xi_of(cover, y):
     return tuple(Fraction(c, cover.n) % 1 for c in mat_vec(cover.form.gram, vec))
 
 
+def _coxeter_twist(r):
+    """The r-cycle i -> i - 1 mod r: row 0 is the unit row e_(r-1) and row
+    i >= 1 is e_(i-1), each a slice of one strip."""
+    strip = (0,) * (r - 1) + (1,) + (0,) * (r - 1)
+    return (strip[:r], *[strip[r - i:2 * r - i] for i in range(1, r)])
+
+
+#: entry r - 1 is the Coxeter twist of GL_r, for r = 1, ..., MAX_GLR_RANK
+_COXETER_TWISTS = tuple(map(_coxeter_twist, range(1, MAX_GLR_RANK + 1)))
+
+
 def glr_coxeter_parameter(r, q, a, n=1):
     """Parameter of the exponent-a character on the Coxeter torus of GL_r.
 
     w is the full cycle and theta_i = a * q^(i-1) / (q^r - 1) mod 1.  The
     central exponent is pinned to 1/n for the cover degree n; n = 1 pins it
     to 0.  r, q, n and a are refused as by the other GL_r routes, in the
-    same order, so n divides q - 1 and hence q^r - 1, the denominator.  The
+    same order, so n divides q - 1 and hence q^r - 1, the denominator.  w is
+    read from a table of the twists for every admitted rank, built when the
+    module is imported, so every parameter of rank r holds the same w.  The
     parameter is built in lowest terms, with no second pass through the
     constructor.
     """
     modulus = _check_glr_dim_args(r, q, n, a)
-    # row 0 of the r-cycle is the unit row e_(r-1) and row i >= 1 is
-    # e_(i-1): each a slice of one strip
-    strip = (0,) * (r - 1) + (1,) + (0,) * (r - 1)
-    w = (strip[:r], *[strip[r - i:2 * r - i] for i in range(1, r)])
+    # r is refused outside 1..MAX_GLR_RANK above, before it indexes the table
+    w = _COXETER_TWISTS[r - 1]
     nums = [operator.index(a)]
     for _ in range(r - 1):
         nums.append(nums[-1] * q % modulus)

@@ -322,6 +322,12 @@ def residual_splits_reference(cover, x):
     return hermite_normal_form(transpose(rows), len(rows)).contains_vector(rhs)
 
 
+def coxeter_cycle_reference(r):
+    """The dense r x r matrix of the cycle i -> i - 1 mod r: row i holds its
+    one 1 in column (i - 1) mod r."""
+    return tuple(tuple(1 if j == (i - 1) % r else 0 for j in range(r)) for i in range(r))
+
+
 def prime_power_base_trial(q):
     """The unique prime p with q = p^e by trial division up to sqrt(q), or
     raise MathConstraintError with the same messages as the package."""

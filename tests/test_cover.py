@@ -8,6 +8,7 @@ from whitdim import cover as cover_module
 from whitdim.cover import (
     _SMALL_PRIMES,
     CoverSpec,
+    _check_q_and_degree,
     _passes_miller_rabin,
     _prime_power_base,
     WeylInvariantForm,
@@ -119,6 +120,20 @@ def _outcome(func, q):
 def test_prime_power_base_matches_trial_division_below_2e5():
     for q in range(-3, 2 * 10 ** 5):
         assert _outcome(_prime_power_base, q) == _outcome(prime_power_base_trial, q), q
+
+
+def test_prime_power_base_at_the_edge_of_the_small_table():
+    # 1847 is the last prime the table answers, 1849 = 43^2 the first q
+    # answered by the root path
+    assert _prime_power_base(1847) == 1847
+    assert _prime_power_base(1849) == 43
+    assert glr_cover(2, 0, 1, 1, 1849).p == 43
+    for q in (1848, 1850):
+        message = f"^q = {q} is not a prime power$"
+        with pytest.raises(MathConstraintError, match=message):
+            _check_q_and_degree(q, 1)
+        with pytest.raises(MathConstraintError, match=message):
+            glr_cover(2, 0, 1, 1, q)
 
 
 @settings(max_examples=300, deadline=None)

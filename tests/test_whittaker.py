@@ -21,6 +21,7 @@ from whitdim.lattice import (
     transpose,
 )
 from whitdim.root_datum import (
+    MAX_GLR_RANK,
     BasedRootDatum,
     FrobeniusAction,
     build_glr,
@@ -51,6 +52,7 @@ from _oracles import (
     TABLE_WINDOW_CASES,
     close_root_system_dense,
     coset_scan_reference,
+    coxeter_cycle_reference,
     glr_dimension_scan,
     glr_general_position,
     lattice_contains,
@@ -283,6 +285,29 @@ def test_glr_routes_refuse_a_rank_above_the_guard_quickly():
                                match=f"^GL_r with r = {r} exceeds the rank guard 16$"):
                 route()
         assert time.perf_counter() - start < 1
+
+
+def test_coxeter_twist_of_every_admitted_rank():
+    # one twist per rank, built once: equal to the dense cycle, a member of
+    # W, and the same object on every call
+    for r in range(1, MAX_GLR_RANK + 1):
+        w = glr_coxeter_parameter(r, 3, 1).w
+        assert w == coxeter_cycle_reference(r), r
+        assert w in weyl_group(build_glr(r)), r
+        assert glr_coxeter_parameter(r, 5, 2, 2).w is w, r
+
+
+@pytest.mark.parametrize("r, exc, message", [
+    (0, ValueError, "GL_r needs r >= 1"),
+    (-1, ValueError, "GL_r needs r >= 1"),
+    (17, ResourceLimitError, "GL_r with r = 17 exceeds the rank guard 16"),
+    (2.0, TypeError, "'float' object cannot be interpreted as an integer"),
+])
+def test_coxeter_parameter_refuses_r_before_reading_the_twists(r, exc, message):
+    # r = 0 would read the last twist, r = -1 the one before
+    with pytest.raises(exc) as info:
+        glr_coxeter_parameter(r, 5, 1)
+    assert type(info.value) is exc and str(info.value) == message
 
 
 def test_parameter_must_satisfy_twisted_character_equation():
