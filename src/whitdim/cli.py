@@ -12,12 +12,13 @@ Subcommands:
 * ``table --r --q --n --pp --qq`` -- dimensions of all general-position
   classes, with a histogram.  The classes are computed first, per residue
   mod (q^r - 1)/(q - 1), with the number of blocks of rows each residue
-  reaches; the rows are then rendered window by window, 1,000
-  representatives at a time, and written to stdout in chunks, byte for
-  byte as ``json.dumps`` would print them.  The class size and dimension
-  that end a row are formatted once per dimension, and the representative
-  is pieced together from the window's thousands and a table of
-  three-digit strings, so no integer is formatted per row.
+  reaches; the rows are then written to stdout window by window, 1,000
+  representatives at a time, byte for byte as ``json.dumps`` would print
+  them.  Each row is one precomputed piece (its low three digits, the
+  class size and dimension that end it, and the start of the next row)
+  read from tables of 1,000 pieces per dimension, and a window is the
+  join of its pieces over its thousands, so no integer is formatted per
+  row.
 
 Exit codes: 0 success, 2 malformed input, 3 mathematical-constraint
 violation, 4 parameter not in general position, 5 stdout closed before all
@@ -37,6 +38,7 @@ import json
 import os
 import sys
 from bisect import bisect_left
+from operator import itemgetter
 
 from . import __version__
 from .cover import (
@@ -139,80 +141,82 @@ _ROW_JSON = ('      {\n        "representative": ',
              ',\n        "class_size": %d,\n        "dimension": %d\n      }')
 #: A row as ``json.dumps`` prints it on one line.
 _ROW_LINE = ('{"representative": ', ', "class_size": %d, "dimension": %d}')
-#: Rows rendered per write to stdout.
-_CHUNK_ROWS = 4096
 
 
 def _write_rows(table, head, tail, sep):
-    """Write the rows of a :class:`GLrTable` to stdout, joined by sep, in
-    chunks of about :data:`_CHUNK_ROWS` rows.
+    """Write the rows of a :class:`GLrTable` to stdout, joined by sep, one
+    window of 1,000 representatives at a time.
 
-    A row is head, the representative a, then the tail of its dimension,
-    which is formatted once per dimension.  The representative prints as
-    str(a // 1000) and then "%03d" % (a % 1000) when a >= 1000, and as
-    str(a) below.  The low three digits come from two tables of 1,000
-    strings, built per call and laid end to end, the second repeated so
-    that one slice of them, taken per block, holds the digits of base + c
-    at index c for every residue c < P.  The rows go out one window of
-    1,000 representatives at a time, as one join over sep, head and the
-    window's thousands (the same for the whole window, formatted once), the
-    low digits and the tail, row by row.  The live residues and their
-    tails change only where a residue's reach runs out
-    (:meth:`GLrTable.runs`), so no row is tested; a block wholly inside a
-    window is read with one ``map``, and only a block that crosses a
-    window's edge is split, by ``bisect``.
+    A row is head, the representative a, then the tail of its dimension.  The
+    representative prints as str(a // 1000) and then "%03d" % (a % 1000)
+    when a >= 1000, and as str(a) below.  So each row adds one piece: the
+    low digits of a, the tail of its dimension, then sep and head, the start
+    of the next row up to its thousands.  Window w is written as the join
+    of its pieces over t = str(w), formatted once (t is empty in window 0),
+    which puts the thousands in front of every row: the pieces of a window
+    open with an empty one, so the join puts t before the first row too,
+    those of window 0 open with the first row's head, and the last piece
+    drops its sep and head.
+
+    The pieces come from two tables built per call, of 1,000 x K strings
+    for the K distinct dimensions (fewer when M = q^r - 1 < 1000): piece
+    K x + k holds the low digits x, as str(x) in window 0 and as "%03d" % x
+    after it, and the tail of the k-th dimension.  The padded table is laid
+    out twice, so that the slice of it at K (base mod 1000) holds the piece
+    of base + c at offset K (c mod 1000) + k for every residue c, whatever
+    base is; each residue keeps that offset.  The live residues and their
+    offsets change only where a residue's reach runs out
+    (:meth:`GLrTable.runs`), so no row is tested: a block wholly inside one
+    window is read by one ``itemgetter`` per run, and only a block that
+    crosses a window's edge is split, by ``bisect``.
     """
-    tails = {dim: tail % (table.r, dim) for dim in {dim for _, _, dim in table.emitting}}
-    period = table.period
-    digits = [str(x) for x in range(1000)] + ["%03d" % x for x in range(1000)] * (period // 1000 + 2)
+    dims = sorted({dim for _, _, dim in table.emitting})
+    width = len(dims)
+    ends = [f"{tail % (table.r, dim)}{sep}{head}" for dim in dims]
+    # padded is read only past window 0, so only when M > 1000; from 100 on,
+    # str(x) already has three digits
+    low = min(1000, table.modulus)
+    plain = [f"{x}{end}" for x in range(low) for end in ends]
+    padded = ([f"{x:03d}{end}" for x in range(min(100, low)) for end in ends]
+              + plain[100 * width:]) * 2
+    # slots[dim][x] = K x + k: one int object per slot, which the residues share
+    slots = {dim: list(range(k, low * width, width)) for k, dim in enumerate(dims)}
+    offsets = [slots[dim][c % 1000] for c, _, dim in table.emitting]
 
     def windows():
-        # (w, low digits, tails) of window w, the representatives
-        # 1000 w to 1000 w + 999, in increasing order
-        window, lows, ends = 0, [], []
-        for bases, residues, live in table.runs([tails[dim] for _, _, dim in table.emitting]):
+        # (w, pieces) of window w, the representatives 1000 w to
+        # 1000 w + 999, in increasing order
+        window, pieces = 0, [head]
+        for bases, residues, live in table.runs(offsets):
             first, last = residues[0], residues[-1]
+            # every offset is below K (min(c, 999) + 1)
+            span = width * min(last + 1, 1000)
+            # itemgetter of one index returns the item, of a slice a list
+            pick = itemgetter(*live) if len(live) > 1 else itemgetter(slice(live[0], live[0] + 1))
             for base in bases:
-                # low[c] holds the low digits of base + c: digits[a] does for
-                # every a < 1000, and from 1000 on it repeats with period 1000
-                start = base if base < 1000 else 1000 + base % 1000
-                low = digits[start:start + period] if start else digits
+                start = width * (base % 1000)
                 w = (base + first) // 1000
                 if w == (base + last) // 1000:
                     if w != window:
-                        yield window, lows, ends
-                        window, lows, ends = w, [], []
-                    lows += map(low.__getitem__, residues)
-                    ends += live
+                        yield window, pieces
+                        window, pieces = w, [""]
+                    pieces += pick((padded if w else plain)[start:start + span])
                     continue
-                i = 0
+                got, i = pick(padded[start:start + span]), 0
                 while i < len(residues):
                     w = (base + residues[i]) // 1000
                     j = bisect_left(residues, 1000 * (w + 1) - base, i)
                     if w != window:
-                        yield window, lows, ends
-                        window, lows, ends = w, [], []
-                    lows += map(low.__getitem__, residues[i:j])
-                    ends += live[i:j]
+                        yield window, pieces
+                        window, pieces = w, [""]
+                    pieces += got[i:j] if w else map(plain[start:start + span].__getitem__, live[i:j])
                     i = j
-        yield window, lows, ends
+        pieces[-1] = pieces[-1][:-len(sep + head)]
+        yield window, pieces
 
-    # each row is preceded by sep, so the first write drops the one before
-    # the first row
-    write, chunk, size, cut = sys.stdout.write, [], 0, len(sep)
-    for window, lows, ends in windows():
-        count = len(lows)
-        parts = [None] * (3 * count)
-        parts[::3] = [f"{sep}{head}{window or ''}"] * count
-        parts[1::3] = lows
-        parts[2::3] = ends
-        chunk.append("".join(parts))
-        size += count
-        if size >= _CHUNK_ROWS:
-            write("".join(chunk)[cut:])
-            chunk, size, cut = [], 0, 0
-    if chunk:
-        write("".join(chunk)[cut:])
+    write = sys.stdout.write
+    for window, pieces in windows():
+        write((str(window) if window else "").join(pieces))
 
 
 def _print_value(key, value, indent=""):

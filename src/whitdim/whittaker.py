@@ -627,10 +627,10 @@ def enumerate_glr_table(r, q, n, bold_p, bold_q):
     residue: the histogram adds up the reaches, and a residue leaves the
     live set where its reach runs out, so no exponent is compared with its
     limit.  ``whitdim table`` renders the same object without building
-    these triples: the class size and dimension that end a row are
-    formatted once per dimension, and the representative is pieced
-    together from tables of digit strings, one window of 1,000
-    representatives at a time.
+    these triples: each row is one piece, its low three digits and the
+    class size and dimension that end it, read from tables of 1,000 pieces
+    per dimension, and the pieces of one window of 1,000 representatives
+    are joined over the window's thousands.
     """
     table = glr_table(r, q, n, bold_p, bold_q)
     rows = []

@@ -500,18 +500,34 @@ def test_table_prints_as_json_dumps_of_the_library_rows():
                 _assert_table_prints_as_json_dumps(r, q, n, pp, qq)
 
 
+class _CountingStdout(io.StringIO):
+    """A stdout that counts the writes made to it."""
+
+    writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
 @pytest.mark.parametrize("r,q", [(2, 199), (1, 8209)])
 def test_table_rows_across_chunk_boundaries_print_as_json_dumps(r, q):
     # 19,701 rows in blocks of up to P = 200, and 8,208 rows in blocks of one
-    assert len(enumerate_glr_table(r, q, 2, 0, 1)[0]) > 2 * cli._CHUNK_ROWS
+    out = _CountingStdout()
+    with contextlib.redirect_stdout(out):
+        cli._write_rows(glr_table(r, q, 2, 0, 1), *cli._ROW_JSON, ",\n")
+    assert out.writes > 2
     _assert_table_prints_as_json_dumps(r, q, 2, 0, 1)
     _assert_table_prints_as_json_dumps(r, q, q - 1, -3, -1)
 
 
-@pytest.mark.parametrize("r,q", TABLE_WINDOW_CASES)
+@pytest.mark.parametrize("r,q", TABLE_WINDOW_CASES + ((2, 127), (6, 7)))
 def test_table_blocks_across_windows_print_as_json_dumps(r, q):
     # blocks of more than 1,000 rows spanning several windows, and a single
-    # block, at the largest and the smallest degree
+    # block, at the largest and the smallest degree; at (2, 127), P = 128,
+    # block starts run through 125 values mod 1000 and the blocks based
+    # below 1000 cross into padded windows; (6, 7) has P = 19,608 and four
+    # dimensions at n = 6 and form (0, 1)
     for n in sorted({1, q - 1}):
         for pp, qq in ((0, 1), (-3, -1)):
             _assert_table_prints_as_json_dumps(r, q, n, pp, qq)
@@ -540,6 +556,21 @@ def test_worst_case_table_json_peak_memory():
 
 def test_worst_case_table_text_peak_memory():
     assert _worst_case_table_peak("text") < 8 * 2 ** 20
+
+
+def test_largest_period_table_render_peak_memory():
+    # P = 524,287, the largest period MAX_TABLE_ORDER admits: the pieces of
+    # the rows come from tables of 1,000 entries per dimension, not from
+    # lists as long as P
+    table = glr_table(19, 2, 1, 0, 1)
+    with open(os.devnull, "w") as null, contextlib.redirect_stdout(null):
+        tracemalloc.start()
+        try:
+            cli._write_rows(table, *cli._ROW_JSON, ",\n")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peak < 5 * 2 ** 20
 
 
 # ---------------------------------------------------------------------------
@@ -584,6 +615,6 @@ def test_closed_stdout_exits_without_traceback():
 
 
 def test_closed_stdout_mid_stream_exits_without_traceback():
-    # the rows of the worst case are written in many chunks; the pipe closes
-    # after the first of them
+    # the rows of the worst case are written one window of 1,000
+    # representatives at a time; the pipe closes after the first of them
     _close_stdout_after_first_line([*WORST_TABLE, "--format", "json"])
