@@ -18,17 +18,17 @@ datum is GL_r-shaped when its r(r - 1) roots are e_i - e_j = their coroots.
 
 Data derived from a cover (Q on the coroots, each summed over the support
 of its coroot and read first by validation, Y_{Q,n}, the meet of the
-invariant lattice Y^{W x Fr} with it, the coset representatives of the
-quotient, the residual record of the last apartment point, and the map from
-the key of each passing set of the orbit search, its per-block moduli on
-block-permutation data and its cosets on other data, to its checked
-subgroup and index) are computed on first use and kept on the cover, so
-they live exactly as long as it does.  Only the orbit search on data that
-are not block data reads the coset representatives.  With the identity
-Frobenius the central index is read off the Hermite form of the kept
-Y_{Q,n}.  The invariant lattice itself and the Weyl group, with its blocks
-on block-permutation data, are held on the datum and shared by every cover
-on it.  More than 100,000 cosets are refused before any is built.
+invariant lattice Y^{W x Fr} with it, the residual record of the last
+apartment point, and the map from the key of each passing set of the orbit
+search, its per-block moduli on block-permutation data and its group of
+twists mod n on other data, to its solved and checked subgroup and index)
+are computed on first use and kept on the cover, so they live exactly as
+long as it does.  With the identity Frobenius the central index is read
+off the Hermite form of the kept Y_{Q,n}.  The invariant lattice itself
+and the Weyl group, with its blocks on block-permutation data, are held on
+the datum and shared by every cover on it.  No coset of the invariant
+lattice is built for a cover: only ``lattice.coset_representatives``
+refuses more than 100,000 cosets, and no cover reads it.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from .lattice import (
     _as_matrix,
     congruence_index,
     congruence_kernel,
-    coset_representatives,
     dot,
     intersect,
     mat_mul,
@@ -290,22 +289,11 @@ class CoverSpec(Frozen):
         return lat, intersect(lat, self._y_qn)
 
     @cached_property
-    def _cosets(self):
-        """Canonical representatives y of L / (L meet Y_{Q,n}), the zero
-        coset first, each paired with its twist covector gram . y, for the
-        orbit search on data that are not block data.  More than
-        :data:`whitdim.lattice.MAX_COSETS` of them are refused before any is
-        built."""
-        reps = coset_representatives(*self._invariant_lattices)
-        return tuple((rep, mat_vec(self.form.gram, rep)) for rep in reps)
-
-    @cached_property
     def _passing_subgroups(self):
-        """The subgroups ``y_x_rho`` has built and checked, as a map to
+        """The subgroups ``y_x_rho`` has solved and checked, as a map to
         (lattice, index) from the tuple of moduli m_B, one per block, on
-        block-permutation data, and from the tuple of passing
-        representatives, in coset order, on other data; empty until the
-        first orbit search."""
+        block-permutation data, and from the sorted tuple of the passing
+        twists mod n on other data; empty until the first orbit search."""
         return {}
 
 

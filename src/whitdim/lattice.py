@@ -38,8 +38,8 @@ from .errors import ResourceLimitError
 #: Sentinel returned by :func:`index` when the subgroup has infinite index.
 INFINITE = "infinite"
 
-#: Largest quotient whose coset representatives are built; in the orbit
-#: search of a cover one coset costs about 300 bytes.
+#: Largest quotient whose coset representatives are built; no route of the
+#: package builds any.
 MAX_COSETS = 100_000
 
 

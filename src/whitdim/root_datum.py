@@ -444,6 +444,13 @@ class WeylGroup(Frozen):
                 entries = sets[0]
                 return lambda u: frozenset(u) == entries
             return lambda u: [frozenset([u[i] for i in block]) for block in blocks] == sets
+        orbit = self._images(v, denom, w, f)
+        return None if orbit is None else lambda u: tuple(u) in orbit
+
+    def _images(self, v, denom, w, f):
+        """Off block data, the set of images of the tuple v mod denom by the
+        transposes of the elements, or None when v is not in general
+        position for the twist w Fr (see :meth:`orbit`)."""
         images = [tuple([sum(map(operator.mul, col, v)) % denom for col in zip(*m)])
                   for m in self.elements]
         stabilizer = [m for m, image in zip(self.elements[1:], images[1:]) if image == v]
@@ -451,8 +458,7 @@ class WeylGroup(Frozen):
             wf = mat_mul(w, f)
             if any(mat_mul(wf, m) == mat_mul(m, wf) for m in stabilizer):
                 return None
-        orbit = set(images)
-        return lambda u: tuple(u) in orbit
+        return set(images)
 
 
 def _closure(start, step):

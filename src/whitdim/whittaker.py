@@ -40,15 +40,18 @@ is in general position exactly when its entries are distinct within each
 block, and then shares its orbit with the vectors whose blocks hold the
 same sets of entries.  There the twisting cocharacters that pass are
 solved for, as one congruence on the invariant lattice whose moduli come
-from the shifts that keep each block's set of entries, and no coset is
-built.  Other data take column sums of w, map theta by every element of W,
-enumerated once, search the stabilizer for an element commuting with w Fr,
-and test every coset of the invariant lattice mod its meet with Y_{Q,n}.
-Resource guards raise :class:`ResourceLimitError` before any enumeration:
-|W| above 40,320 (computed from the root heights), GL_r with r above 16,
-more than 100,000 cosets for the orbit search on data that are not block
-data, an oracle scan of more than 100,000 steps, and a table with q^r - 1
-above 10^6.
+from the shifts that keep each block's set of entries.  Other data map
+theta by every element of W, enumerated once, and search the stabilizer
+for an element commuting with w Fr; the same images then give the twists
+mod n that keep theta in its orbit, and the cocharacters that pass are
+again one congruence on the invariant lattice.  No coset is built on any
+datum.  Resource guards raise :class:`ResourceLimitError` before any
+enumeration: |W| above 40,320 (computed from the root heights), GL_r with
+r above 16, an oracle scan of more than 100,000 steps, and a table with
+q^r - 1 above 10^6.  The orbit search has no bound on the cosets of the
+invariant lattice mod its meet with Y_{Q,n}: only
+``lattice.coset_representatives``, which no route calls, refuses more
+than 100,000 cosets.
 
 Every GL_r route (the closed form, the oracle, the Coxeter parameter, the
 table and ``glr_cover``) refuses its inputs in one order: r >= 1, then its
@@ -73,7 +76,7 @@ from .lattice import (
     _as_matrix,
     congruence_index,
     congruence_kernel,
-    hermite_normal_form,
+    dot,
     index,
     intersect,
     mat_mul,
@@ -261,50 +264,70 @@ def y_x_rho(cover, param):
     The twist by y in L = Y^{W x Fr} sends theta to theta + xi_y; y passes
     when that stays in the Weyl orbit of theta.  The passing set is a
     subgroup of L containing L meet Y_{Q,n}, and the index is taken in L.
+    It is solved as one congruence on L on every datum, and no coset is
+    built.
 
-    On block-permutation data it is solved, with no coset built.  For y in
-    L, gram . y is W-fixed in X, so constant on each block B, and the twist
-    shifts the entries of B by D/n times its value c_B there.  The shifts s
-    mod D that map the block's set of entries onto itself form the subgroup
-    generated by g_B, the least such s among the differences
-    theta_j - theta_first (those with |B| s = 0 mod D, as |B| is a multiple
-    of the subgroup's order), or D when none is.  So y passes exactly when
-    c_B = 0 mod m_B = g_B / gcd(g_B, D/n) on every block: one congruence
-    on L, whose lattice and index depend on the moduli m_B alone.  The
-    first parameter with a given tuple of moduli solves it, checking that
-    gram . y is constant on the blocks for a basis of L, that the lattice
-    contains L meet Y_{Q,n}, and that the index divides the quotient's
-    order.
+    On block-permutation data, for y in L, gram . y is W-fixed in X, so
+    constant on each block B, and the twist shifts the entries of B by D/n
+    times its value c_B there.  The shifts s mod D that map the block's set
+    of entries onto itself form the subgroup generated by g_B, the least
+    such s among the differences theta_j - theta_first (those with
+    |B| s = 0 mod D, as |B| is a multiple of the subgroup's order), or D
+    when none is.  So y passes exactly when c_B = 0 mod m_B =
+    g_B / gcd(g_B, D/n) on every block: one congruence on L, whose lattice
+    and index depend on the moduli m_B alone.
 
-    Other data scan the cosets of L / (L meet Y_{Q,n}), at most
-    :data:`whitdim.lattice.MAX_COSETS` of them, on every call: the zero
-    coset must pass and the passing count divide the quotient.  The
-    subgroup's Hermite normal form and its index check depend on the
-    passing set alone and run on the first call with that set.
+    On other data theta is mapped by every element of W once, and the
+    images decide general position.  When L = 0, as on every semisimple
+    datum, the answer is (L, 1) with no image examined.  Otherwise the
+    twists c mod n that are W-fixed mod n and put theta + (D/n) c among
+    the images form a subgroup K of (Z/n)^d: from u theta = theta + (D/n) c
+    and u' theta = theta + (D/n) c' follows u u' theta = theta +
+    (D/n)(c + c').  gram . y is W-fixed for y in L, so y passes exactly
+    when gram . y mod n lies in K, that is when A . gram . y = 0 mod n for
+    the rows A that annihilate K: one congruence on L, whose lattice and
+    index depend on K alone.
 
-    Either result is kept in the cover's ``_passing_subgroups``, keyed by
-    the tuple of moduli or of passing representatives, and returned by
-    later calls with the same key.
+    The first parameter with a given key, the tuple of moduli on block
+    data and the sorted elements of K otherwise, solves the congruence and
+    checks it: on block data that gram . y is constant on the blocks for a
+    basis of L, otherwise that K holds the zero twist and is closed under
+    addition, and on both that the lattice contains L meet Y_{Q,n} and
+    that the index divides the quotient's order.  The result is kept in
+    the cover's ``_passing_subgroups`` and returned by later calls with
+    the same key.
     """
     group = cover.datum._weyl_group
     blocks = group.blocks
-    if blocks is None:
-        return _scanned_subgroup(cover, param)
     denom, tnum = _checked_theta(cover, param)
-    sets = group.block_entries(tnum)
-    if sets is None:
-        raise GeneralPositionError("parameter is not in general position")
     scale = denom // cover.n
-    moduli = []
-    for block, entries in zip(blocks, sets):
-        first, size, step = tnum[block[0]], len(block), denom
-        for t in entries:
-            s = (t - first) % denom
-            if 0 < s < step and size * s % denom == 0 and {
-                    (x + s) % denom for x in entries} == entries:
-                step = s
-        moduli.append(step // gcd(step, scale))
-    key = tuple(moduli)
+    if blocks is None:
+        images = group._images(tnum, denom, param.w, cover.datum.fr.matrix)
+        if images is None:
+            raise GeneralPositionError("parameter is not in general position")
+        lat = cover._invariant_lattices[0]
+        if not lat.basis:
+            return lat, 1
+        # K: the shifts image - theta that are (D/n) c, with c W-fixed mod n
+        n, pairs = cover.n, group.simple_pairs
+        shifts = [[(u - t) % denom for u, t in zip(image, tnum)] for image in images]
+        twists = {tuple([x // scale for x in s]) for s in shifts if not any(x % scale for x in s)}
+        key = tuple(sorted(c for c in twists if all(
+            dot(c, coroot) * x % n == 0 for root, coroot in pairs for x in root)))
+    else:
+        sets = group.block_entries(tnum)
+        if sets is None:
+            raise GeneralPositionError("parameter is not in general position")
+        moduli = []
+        for block, entries in zip(blocks, sets):
+            first, size, step = tnum[block[0]], len(block), denom
+            for t in entries:
+                s = (t - first) % denom
+                if 0 < s < step and size * s % denom == 0 and {
+                        (x + s) % denom for x in entries} == entries:
+                    step = s
+            moduli.append(step // gcd(step, scale))
+        key = tuple(moduli)
     held = cover._passing_subgroups
     found = held.get(key)
     if found is None:
@@ -312,20 +335,32 @@ def y_x_rho(cover, param):
     return found
 
 
-def _solved_subgroup(cover, blocks, moduli):
-    """(lattice, index) of {y in L : (gram . y)_first(B) = 0 mod m_B for
-    every block B}, the moduli m_B dividing n; see :func:`y_x_rho`."""
+def _solved_subgroup(cover, blocks, key):
+    """(lattice, index) of the passing subgroup with the given key of
+    :func:`y_x_rho`: {y in L : (gram . y)_first(B) = 0 mod m_B for every
+    block B} from the moduli m_B, dividing n, on block data, and
+    {y in L : gram . y mod n in K} from the elements of K otherwise."""
     lat, sub = cover._invariant_lattices
-    gram = cover.form.gram
-    for y in lat.basis:
-        twist = mat_vec(gram, y)
-        if any(twist[i] != twist[block[0]] for block in blocks for i in block):
+    gram, d = cover.form.gram, cover.rank
+    if blocks is None:
+        modulus = cover.n
+        if not key or any(key[0]):
+            raise RuntimeError("internal consistency: the zero twist does not pass")
+        sums = {tuple([(x + y) % modulus for x, y in zip(a, b)]) for a in key for b in key}
+        if sums != set(key):
             raise RuntimeError(
-                "internal consistency: gram . y is not constant on a block for invariant y")
-    modulus = lcm(*moduli)
-    rows = [tuple(modulus // m * x for x in gram[block[0]])
-            for m, block in zip(moduli, blocks)]
-    lattice = intersect(lat, congruence_kernel(rows, modulus, cover.rank))
+                "internal consistency: the passing twists are not closed under addition")
+        rows = mat_mul(congruence_kernel(key, modulus, d).basis, gram)
+    else:
+        for y in lat.basis:
+            twist = mat_vec(gram, y)
+            if any(twist[i] != twist[block[0]] for block in blocks for i in block):
+                raise RuntimeError(
+                    "internal consistency: gram . y is not constant on a block for invariant y")
+        modulus = lcm(*key)
+        rows = [tuple(modulus // m * x for x in gram[block[0]])
+                for m, block in zip(key, blocks)]
+    lattice = intersect(lat, congruence_kernel(rows, modulus, d))
     if not all(map(lattice.contains_vector, sub.basis)):
         raise RuntimeError(
             "internal consistency: the passing lattice does not contain L meet Y_{Q,n}")
@@ -333,41 +368,6 @@ def _solved_subgroup(cover, blocks, moduli):
     if index(lat, sub) % idx:
         raise RuntimeError("internal consistency: subgroup size does not divide the quotient")
     return lattice, idx
-
-
-def _scanned_subgroup(cover, param):
-    """(lattice, index) of the passing cosets, found by testing each one;
-    see :func:`y_x_rho`."""
-    denom, tnum, in_orbit = _orbit_pass(cover, param)
-    if in_orbit is None:
-        raise GeneralPositionError("parameter is not in general position")
-    lat, sub = cover._invariant_lattices
-    cosets = cover._cosets
-    scale = denom // cover.n
-    passing = [rep for rep, twist in cosets
-               if in_orbit([(t + scale * c) % denom for t, c in zip(tnum, twist)])]
-
-    total = len(cosets)
-    # the zero coset comes first
-    if not passing or any(passing[0]):
-        raise RuntimeError("internal consistency: the trivial coset did not pass")
-    if total % len(passing):
-        raise RuntimeError("internal consistency: subgroup size does not divide the quotient")
-    idx = total // len(passing)
-
-    key = tuple(passing)
-    held = cover._passing_subgroups
-    found = held.get(key)
-    if found is None:
-        # the passing cosets generate a subgroup of order total / index(lat, lattice),
-        # so the index matches exactly when they already form a subgroup
-        lattice = hermite_normal_form(list(sub.basis) + passing, cover.rank)
-        if index(lat, lattice) != idx:
-            raise RuntimeError(
-                "internal consistency: passing cosets do not form a subgroup "
-                "(lattice index mismatch)")
-        found = held[key] = (lattice, idx)
-    return found
 
 
 def _check_glr_dim_args(r, q, n, a):

@@ -28,7 +28,7 @@ def test_readme_quotes_every_guard():
     for phrase in (f"a Weyl group of order above {MAX_WEYL_ORDER:,},",
                    f"GL_r with r above {MAX_GLR_RANK},",
                    f"with q^r - 1 above {_power_of_ten(MAX_TABLE_ORDER)},",
-                   f"an orbit search over more than {MAX_COSETS:,} cosets",
+                   f"refuses a quotient of more than {MAX_COSETS:,} cosets",
                    f"an oracle scan of more than {MAX_ORACLE_SCAN:,} steps",
                    f"only below {_MILLER_RABIN_BOUND:,}."):
         assert phrase in text
@@ -38,11 +38,12 @@ def test_docstrings_quote_every_guard():
     text = _flat(whittaker.__doc__)
     for phrase in (f"|W| above {MAX_WEYL_ORDER:,} ",
                    f"GL_r with r above {MAX_GLR_RANK},",
-                   f"more than {MAX_COSETS:,} cosets for the orbit search",
+                   f"which no route calls, refuses more than {MAX_COSETS:,} cosets.",
                    f"an oracle scan of more than {MAX_ORACLE_SCAN:,} steps",
                    f"a table with q^r - 1 above {_power_of_ten(MAX_TABLE_ORDER)}."):
         assert phrase in text
-    assert f"More than {MAX_COSETS:,} cosets are refused" in _flat(cover.__doc__)
+    assert (f"only ``lattice.coset_representatives`` refuses more than {MAX_COSETS:,} "
+            "cosets" in _flat(cover.__doc__))
     assert (f"proves b prime when b < {_MILLER_RABIN_BOUND:,}"
             in _flat(cover._prime_power_base.__doc__))
 

@@ -15,6 +15,7 @@ from whitdim.lattice import (
     MAX_COSETS,
     Sublattice,
     congruence_kernel,
+    hermite_normal_form,
     identity_matrix,
     mat_mul,
     mat_vec,
@@ -775,6 +776,55 @@ def test_enumerated_orbits_match_the_reference_on_every_twist(name):
     assert check_against_orbit_reference(cover, params, elements) == counts
 
 
+#: y' = U y rebases Y = Z^3 of GL_3 to e_1 - e_2, e_2 - e_3, e_3; U^-1 below
+U3 = ((1, 0, 0), (1, 1, 0), (1, 1, 1))
+U3_INVERSE = ((1, 0, 0), (-1, 1, 0), (0, -1, 1))
+
+
+def _rebased_glr3_cover(cover):
+    """A GL_3 cover in the basis of U3, no block data: roots U^-T alpha,
+    coroots U alpha^vee and gram U^-T G U^-1."""
+    u_inv_t = transpose(U3_INVERSE)
+    base = cover.datum
+    datum = BasedRootDatum(3, tuple(mat_vec(u_inv_t, root) for root in base.roots),
+                           tuple(mat_vec(U3, coroot) for coroot in base.coroots),
+                           base.simple_indices)
+    gram = mat_mul(u_inv_t, mat_mul(cover.form.gram, U3_INVERSE))
+    return CoverSpec(datum, WeylInvariantForm(gram), cover.n, cover.q)
+
+
+#: (form, q, n, the number of characters of each index, None for those not
+#: in general position)
+REBASED_GL3_CASES = [((0, 1), 5, 4, {2: 504, None: 96}), ((1, 1), 5, 2, {1: 504, None: 96}),
+                     ((1, -2), 7, 6, {1: 36, 3: 1512, None: 216})]
+
+
+@pytest.mark.parametrize("form, q, n, counts", REBASED_GL3_CASES)
+def test_the_solve_off_block_data_equals_the_block_solve_on_rebased_gl3(form, q, n, counts):
+    """Parameter by parameter, w -> U w U^-1 and theta -> U^-T theta, on
+    every twist and character: the same general position and index, and
+    the passing lattice carried by U."""
+    block = glr_cover(3, *form, n, q)
+    rebased = _rebased_glr3_cover(block)
+    assert weyl_group(block.datum).blocks is not None
+    assert weyl_group(rebased.datum).blocks is None
+    u_inv_t = transpose(U3_INVERSE)
+    found = {}
+    for w in weyl_group(block.datum).elements:
+        moved_w = mat_mul(U3, mat_mul(w, U3_INVERSE))
+        for theta in theta_solutions(block, w):
+            param = LusztigParameter.from_theta(w, theta, Fraction(1, n))
+            moved = LusztigParameter.from_theta(moved_w, mat_vec(u_inv_t, theta), Fraction(1, n))
+            outcome = _outcome(y_x_rho, block, param)
+            if type(outcome[0]) is Sublattice:
+                carried = hermite_normal_form([mat_vec(U3, y) for y in outcome[0].basis], 3)
+                outcome = carried, outcome[1]
+            assert _outcome(y_x_rho, rebased, moved) == outcome, param
+            idx = outcome[1] if type(outcome[1]) is int else None
+            found[idx] = found.get(idx, 0) + 1
+    assert found == counts
+
+
 def test_a_large_young_stabilizer_is_not_in_general_position_at_once():
     # theta = 0 is fixed by all of S_12, of order 12! = 479001600; its equal
     # entries decide, with no element of the stabilizer formed
@@ -917,8 +967,6 @@ def test_each_passing_set_is_checked_once_per_cover(monkeypatch):
     # give distinct lattices
     assert sorted(calls) == sorted(key for key, in cover._passing_subgroups) == [4, 12]
     assert len(lattices) == 2
-    # no coset of the cover was built
-    assert "_cosets" not in cover.__dict__
 
     # a warm cover still refuses what it refused cold (exit codes 3, 3, 4)
     r, _, _, n, q = SWEEP_COVER
@@ -967,27 +1015,84 @@ def test_the_solve_checks_each_new_key(monkeypatch):
     assert wrong_index._passing_subgroups == {}
 
 
-def test_passing_cosets_that_are_no_subgroup_are_refused_every_time(monkeypatch):
-    # the first two of the 6 cosets pass: 2 divides 6, but (1, 1, 1) has
-    # order 6 in the quotient
-    cover = glr_cover(*SWEEP_COVER)
+def _non_block_gl2_cover():
+    """GL_2 in the basis e_1, e_1 + e_2 at q = 5, n = 4, on a datum of its
+    own, so that its Weyl group is shared with no other test."""
+    datum, gram, q, n, _ = NON_BLOCK_COVERS["GL_2, non-block basis"]
+    datum = BasedRootDatum(2, datum.roots, datum.coroots, datum.simple_indices)
+    return CoverSpec(datum, WeylInvariantForm(gram), n, q)
 
-    class FirstTwoCosetsPass:
-        blocks = None
 
-        def __contains__(self, w):
-            return True
+def test_the_solve_checks_each_new_key_off_block_data(monkeypatch):
+    # L = Z(0, 1) and L meet Y_{Q,n} = 4L; theta = (1/4, 0) passes the twists
+    # K = {0, (2, 0)} mod 4, so y passes exactly when it lies in 2L
+    identity = identity_matrix(2)
+    param = LusztigParameter.from_theta(identity, (Fraction(1, 4), 0))
+    cover = _non_block_gl2_cover()
+    lat, sub = cover._invariant_lattices
+    assert (lat.basis, sub.basis) == (((0, 1),), ((0, 4),))
+    assert y_x_rho(cover, param) == (Sublattice(2, ((0, 2),)), 2)
+    assert list(cover._passing_subgroups) == [((0, 0), (2, 0))]
 
-        def orbit(self, v, denom, w, f):
-            calls = iter(range(len(cover._cosets)))
-            return lambda u: next(calls) < 2
+    def with_images(images):
+        """A cover whose Weyl group maps theta onto the given images."""
+        cover = _non_block_gl2_cover()
+        group = weyl_group(cover.datum)
+        monkeypatch.setitem(group.__dict__, "_images", lambda v, denom, w, f: images(v))
+        return cover
 
-    monkeypatch.setitem(cover.datum.__dict__, "_weyl_group", FirstTwoCosetsPass())
-    param = _sweep_cover_parameters()[0]
+    # every image but theta itself: the zero twist is missing from K
+    real = weyl_group(cover.datum)._images(param.numerators, 4, identity, identity)
+    no_zero = with_images(lambda v: [u for u in real if u != v])
+    # theta and its twist by (1, 2), which is W-fixed mod 4, but not by
+    # 2 (1, 2) = (2, 0) mod 4
+    not_closed = with_images(lambda v: [v, ((v[0] + 1) % 4, (v[1] + 2) % 4)])
+    # L itself in place of its meet with Y_{Q,n}: not in the passing lattice 2L
+    not_contained = _non_block_gl2_cover()
+    not_contained.__dict__["_invariant_lattices"] = (lat, lat)
+    for cover, match in ((no_zero, "the zero twist does not pass"),
+                         (not_closed, "not closed under addition"),
+                         (not_contained, "does not contain L meet Y_{Q,n}")):
+        for _ in range(2):
+            with pytest.raises(RuntimeError, match=match):
+                y_x_rho(cover, param)
+        assert cover._passing_subgroups == {}
+    # an index of the quotient, 4, that the subgroup's index, read as 3,
+    # does not divide
+    wrong_index = _non_block_gl2_cover()
+    meet = wrong_index._invariant_lattices[1]
+    monkeypatch.setattr("whitdim.whittaker.index", lambda sup, sub: 4 if sub is meet else 3)
     for _ in range(2):
-        with pytest.raises(RuntimeError, match="do not form a subgroup"):
-            y_x_rho(cover, param)
-    assert cover._passing_subgroups == {}
+        with pytest.raises(RuntimeError, match="subgroup size does not divide the quotient"):
+            y_x_rho(wrong_index, param)
+    assert wrong_index._passing_subgroups == {}
+
+
+def test_the_orbit_search_builds_no_coset_on_any_datum(monkeypatch):
+    """y_x_rho on fresh covers of every NON_BLOCK_COVERS case and of the
+    block covers, with the coset enumerator made to raise, equals the scan
+    of cosets run before that."""
+    specs = [(datum, WeylInvariantForm(gram), n, q)
+             for datum, gram, q, n, _ in NON_BLOCK_COVERS.values()]
+    specs += [(cover.datum, cover.form, cover.n, cover.q) for cover in BLOCK_COVERS]
+    rng = random.Random("no coset")
+    expected = []
+    for spec in specs:
+        cover = CoverSpec(*spec)
+        params = _sampled_parameters(cover, weyl_group(cover.datum).elements, rng)
+        expected.append([(p, _outcome(coset_scan_reference, cover, p)) for p in params])
+
+    def refuse(sup, sub):
+        raise AssertionError("the orbit search enumerated cosets")
+
+    monkeypatch.setattr("whitdim.lattice.coset_representatives", refuse)
+    answered = 0
+    for spec, outcomes in zip(specs, expected):
+        cover = CoverSpec(*spec)
+        for param, outcome in outcomes:
+            assert _outcome(y_x_rho, cover, param) == outcome, param
+            answered += type(outcome[0]) is Sublattice
+    assert answered > len(specs)
 
 
 # ---------------------------------------------------------------------------
@@ -1387,34 +1492,37 @@ def test_oracle_equals_the_fraction_scan_at_the_scan_guard():
     assert outcomes[0] == MAX_ORACLE_SCAN
 
 
-def test_coset_guard_at_its_bound_and_one_past_it():
+def test_non_block_data_answer_at_the_coset_guard_and_one_past_it():
     assert MAX_COSETS == 100_000
-    # GL_2 in the basis e_1, e_1 + e_2 is no block data, so its orbit search
-    # scans the cosets: L = Z(0, 1) and gram . (0, 1) = (1, 2), so
-    # L / (L meet Y_{Q,n}) has order n
+    # GL_2 in the basis e_1, e_1 + e_2 is no block data: L = Z(0, 1) and
+    # gram . (0, 1) = (1, 2), so L / (L meet Y_{Q,n}) has order n
     datum, gram = NON_BLOCK_COVERS["GL_2, non-block basis"][:2]
     assert weyl_group(datum).blocks is None
     identity = identity_matrix(2)
     at = CoverSpec(datum, WeylInvariantForm(gram), 100_000, Q_AT_BOUND)
     param = LusztigParameter.from_theta(identity, (Fraction(1, Q_AT_BOUND - 1), 0))
     lower, upper = squeeze_bounds(at)
-    _, dim = y_x_rho(at, param)
-    assert len(at._cosets) == upper == 100_000
-    assert upper % dim == 0 and dim % lower == 0
+    lattice, dim = y_x_rho(at, param)
+    assert upper == 100_000 and upper % dim == 0 and dim % lower == 0
+    assert coset_scan_reference(at, param) == (lattice, dim)
+    # one past the guard the solve answers at once, where the scan refuses
     past = CoverSpec(datum, WeylInvariantForm(gram), 100_001, Q_PAST_BOUND)
-    assert squeeze_bounds(past)[1] == 100_001
     param = LusztigParameter.from_theta(identity, (Fraction(1, Q_PAST_BOUND - 1), 0))
+    start = time.perf_counter()
+    _, dim = y_x_rho(past, param)
+    assert time.perf_counter() - start < 1
+    lower, upper = squeeze_bounds(past)
+    assert lower == upper == 100_001 and upper % dim == 0 and dim % lower == 0
     with pytest.raises(ResourceLimitError,
                        match="^the quotient has 100001 cosets, more than the coset guard 100000$"):
-        y_x_rho(past, param)
+        coset_scan_reference(past, param)
     # on GL_2 with the Kazhdan-Patterson form, block data, the same orders
-    # are solved with no coset built
+    # are solved as well
     for q, n in ((Q_AT_BOUND, 100_000), (Q_PAST_BOUND, 100_001)):
         cover = glr_cover(2, 0, 1, n, q)
         assert squeeze_bounds(cover)[1] == n
         _, dim = y_x_rho(cover, glr_coxeter_parameter(2, q, 1, n))
         assert dim == wh_dim_glr_closed(2, q, n, 0, 1, 1)
-        assert "_cosets" not in cover.__dict__
 
 
 def test_the_solve_answers_n_equal_to_q_minus_one_at_q_near_10_12():
