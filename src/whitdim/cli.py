@@ -160,7 +160,8 @@ def _write_rows(table, head, tail, sep):
     The pieces come from two tables built per call, of 1,000 x K strings
     for the K distinct dimensions (fewer when M = q^r - 1 < 1000): piece
     K x + k holds the low digits x, as str(x) in window 0 and as "%03d" % x
-    after it, and the tail of the k-th dimension.  The padded table is laid
+    after it, and the tail of the k-th dimension.  A table with fewer rows
+    than that builds only the pieces of its rows.  The padded table is laid
     out twice, so that the slice of it at K (base mod 1000) holds the piece
     of base + c at offset K (c mod 1000) + k for every residue c, whatever
     base is; each residue keeps that offset.  The live residues and their
@@ -175,12 +176,28 @@ def _write_rows(table, head, tail, sep):
     # padded is read only past window 0, so only when M > 1000; from 100 on,
     # str(x) already has three digits
     low = min(1000, table.modulus)
-    plain = [f"{x}{end}" for x in range(low) for end in ends]
-    padded = ([f"{x:03d}{end}" for x in range(min(100, low)) for end in ends]
-              + plain[100 * width:]) * 2
-    # slots[dim][x] = K x + k: one int object per slot, which the residues share
-    slots = {dim: list(range(k, low * width, width)) for k, dim in enumerate(dims)}
-    offsets = [slots[dim][c % 1000] for c, _, dim in table.emitting]
+    period = table.period
+    if sum(len(range(c, limit, period)) for c, limit, _ in table.emitting) < low * width:
+        # fewer rows than pieces: only the pieces of the rows are built, and
+        # the slots that no row reads stay empty
+        plain, padded, offsets = [""] * (low * width), [""] * (low * width), []
+        for c, limit, dim in table.emitting:
+            k = dims.index(dim)
+            offsets.append(width * (c % 1000) + k)
+            for a in range(c, limit, period):
+                x = a % 1000
+                if a < 1000:
+                    plain[width * x + k] = f"{x}{ends[k]}"
+                else:
+                    padded[width * x + k] = f"{x:03d}{ends[k]}"
+        padded *= 2
+    else:
+        plain = [f"{x}{end}" for x in range(low) for end in ends]
+        padded = ([f"{x:03d}{end}" for x in range(min(100, low)) for end in ends]
+                  + plain[100 * width:]) * 2
+        # slots[dim][x] = K x + k: one int object per slot, which the residues share
+        slots = {dim: list(range(k, low * width, width)) for k, dim in enumerate(dims)}
+        offsets = [slots[dim][c % 1000] for c, _, dim in table.emitting]
 
     def windows():
         # (w, pieces) of window w, the representatives 1000 w to

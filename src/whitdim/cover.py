@@ -62,10 +62,16 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 #: least strong pseudoprime to all of _SMALL_PRIMES (Sorenson and Webster)
 _MILLER_RABIN_BOUND = 3_317_044_064_679_887_385_961_981
 #: (psi, bases): the least strong pseudoprime psi to a shorter prefix of
-#: _SMALL_PRIMES, so that the prefix decides every m < psi (Jaeschke for
-#: 2..13 and 2..17, Jiang and Deng for 2..23, Sorenson and Webster for 2..37)
+#: _SMALL_PRIMES, so that the prefix decides every m < psi (OEIS A014233:
+#: Pomerance, Selfridge and Wagstaff for 2 to 2..7, Jaeschke for 2..11 to
+#: 2..17, Jiang and Deng for 2..23, Sorenson and Webster for 2..37)
 _MILLER_RABIN_PREFIXES = tuple(
-    (psi, _SMALL_PRIMES[:k]) for psi, k in ((3_474_749_660_383, 6),
+    (psi, _SMALL_PRIMES[:k]) for psi, k in ((2_047, 1),
+                                             (1_373_653, 2),
+                                             (25_326_001, 3),
+                                             (3_215_031_751, 4),
+                                             (2_152_302_898_747, 5),
+                                             (3_474_749_660_383, 6),
                                              (341_550_071_728_321, 7),
                                              (3_825_123_056_546_413_051, 9),
                                              (318_665_857_834_031_151_167_461, 12)))
@@ -107,12 +113,15 @@ def _prime_power_base(q):
     (J. Sorenson and J. Webster, "Strong pseudoprimes to twelve prime
     bases", Math. Comp. 86 (2017)).  Beyond that bound a passing b cannot be
     decided, and :class:`ResourceLimitError` is raised.  Below it only the
-    shortest prefix of the bases proven for b's size is tested: 2..13 below
-    3,474,749,660,383 and 2..17 below 341,550,071,728,321 (G. Jaeschke, "On
-    strong pseudoprimes to several bases", Math. Comp. 61 (1993)), 2..23
-    below 3,825,123,056,546,413,051 (Y. Jiang and Y. Deng, Math. Comp. 83
-    (2014)), and 2..37 below 318,665,857,834,031,151,167,461 (Sorenson and
-    Webster).
+    shortest prefix of the bases proven for b's size is tested (OEIS
+    A014233): 2 below 2,047, 2..3 below 1,373,653, 2..5 below 25,326,001
+    and 2..7 below 3,215,031,751 (C. Pomerance, J. L. Selfridge and S. S.
+    Wagstaff, "The pseudoprimes to 25 * 10^9", Math. Comp. 35 (1980));
+    2..11 below 2,152,302,898,747, 2..13 below 3,474,749,660,383 and 2..17
+    below 341,550,071,728,321 (G. Jaeschke, "On strong pseudoprimes to
+    several bases", Math. Comp. 61 (1993)); 2..23 below
+    3,825,123,056,546,413,051 (Y. Jiang and Y. Deng, Math. Comp. 83 (2014));
+    and 2..37 below 318,665,857,834,031,151,167,461 (Sorenson and Webster).
     """
     if q < 2:
         raise MathConstraintError("q must be a prime power >= 2")

@@ -22,6 +22,15 @@ W (with |W| from the heights and the blocks of block-permutation data), the
 semisimple rank (the number of simple roots) and Y^W (orthogonal to the
 simple roots) are read off the roots and coroots.  Only the elements of W
 are enumerated, and they are refused above :data:`MAX_WEYL_ORDER`.
+
+The builders :func:`build_glr`, :func:`build_slr` and :func:`build_sp2r`
+validate the datum of a rank once per process.  :data:`_VALIDATED`, keyed
+by the builder's data function and the rank, keeps the fields validation
+gave: the rank, roots, coroots, simple indices, heights and the identity
+Frobenius, and no Weyl element, lattice or point record.  Every call, the
+first included, returns a fresh datum filled from them, so what a datum
+derives is its own and is freed with it.  Nothing is validated at import.
+:func:`build_torus` and the constructor validate on every call.
 """
 
 from __future__ import annotations
@@ -545,9 +554,27 @@ def check_glr_rank(r, limit=MAX_GLR_RANK):
         raise ResourceLimitError(f"GL_r with r = {r} exceeds the rank guard {limit}")
 
 
-def build_glr(r):
-    """Root datum of GL_r: Y = Z^r, roots e_i - e_j, W the permutation matrices."""
-    check_glr_rank(r)
+#: (builder's data, rank) -> the fields validation gave that standard datum
+_VALIDATED = {}
+
+
+def _standard_datum(data, r):
+    """A fresh datum filled from the fields kept for (data, r).  The first
+    call of a (data, rank) validates ``BasedRootDatum(*data(r))`` and keeps
+    its fields; later calls run neither ``data`` nor validation.  The
+    builder has refused an r out of range already, and the key
+    ``operator.index(r)`` refuses a float (3.0 == 3) before any lookup."""
+    key = (data, operator.index(r))
+    fields = _VALIDATED.get(key)
+    if fields is None:
+        fields = _VALIDATED[key] = dict(vars(BasedRootDatum(*data(key[1]))))
+    rd = BasedRootDatum.__new__(BasedRootDatum)
+    rd.__dict__.update(fields)
+    return rd
+
+
+def _glr_data(r):
+    """The arguments of BasedRootDatum for GL_r: every root e_i - e_j."""
     roots, coroots, simple = [], [], []
     for i in range(r):
         for j in range(r):
@@ -558,27 +585,46 @@ def build_glr(r):
                 simple.append(len(roots))
             roots.append(vec)
             coroots.append(vec)
-    return BasedRootDatum(r, tuple(roots), tuple(coroots), tuple(simple))
+    return r, tuple(roots), tuple(coroots), tuple(simple)
 
 
-def build_slr(r):
-    """Root datum of SL_r on Y = Z^{r-1}: simple coroots are the unit vectors."""
-    if r < 2:
-        raise ValueError("SL_r needs r >= 2")
+def _slr_data(r):
+    """The arguments of BasedRootDatum for SL_r: the simple pairs, grown."""
     d = r - 1
     roots = [tuple(2 if k == i else (-1 if abs(k - i) == 1 else 0) for k in range(d))
              for i in range(d)]
-    return BasedRootDatum(d, roots, identity_matrix(d), range(d), _grow=True)
+    return d, roots, identity_matrix(d), range(d), None, True
+
+
+def _sp2r_data(r):
+    """The arguments of BasedRootDatum for Sp_2r: the simple pairs, grown."""
+    short = [tuple((k == i) - (k == i + 1) for k in range(r)) for i in range(r - 1)]
+    last = tuple(int(k == r - 1) for k in range(r))
+    return r, short + [tuple(2 * x for x in last)], short + [last], range(r), None, True
+
+
+def build_glr(r):
+    """Root datum of GL_r: Y = Z^r, roots e_i - e_j, W the permutation matrices.
+    r is checked by :func:`check_glr_rank`; each rank is validated once per
+    process, and every call returns a fresh datum."""
+    check_glr_rank(r)
+    return _standard_datum(_glr_data, r)
+
+
+def build_slr(r):
+    """Root datum of SL_r on Y = Z^{r-1}: simple coroots are the unit vectors.
+    Each rank is validated once per process; every call returns a fresh datum."""
+    if r < 2:
+        raise ValueError("SL_r needs r >= 2")
+    return _standard_datum(_slr_data, r)
 
 
 def build_sp2r(r):
-    """Root datum of Sp_2r (type C_r) on Y = Z^r; the last simple root is long."""
+    """Root datum of Sp_2r (type C_r) on Y = Z^r; the last simple root is long.
+    Each rank is validated once per process; every call returns a fresh datum."""
     if r < 2:
         raise ValueError("Sp_2r needs r >= 2")
-    short = [tuple((k == i) - (k == i + 1) for k in range(r)) for i in range(r - 1)]
-    last = tuple(int(k == r - 1) for k in range(r))
-    return BasedRootDatum(r, short + [tuple(2 * x for x in last)], short + [last], range(r),
-                          _grow=True)
+    return _standard_datum(_sp2r_data, r)
 
 
 def build_torus(d, fr=None):

@@ -521,13 +521,14 @@ def test_table_rows_across_chunk_boundaries_print_as_json_dumps(r, q):
     _assert_table_prints_as_json_dumps(r, q, q - 1, -3, -1)
 
 
-@pytest.mark.parametrize("r,q", TABLE_WINDOW_CASES + ((2, 127), (6, 7)))
+@pytest.mark.parametrize("r,q", TABLE_WINDOW_CASES + ((2, 127), (6, 7), (12, 2), (8, 3)))
 def test_table_blocks_across_windows_print_as_json_dumps(r, q):
     # blocks of more than 1,000 rows spanning several windows, and a single
     # block, at the largest and the smallest degree; at (2, 127), P = 128,
     # block starts run through 125 values mod 1000 and the blocks based
     # below 1000 cross into padded windows; (6, 7) has P = 19,608 and four
-    # dimensions at n = 6 and form (0, 1)
+    # dimensions at n = 6 and form (0, 1); (12, 2) and (8, 3) have fewer
+    # rows than pieces (335 and 810), which reach past 2,000 and 4,000
     for n in sorted({1, q - 1}):
         for pp, qq in ((0, 1), (-3, -1)):
             _assert_table_prints_as_json_dumps(r, q, n, pp, qq)
@@ -558,11 +559,7 @@ def test_worst_case_table_text_peak_memory():
     assert _worst_case_table_peak("text") < 8 * 2 ** 20
 
 
-def test_largest_period_table_render_peak_memory():
-    # P = 524,287, the largest period MAX_TABLE_ORDER admits: the pieces of
-    # the rows come from tables of 1,000 entries per dimension, not from
-    # lists as long as P
-    table = glr_table(19, 2, 1, 0, 1)
+def _render_peak(table):
     with open(os.devnull, "w") as null, contextlib.redirect_stdout(null):
         tracemalloc.start()
         try:
@@ -570,7 +567,20 @@ def test_largest_period_table_render_peak_memory():
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-    assert peak < 5 * 2 ** 20
+    return peak
+
+
+def test_largest_period_table_render_peak_memory():
+    # P = 524,287, the largest period MAX_TABLE_ORDER admits: the pieces of
+    # the rows come from tables of 1,000 entries per dimension, not from
+    # lists as long as P
+    assert _render_peak(glr_table(19, 2, 1, 0, 1)) < 5 * 2 ** 20
+
+
+def test_few_row_table_render_peak_memory():
+    # 99 rows, fewer than the 1,000 pieces of their one dimension: only the
+    # pieces of the rows are built (about 64 KiB; 238 KiB with all 1,000)
+    assert _render_peak(glr_table(10, 2, 1, 0, 1)) < 128 * 2 ** 10
 
 
 # ---------------------------------------------------------------------------

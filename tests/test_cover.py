@@ -1,3 +1,4 @@
+import math
 import random
 from itertools import product
 
@@ -205,7 +206,9 @@ def test_prime_power_base_against_sympy():
 
 #: (psi, k): psi is the least strong pseudoprime to the first k prime
 #: bases, the edge of the band that those k bases decide
-MILLER_RABIN_BAND_EDGES = ((3_474_749_660_383, 6), (341_550_071_728_321, 7),
+MILLER_RABIN_BAND_EDGES = ((2_047, 1), (1_373_653, 2), (25_326_001, 3), (3_215_031_751, 4),
+                           (2_152_302_898_747, 5), (3_474_749_660_383, 6),
+                           (341_550_071_728_321, 7),
                            (3_825_123_056_546_413_051, 9),
                            (318_665_857_834_031_151_167_461, 12),
                            (3_317_044_064_679_887_385_961_981, 13))
@@ -219,9 +222,6 @@ def test_each_band_edge_is_refused_by_the_prefix_above_it():
         assert not _passes_miller_rabin(psi)
         with pytest.raises(MathConstraintError, match=f"^q = {psi} is not a prime power$"):
             _prime_power_base(psi)
-    # below the first edge: strong pseudoprimes to 2..7 and to 2..11
-    for q in (3_215_031_751, 2_152_302_898_747):
-        assert not _passes_miller_rabin(q)
 
 
 def test_miller_rabin_tests_the_shortest_proven_prefix(monkeypatch):
@@ -241,13 +241,14 @@ def test_miller_rabin_tests_the_shortest_proven_prefix(monkeypatch):
         bases.clear()
         assert _passes_miller_rabin(prime)
         assert bases == list(_SMALL_PRIMES[:k]), prime
-        # odd numbers, primes and semiprimes of the band, against sympy
-        cases = [prime]
+        # the band's first 200 odd numbers (all of the band below 2,047),
+        # then odd numbers, primes and semiprimes drawn from it, against sympy
+        cases = [prime, *range(lower | 1, min(lower + 400, psi), 2)]
         for _ in range(40):
             cases.append(rng.randrange(lower, psi) | 1)
-            cases.append(sympy.nextprime(rng.randrange(lower, psi - psi // 4)))
-            root = rng.randrange(43, int(psi ** 0.5))
-            cases.append(sympy.nextprime(root) * sympy.nextprime(rng.randrange(43, psi // (2 * root))))
+            cases.append(sympy.nextprime(rng.randrange(lower, psi)))
+            root = sympy.nextprime(rng.randrange(42, math.isqrt(psi)))
+            cases.append(root * sympy.nextprime(rng.randrange(42, psi // root)))
         for b in cases:
             if b % 2 and all(b % p for p in _SMALL_PRIMES) and lower <= b < psi:
                 assert _passes_miller_rabin(b) == sympy.isprime(b), b
@@ -255,7 +256,7 @@ def test_miller_rabin_tests_the_shortest_proven_prefix(monkeypatch):
     assert _passes_miller_rabin(999_999_999_989)
     bases.clear()
     assert _passes_miller_rabin(999_999_999_989)
-    assert bases == [2, 3, 5, 7, 11, 13]
+    assert bases == [2, 3, 5, 7, 11]
 
 
 def test_non_invariant_form_rejected():

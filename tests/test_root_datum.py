@@ -1,8 +1,11 @@
 import gc
 import random
+import subprocess
+import sys
 import time
 import weakref
 from math import factorial
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -138,6 +141,73 @@ def test_invalid_ranks_rejected():
             builder(1)
     with pytest.raises(ValueError):
         build_torus(0)
+
+
+#: (builder, rank, the input its datum is validated from): every standard
+#: datum that the tests build
+STANDARD_DATA = ([(build_glr, r, root_datum._glr_data) for r in range(1, 8)]
+                 + [(build_slr, r, root_datum._slr_data) for r in range(2, 8)]
+                 + [(build_sp2r, r, root_datum._sp2r_data) for r in range(2, 6)])
+
+
+@pytest.mark.parametrize("builder,r,data", STANDARD_DATA)
+def test_a_builder_validates_each_rank_once_and_returns_fresh_data(monkeypatch, builder, r,
+                                                                   data):
+    walk, walks = root_datum._root_heights, []
+
+    def counted(*args):
+        walks.append(args)
+        return walk(*args)
+
+    monkeypatch.setattr(root_datum, "_VALIDATED", {})
+    monkeypatch.setattr(root_datum, "_root_heights", counted)
+    first = builder(r)
+    assert len(walks) == 1
+    # what the first datum derives is its own
+    group, fixed = weyl_group(first), weyl_frobenius_fixed_lattice(first)
+    second = builder(r)
+    assert len(walks) == 1
+    assert second == first and second is not first
+    # field by field, heights included, what validating the same input gives
+    assert vars(second) == vars(BasedRootDatum(*data(r)))
+    assert weyl_group(second) is not group
+    assert weyl_frobenius_fixed_lattice(second) is not fixed
+    # no datum handed out is kept
+    ref = weakref.ref(first)
+    del first, group
+    gc.collect()
+    assert ref() is None
+
+
+FLOAT_MESSAGE = "'float' object cannot be interpreted as an integer"
+
+
+@pytest.mark.parametrize("builder,r,error,message", [
+    (build_glr, 2.0, TypeError, FLOAT_MESSAGE),
+    (build_slr, 3.0, TypeError, FLOAT_MESSAGE),
+    (build_sp2r, 2.0, TypeError, FLOAT_MESSAGE),
+    (build_glr, 17, ResourceLimitError, "GL_r with r = 17 exceeds the rank guard 16"),
+    (build_glr, 0, ValueError, "GL_r needs r >= 1"),
+    (build_slr, 1, ValueError, "SL_r needs r >= 2"),
+    (build_slr, True, ValueError, "SL_r needs r >= 2"),
+    (build_sp2r, 1, ValueError, "Sp_2r needs r >= 2"),
+])
+def test_refusals_come_before_the_kept_ranks(builder, r, error, message):
+    # every rank the builders admit near r is built as an int first: 3.0 == 3
+    for build, k, _ in STANDARD_DATA:
+        build(k)
+    for _ in range(2):
+        with pytest.raises(error, match=f"^{message}$"):
+            builder(r)
+
+
+def test_importing_the_package_validates_no_datum():
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import whitdim, whitdim.cli; "
+            "print(len(whitdim.root_datum._VALIDATED))")
+    src = str(Path(root_datum.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-S", "-c", code, src], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "0"
 
 
 # ---------------------------------------------------------------------------
